@@ -9,12 +9,10 @@ uses, which is the point of comparing against them.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import scipy.linalg
 
-from .errors import FormatError, NumericalError
+from .errors import NumericalError
 from .hodge import laplacian
 from .learn import evaluation_grid
 
@@ -109,37 +107,3 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05):
     Z = scipy.linalg.solve_sylvester(A, beta * Lt, grid0.values)
     return GridEstimate(Z, grid0.grid)
 
-
-def save_grid(estimate, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# grid: " + " ".join(repr(float(v)) for v in estimate.grid) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["edge"] + [f"t_{i}" for i in range(len(estimate.grid))])
-        for e in range(estimate.n_edges):
-            writer.writerow([e] + [repr(float(v)) for v in estimate.values[e]])
-
-
-def load_grid(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# grid:"):
-            raise FormatError(f"{path}: missing '# grid:' metadata line")
-        grid = np.array([float(v) for v in first[len("# grid:"):].split()])
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["edge"] + [f"t_{i}" for i in range(len(grid))]
-        if header != expected:
-            raise FormatError(f"{path}: unexpected header {header}")
-        rows = {}
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            try:
-                rows[int(row[0])] = [float(v) for v in row[1:]]
-            except (ValueError, IndexError):
-                raise FormatError("bad grid row", lineno)
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise FormatError(f"{path}: edge indices are not 0..{n - 1}")
-    values = np.array([rows[e] for e in range(n)])
-    return GridEstimate(values, grid)

@@ -5,8 +5,10 @@ experiment, complex gen.  Global flags --seed, --jobs, --out apply where
 they make sense (seeding for synth/sample, parallelism for experiment,
 output paths everywhere).
 
-Exit codes: 0 success, 2 file or parse problems (also argparse usage
-errors), 3 unsupported requests, 4 numerical failures.
+Exit codes: 0 success, 2 bad input -- files, parse problems, rejected
+values, argparse usage errors -- 3 unsupported requests, 4 numerical
+failures.  Past argument parsing, a failure prints one `gssc: ...` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import sys
 
 import numpy as np
 
-from .baselines import KrrConfig  # noqa: F401  (re-exported for scripting)
 from .coefficients import (FourierFn, Integer, ModN, Real, load_chain,
                            save_chain)
-from .complexes import (random_complex, save_complex, save_delta,
-                        to_chain_complex, validate)
+from .complexes import (SimplicialComplex, resolve_complex, save_complex,
+                        save_delta, validate)
 from .errors import (FormatError, InfeasibleError, NumericalError,
                      UnsupportedError)
-from .experiment import parse_config, resolve_complex, run_experiment
+from .experiment import parse_config, run_experiment
 from .hodge import eig_sym, laplacian, spectral_bases
 from .homology import homology_Z
 from .learn import (SynthSpec, load_samples, reconstruct_gssc, sample_async,
@@ -232,24 +233,21 @@ def _cmd_experiment(args):
 
 
 def _cmd_complex_gen(args):
-    spec = args.spec
+    rep = resolve_complex(args.spec)
     if args.out is None:
-        rep = resolve_complex(spec)
         report = validate(rep)
         dims = " ".join(str(rep.n_cells(k)) for k in range(rep.dim + 1))
         print(f"dims {dims} ({'valid' if report.ok else 'INVALID'})")
         return 0
-    from .experiment import _RANDOM
-    match = _RANDOM.fullmatch(spec)
     if args.out.endswith(".scx"):
-        if not match:
+        # simplicial complexes label their cells with vertex tuples
+        cells = [c for level in rep.labels or [] for c in level]
+        if not cells or not all(isinstance(c, tuple) for c in cells):
             raise UnsupportedError(
-                f"{spec!r} is not a simplicial generator; save it as .dcx")
-        sc = random_complex(int(match.group(1)), float(match.group(2)),
-                            float(match.group(3)), int(match.group(4)))
-        save_complex(sc, args.out)
+                f"{args.spec!r} is not a simplicial complex; save it as .dcx")
+        save_complex(SimplicialComplex.from_maximal(cells, rep.n_cells(0)), args.out)
     elif args.out.endswith(".dcx"):
-        save_delta(resolve_complex(spec), args.out)
+        save_delta(rep, args.out)
     else:
         raise FormatError(f"unknown output extension for {args.out!r}; "
                           "use .scx or .dcx")
@@ -268,6 +266,12 @@ _COMMANDS = {
 }
 
 
+def _fail(kind, exc, code):
+    message = " ".join(str(exc).split())
+    print(f"gssc: {kind}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -275,18 +279,13 @@ def main(argv=None):
         if args.command == "complex":
             return _cmd_complex_gen(args)
         return _COMMANDS[args.command](args)
-    except FormatError as exc:
-        print(f"gssc: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"gssc: error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedError as exc:
-        print(f"gssc: unsupported: {exc}", file=sys.stderr)
-        return 3
+        return _fail("unsupported", exc, 3)
     except (InfeasibleError, NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"gssc: numerical failure: {exc}", file=sys.stderr)
-        return 4
+        return _fail("numerical failure", exc, 4)
+    except (ValueError, OSError) as exc:
+        # FormatError and every other rejected value or unreadable file
+        return _fail("error", exc, 2)
 
 
 if __name__ == "__main__":

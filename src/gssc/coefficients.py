@@ -228,30 +228,15 @@ def eval_fn(system, coeffs, ts):
     return out if np.ndim(ts) else float(out[0])
 
 
-class WeightVector:
-    """Positive-by-default cell weights for one degree."""
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float).copy()
-        if arr.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
-        if np.any(arr < 0):
-            raise ValueError("weights must be non-negative")
-        arr.setflags(write=False)
-        self.values = arr
-
-    def __len__(self):
-        return len(self.values)
-
-
 def resolve_weights(weights, n):
-    """Accept WeightVector, array, or None (unit weights); check the length."""
+    """Non-negative one-dimensional cell weights (None means unit), length n."""
     if weights is None:
         return np.ones(n)
-    if isinstance(weights, WeightVector):
-        arr = weights.values
-    else:
-        arr = WeightVector(weights).values
+    arr = np.array(weights, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("weights must be one-dimensional")
+    if np.any(arr < 0):
+        raise ValueError("weights must be non-negative")
     if len(arr) != n:
         raise ValueError(f"{len(arr)} weights for {n} cells")
     return arr

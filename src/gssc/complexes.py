@@ -291,7 +291,13 @@ def validate(rep):
 
 # -- canonical complexes -----------------------------------------------------
 
-_PARAM_NAME = re.compile(r"(cycle|path)\((\d+)\)")
+# one grammar for every named complex: fixed canonical names, the
+# parametrized graphs, and the seeded random generator
+_SPEC = re.compile(
+    r"(?P<fixed>rp2|torus|filled_triangle)"
+    r"|(?P<graph>cycle|path)\((?P<n>\d+)\)"
+    r"|random\(\s*(?P<vertices>\d+)\s*,\s*(?P<edge_prob>[0-9.eE+-]+)\s*,"
+    r"\s*(?P<fill_prob>[0-9.eE+-]+)\s*,\s*(?P<seed>\d+)\s*\)")
 
 
 def canonical_complex(name):
@@ -323,9 +329,9 @@ def canonical_complex(name):
         rep = to_chain_complex(SimplicialComplex.from_maximal([(0, 1, 2)]))
         rep.name = "filled_triangle"
         return rep
-    m = _PARAM_NAME.fullmatch(name)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
+    m = _SPEC.fullmatch(name)
+    if m and m["graph"]:
+        kind, n = m["graph"], int(m["n"])
         if kind == "cycle":
             if n < 3:
                 raise UnsupportedError("cycle(n) needs n >= 3")
@@ -364,6 +370,42 @@ def random_complex(n_vertices, edge_prob, fill_prob, seed):
             triangles.append((a, b, c))
     maximal = triangles + sorted(edges) + [(v,) for v in range(n_vertices)]
     return SimplicialComplex.from_maximal(maximal, n_vertices=n_vertices)
+
+
+def default_experiment_complex():
+    """The built-in benchmark complex: a dense core plus a genuine 1-cycle.
+
+    A random 2-complex on vertices 0..19 (every triangle of the graph
+    filled) is bridged to a hexagonal ring on vertices 20..25.  The ring
+    bounds no triangles, so its circulation is exactly harmonic and the
+    degree-1 harmonic space is nontrivial; the core supplies enough
+    gradient and curl directions for the default basis sizes.
+    """
+    core = random_complex(20, 0.5, 1.0, seed=11)
+    extra = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25),
+             (0, 20)]
+    maximal = core.maximal_simplexes() + extra
+    return to_chain_complex(SimplicialComplex.from_maximal(maximal, n_vertices=26))
+
+
+def resolve_complex(spec):
+    """Interpret a complex spec: default, canonical, random, or path."""
+    if spec == "default":
+        return default_experiment_complex()
+    m = _SPEC.fullmatch(spec)
+    if m and m["vertices"]:
+        return to_chain_complex(random_complex(
+            int(m["vertices"]), float(m["edge_prob"]), float(m["fill_prob"]),
+            int(m["seed"])))
+    if m:
+        return canonical_complex(spec)
+    if spec.endswith(".scx"):
+        return to_chain_complex(load_complex(spec))
+    if spec.endswith(".dcx"):
+        return load_delta(spec)
+    raise FormatError(
+        f"cannot interpret complex {spec!r}: expected 'default', a canonical "
+        "name, random(n, edge_prob, fill_prob, seed), or a .scx/.dcx path")
 
 
 # -- file formats ------------------------------------------------------------

@@ -16,16 +16,13 @@ point; kept separate because it is the one non-reproducible output).
 from __future__ import annotations
 
 import csv
+import math
 import os
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from .baselines import KrrConfig, krr_grid, sc_product
-from .complexes import (SimplicialComplex, canonical_complex, load_complex,
-                        load_delta, random_complex, to_chain_complex)
+from .complexes import resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
 from .learn import (SynthSpec, eval_chain_on_grid, evaluation_grid,
@@ -34,10 +31,6 @@ from .learn import (SynthSpec, eval_chain_on_grid, evaluation_grid,
 KNOWN_METHODS = ("gssc", "gssc_sub", "krr", "sc_product")
 DEFAULT_NOISE_LEVELS = (0.001, 0.005, 0.01, 0.05, 0.1)
 DEFAULT_SAMPLE_COUNTS = (5, 10, 15, 20, 30, 40)
-
-_CANONICAL = re.compile(r"(rp2|torus|filled_triangle|cycle\(\d+\)|path\(\d+\))")
-_RANDOM = re.compile(
-    r"random\(\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\)")
 
 
 class ExperimentConfig:
@@ -82,14 +75,16 @@ class ExperimentConfig:
             raise FormatError("noise sweep needs at least one noise level")
         if self.sweep == "samples" and not self.sample_counts:
             raise FormatError("samples sweep needs at least one sample count")
-        if any(v < 0 for v in self.noise_levels) or self.noise < 0:
-            raise FormatError("noise levels must be >= 0")
+        if not all(0 <= v < math.inf for v in self.noise_levels + (self.noise,)):
+            raise FormatError("noise levels must be finite and >= 0")
         if any(m < 1 for m in self.sample_counts) or self.samples_per_edge < 1:
             raise FormatError("sample counts must be >= 1")
         if self.trials < 1:
             raise FormatError("trials must be >= 1")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise FormatError("eta must be positive")
+        if self.time_order < 1:
+            raise FormatError("time_order must be >= 1")
         if self.sub_size < 1:
             raise FormatError("sub_size must be >= 1")
 
@@ -136,42 +131,6 @@ def parse_config(path):
             except ValueError:
                 raise FormatError(f"bad value for {key}: {value!r}", lineno)
     return ExperimentConfig(**values)
-
-
-def default_experiment_complex():
-    """The built-in benchmark complex: a dense core plus a genuine 1-cycle.
-
-    A random 2-complex on vertices 0..19 (every triangle of the graph
-    filled) is bridged to a hexagonal ring on vertices 20..25.  The ring
-    bounds no triangles, so its circulation is exactly harmonic and the
-    degree-1 harmonic space is nontrivial; the core supplies enough
-    gradient and curl directions for the default basis sizes.
-    """
-    core = random_complex(20, 0.5, 1.0, seed=11)
-    extra = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25),
-             (0, 20)]
-    maximal = core.maximal_simplexes() + extra
-    return to_chain_complex(SimplicialComplex.from_maximal(maximal, n_vertices=26))
-
-
-def resolve_complex(spec):
-    """Interpret a config `complex` value: default, canonical, random, or path."""
-    if spec == "default":
-        return default_experiment_complex()
-    match = _RANDOM.fullmatch(spec)
-    if match:
-        sc = random_complex(int(match.group(1)), float(match.group(2)),
-                            float(match.group(3)), int(match.group(4)))
-        return to_chain_complex(sc)
-    if _CANONICAL.fullmatch(spec):
-        return canonical_complex(spec)
-    if spec.endswith(".scx"):
-        return to_chain_complex(load_complex(spec))
-    if spec.endswith(".dcx"):
-        return load_delta(spec)
-    raise FormatError(
-        f"cannot interpret complex {spec!r}: expected 'default', a canonical "
-        "name, random(n, edge_prob, fill_prob, seed), or a .scx/.dcx path")
 
 
 def _noise_key(sigma):

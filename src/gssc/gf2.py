@@ -61,25 +61,12 @@ def independent_columns(masks):
     return keep
 
 
-def mask_norm_p(mask, p, weights=None):
-    """Weighted Hamming norm: (sum over set bits of w_i^p)^(1/p)."""
-    if weights is None:
-        c = mask.bit_count()
-        return float(c) if p == 1 else float(np.sqrt(c))
-    total = 0.0
-    m = mask
-    while m:
-        low = m & -m
-        total += float(weights[low.bit_length() - 1]) ** p
-        m ^= low
-    return total if p == 1 else float(np.sqrt(total))
-
-
 def mask_norm_power(mask, p, weights=None):
-    """The p-th power of mask_norm_p: exact (an int) for unit weights.
+    """p-th power of the weighted Hamming norm: sum over set bits of w_i^p.
 
-    Monotone in the norm, so it is the right comparison key when searching
-    for minimizers; equal power sums mean genuinely tied candidates.
+    Exact (an int) for unit weights.  Monotone in the norm, so it is the
+    right comparison key when searching for minimizers; equal power sums
+    mean genuinely tied candidates.
     """
     if weights is None:
         return mask.bit_count()

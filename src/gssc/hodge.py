@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import ChainVector, FourierFn, Real, norm_p, zero_chain
+from .coefficients import ChainVector, FourierFn, Real, norm_p
 from .errors import UnsupportedError
 
 ZERO_TOL_FLOOR = 1e-12
@@ -87,16 +87,19 @@ def laplacian(rep, k):
     return (L + L.T) / 2.0
 
 
+def _significant(s, shape):
+    """Mask of singular values above the spectral cutoff (s descending)."""
+    if s[0] == 0.0:
+        return np.zeros(s.shape, dtype=bool)
+    return s > max(max(shape) * np.finfo(float).eps * s[0], ZERO_TOL_FLOOR * s[0])
+
+
 def numerical_rank(matrix):
     """SVD rank with the spectral cutoff convention."""
     M = np.asarray(matrix, dtype=float)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    tol = max(max(M.shape) * np.finfo(float).eps * s[0], ZERO_TOL_FLOOR * s[0])
-    return int(np.sum(s > tol))
+    return int(np.sum(_significant(np.linalg.svd(M, compute_uv=False), M.shape)))
 
 
 def _colspace_basis(matrix):
@@ -105,10 +108,7 @@ def _colspace_basis(matrix):
     if M.size == 0:
         return np.zeros((M.shape[0], 0))
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((M.shape[0], 0))
-    tol = max(max(M.shape) * np.finfo(float).eps * s[0], ZERO_TOL_FLOOR * s[0])
-    return u[:, s > tol]
+    return u[:, _significant(s, M.shape)]
 
 
 class DecompositionResult:
@@ -135,66 +135,78 @@ class DecompositionResult:
 
 def _as_matrix(values):
     arr = np.asarray(values, dtype=float)
-    return arr.reshape(len(arr), -1), arr.ndim == 1
+    return arr.reshape(len(arr), -1)
+
+
+def _chain(like, degree, mat):
+    """A chain over `like`'s complex and system; flat if `like` is flat."""
+    return ChainVector(like.complex, degree, like.system,
+                       mat[:, 0] if np.ndim(like.values) == 1 else mat)
+
+
+def _preimage(B, part):
+    """Minimum-norm least-squares y with B y = part (zero when B is empty)."""
+    if not B.size:
+        return np.zeros((B.shape[1], part.shape[1]))
+    return np.linalg.lstsq(B, part, rcond=None)[0]
+
+
+def _weighted_projection(B, target, w):
+    """(y, B y) with B y the w-weighted least-squares projection onto im B."""
+    if not B.size:
+        return np.zeros((B.shape[1], target.shape[1])), np.zeros_like(target)
+    y = np.linalg.lstsq(w[:, None] * B, w[:, None] * target, rcond=None)[0]
+    return y, B @ y
+
+
+def _split(x, w, model):
+    """The projection-and-certificate kernel behind every real Hodge split.
+
+    x_neg1 is the orthonormal projection of x onto im B_k^T and y_neg1 its
+    minimum-norm preimage.  x1 = B_{k+1} y1 is the w-weighted least-squares
+    projection of the remainder onto im B_{k+1}, so its certificate holds
+    by construction; x0 is what is left, a cycle.  Function-valued chains
+    are split coefficient column by coefficient column.
+    """
+    rep = x.complex
+    k = x.degree
+    mat = _as_matrix(x.values)
+    down = rep.boundary_float(k)
+    q_down = _colspace_basis(down.T)
+    part_neg = q_down @ (q_down.T @ mat) if q_down.size else np.zeros_like(mat)
+    in_kernel = mat - part_neg
+    y1, part_pos = _weighted_projection(rep.boundary_float(k + 1), in_kernel, w)
+    part_zero = in_kernel - part_pos
+    y_neg = _preimage(down.T, part_neg)
+    x0 = _chain(x, k, part_zero)
+    return DecompositionResult(
+        x0=x0, x1=_chain(x, k, part_pos), x_neg1=_chain(x, k, part_neg),
+        y1=_chain(x, k + 1, y1), y_neg1=_chain(x, k - 1, y_neg),
+        objective=norm_p(x0, 2, w), model=model,
+        # x1 = B_{k+1} y1 exactly, so only the preimage certificate can miss
+        residuals={"x1_certificate": 0.0, "x_neg1_certificate": float(np.linalg.norm(
+            (down.T @ y_neg if down.size else 0) - part_neg))})
 
 
 def hodge_decompose(x):
     """Orthogonal split of a real or function-valued chain.
 
-    Function-valued chains are handled coefficient column by coefficient
-    column, which is the same projection applied to a matrix of values.
-    Certificates are minimum-norm least-squares preimages.
+    The unit-weight call of the projection kernel; certificates are
+    minimum-norm least-squares preimages.
     """
     if not isinstance(x.system, (Real, FourierFn)):
         raise UnsupportedError(
             f"hodge_decompose needs Real or FourierFn values, got {x.system!r}; "
             "discrete systems go through learn.solve_fundamental")
-    rep = x.complex
-    k = x.degree
-    vals, was_flat = _as_matrix(x.values)
-
-    down = rep.boundary_float(k)      # (n_{k-1}, n_k)
-    up = rep.boundary_float(k + 1)    # (n_k, n_{k+1})
-    q_down = _colspace_basis(down.T)
-    q_up = _colspace_basis(up)
-
-    part_neg = q_down @ (q_down.T @ vals) if q_down.size else np.zeros_like(vals)
-    part_pos = q_up @ (q_up.T @ vals) if q_up.size else np.zeros_like(vals)
-    part_zero = vals - part_neg - part_pos
-
-    def chain(v, degree):
-        data = v[:, 0] if was_flat else v
-        return ChainVector(rep, degree, x.system, data)
-
-    if down.size:
-        y_neg, *_ = np.linalg.lstsq(down.T, part_neg, rcond=None)
-    else:
-        y_neg = np.zeros((rep.n_cells(k - 1), vals.shape[1]))
-    if up.size:
-        y_pos, *_ = np.linalg.lstsq(up, part_pos, rcond=None)
-    else:
-        y_pos = np.zeros((rep.n_cells(k + 1), vals.shape[1]))
-
+    result = _split(x, np.ones(len(x.values)), "hodge")
+    vals = _as_matrix(x.values)
+    part_zero, part_pos, part_neg = (_as_matrix(c.values) for c in result.parts())
     scale = max(1.0, float(np.linalg.norm(vals)))
-    residuals = {
-        "x1_certificate": float(np.linalg.norm((up @ y_pos if up.size else 0) - part_pos)),
-        "x_neg1_certificate": float(np.linalg.norm((down.T @ y_neg if down.size else 0)
-                                                   - part_neg)),
+    result.residuals.update({
         "orth_x1_x_neg1": float(abs(np.sum(part_pos * part_neg))) / scale ** 2,
         "orth_x0_x1": float(abs(np.sum(part_zero * part_pos))) / scale ** 2,
         "orth_x0_x_neg1": float(abs(np.sum(part_zero * part_neg))) / scale ** 2,
-    }
-    x0 = chain(part_zero, k)
-    result = DecompositionResult(
-        x0=x0,
-        x1=chain(part_pos, k),
-        x_neg1=chain(part_neg, k),
-        y1=chain(y_pos, k + 1),
-        y_neg1=chain(y_neg, k - 1),
-        objective=norm_p(x0, 2),
-        model="hodge",
-        residuals=residuals,
-    )
+    })
     return result
 
 

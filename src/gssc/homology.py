@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf2
-from .coefficients import (ChainVector, FourierFn, Integer, ModN, Real,
-                           norm_p, resolve_weights, zero_chain)
+from .coefficients import (Integer, ModN, Real, norm_p, resolve_weights,
+                           zero_chain)
 from .errors import UnsupportedError
-from .hodge import numerical_rank
+from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
 
 
 def _obj_identity(n):
@@ -281,11 +281,12 @@ def _require_kernel_chain(x):
 def simplicial_seminorm(x, p=2, weights=None):
     """Minimal weighted p-norm over the homology class of a cycle.
 
-    Returns (value, minimizing representative).  Real chains use p = 2 and a
-    weighted least-squares projection against im B_{k+1}; Z/2 chains are
-    solved by exhaustive enumeration of the image subgroup (2^rank elements,
-    rank capped at 24).  Integer chains are answered only when the class is
-    trivial; the infimum over an infinite coset is out of scope otherwise.
+    Returns (value, minimizing representative).  Real chains use p = 2 and
+    the Hodge split's weighted least-squares projection onto im B_{k+1};
+    Z/2 chains are solved by exhaustive enumeration of the image subgroup
+    (2^rank elements, rank capped at 24).  Integer chains are answered only
+    when the class is trivial; the infimum over an infinite coset is out of
+    scope otherwise.
     """
     rep = x.complex
     k = x.degree
@@ -296,15 +297,9 @@ def simplicial_seminorm(x, p=2, weights=None):
     if isinstance(x.system, Real):
         if p != 2:
             raise UnsupportedError("Real seminorm is implemented for p = 2 only")
-        flat = np.asarray(x.values, dtype=float)
-        Bf = B_up.astype(float)
-        if Bf.size:
-            W = np.diag(w)
-            z, *_ = np.linalg.lstsq(W @ Bf, W @ flat, rcond=None)
-            best = flat - Bf @ z
-        else:
-            best = flat
-        mini = x.with_values(best)
+        mat = _as_matrix(x.values)
+        _, part_pos = _weighted_projection(rep.boundary_float(k + 1), mat, w)
+        mini = _chain(x, k, mat - part_pos)
         return norm_p(mini, 2, w), mini
 
     if isinstance(x.system, ModN) and x.system.modulus == 2:
@@ -314,17 +309,17 @@ def simplicial_seminorm(x, p=2, weights=None):
         gens = [masks[j] for j in gf2.independent_columns(masks)]
         gf2.check_enumeration_bound(len(gens), "Z/2 seminorm")
         target = gf2.vector_to_mask(x.values)
-        best_norm = None
+        best_power = None
         best_mask = None
         for _, (elem,) in gf2.gray_iter([(g,) for g in gens]):
             cand = target ^ elem
-            val = gf2.mask_norm_p(cand, p, None if weights is None else w)
-            if best_norm is None or val < best_norm or (val == best_norm
-                                                        and cand < best_mask):
-                best_norm = val
+            power = gf2.mask_norm_power(cand, p, None if weights is None else w)
+            if best_power is None or power < best_power or (power == best_power
+                                                         and cand < best_mask):
+                best_power = power
                 best_mask = cand
         mini = x.with_values(gf2.mask_to_vector(best_mask, len(x.values)))
-        return best_norm, mini
+        return float(best_power) if p == 1 else float(np.sqrt(best_power)), mini
 
     if isinstance(x.system, Integer):
         if all(int(v) == 0 for v in x.values):

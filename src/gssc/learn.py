@@ -33,10 +33,10 @@ import scipy.linalg
 
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
-                           resolve_weights, zero_chain)
+                           resolve_weights)
 from .errors import InfeasibleError, UnsupportedError
-from .hodge import (DecompositionResult, HodgeBases, _colspace_basis, eig_sym,
-                    laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _chain, _preimage, _split,
+                    eig_sym, laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -44,51 +44,6 @@ class ConditioningWarning(RuntimeWarning):
 
 
 # -- fundamental model ---------------------------------------------------------
-
-def _fundamental_real(x, p, w):
-    if p != 2:
-        raise UnsupportedError("the closed-form path needs p = 2")
-    rep = x.complex
-    k = x.degree
-    vals = np.asarray(x.values, dtype=float)
-    flat = vals.ndim == 1
-    mat = vals.reshape(len(vals), -1)
-
-    down = rep.boundary_float(k)
-    up = rep.boundary_float(k + 1)
-    q_down = _colspace_basis(down.T)
-    part_neg = q_down @ (q_down.T @ mat) if q_down.size else np.zeros_like(mat)
-    in_kernel = mat - part_neg
-
-    if up.size:
-        W = np.diag(w)
-        y1, *_ = np.linalg.lstsq(W @ up, W @ in_kernel, rcond=None)
-        part_pos = up @ y1
-    else:
-        y1 = np.zeros((rep.n_cells(k + 1), mat.shape[1]))
-        part_pos = np.zeros_like(mat)
-    part_zero = in_kernel - part_pos
-
-    if down.size:
-        y_neg, *_ = np.linalg.lstsq(down.T, part_neg, rcond=None)
-    else:
-        y_neg = np.zeros((rep.n_cells(k - 1), mat.shape[1]))
-
-    def chain(v, degree):
-        return ChainVector(rep, degree, x.system, v[:, 0] if flat else v)
-
-    x0 = chain(part_zero, k)
-    residuals = {
-        "kernel": float(np.linalg.norm(down @ part_zero)) if down.size else 0.0,
-        "x1_certificate": float(np.linalg.norm((up @ y1 if up.size else 0) - part_pos)),
-        "x_neg1_certificate": float(np.linalg.norm(
-            (down.T @ y_neg if down.size else 0) - part_neg)),
-    }
-    return DecompositionResult(
-        x0=x0, x1=chain(part_pos, k), x_neg1=chain(part_neg, k),
-        y1=chain(y1, k + 1), y_neg1=chain(y_neg, k - 1),
-        objective=norm_p(x0, 2, w), model="fundamental", residuals=residuals)
-
 
 def _fundamental_mod2(x, p, w):
     rep = x.complex
@@ -175,7 +130,13 @@ def solve_fundamental(x, p=2, weights=None):
     """
     w = resolve_weights(weights, len(x.values))
     if isinstance(x.system, (Real, FourierFn)):
-        return _fundamental_real(x, p, w)
+        if p != 2:
+            raise UnsupportedError("the closed-form path needs p = 2")
+        result = _split(x, w, "fundamental")
+        down = x.complex.boundary_float(x.degree)
+        result.residuals["kernel"] = (float(np.linalg.norm(
+            down @ _as_matrix(result.x0.values))) if down.size else 0.0)
+        return result
     if isinstance(x.system, ModN) and x.system.modulus == 2:
         if p not in (1, 2):
             raise UnsupportedError("only p = 1 and p = 2 are supported")
@@ -204,9 +165,7 @@ def solve_smooth(x, eta=1.0, weights=None):
     rep = x.complex
     k = x.degree
     w = resolve_weights(weights, len(x.values))
-    vals = np.asarray(x.values, dtype=float)
-    flat = vals.ndim == 1
-    mat = vals.reshape(len(vals), -1)
+    mat = _as_matrix(x.values)
     n_cols = mat.shape[1]
 
     U0 = eig_sym(laplacian(rep, k)).zero_space()
@@ -246,12 +205,10 @@ def solve_smooth(x, eta=1.0, weights=None):
     rough_neg = float(np.sum((down @ part_neg) ** 2)) if down.size else 0.0
     objective = data_term + (rough_pos + rough_neg) / eta
 
-    def chain(v, degree):
-        return ChainVector(rep, degree, x.system, v[:, 0] if flat else v)
-
     return DecompositionResult(
-        x0=chain(part_zero, k), x1=chain(part_pos, k), x_neg1=chain(part_neg, k),
-        y1=chain(y1, k + 1), y_neg1=chain(y_neg, k - 1),
+        x0=_chain(x, k, part_zero), x1=_chain(x, k, part_pos),
+        x_neg1=_chain(x, k, part_neg), y1=_chain(x, k + 1, y1),
+        y_neg1=_chain(x, k - 1, y_neg),
         objective=objective, model="smooth",
         residuals={"data": data_term, "roughness": (rough_pos + rough_neg) / eta})
 
@@ -357,9 +314,12 @@ def load_samples(path, n_edges):
                 continue
             try:
                 e = int(row[0])
-                rows[e].append((float(row[1]), float(row[2])))
+                sample = (float(row[1]), float(row[2]))
             except (ValueError, IndexError):
                 raise FormatError(f"bad sample row {row}", lineno)
+            if not 0 <= e < n_edges:
+                raise FormatError(f"edge {e} outside 0..{n_edges - 1}", lineno)
+            rows[e].append(sample)
     counts = {len(r) for r in rows}
     if len(counts) != 1:
         raise FormatError(f"{path}: unequal sample counts per edge {sorted(counts)}")
@@ -456,21 +416,12 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         rough += float(np.sum((down @ part_neg) ** 2))
     objective = data_term + rough / eta
 
-    if up.size:
-        y1, *_ = np.linalg.lstsq(up, part_pos, rcond=None)
-    else:
-        y1 = np.zeros((rep.n_cells(2), T))
-    if down.size:
-        y_neg, *_ = np.linalg.lstsq(down.T, part_neg, rcond=None)
-    else:
-        y_neg = np.zeros((rep.n_cells(0), T))
-
     result = DecompositionResult(
         x0=ChainVector(rep, 1, system, part_zero),
         x1=ChainVector(rep, 1, system, part_pos),
         x_neg1=ChainVector(rep, 1, system, part_neg),
-        y1=ChainVector(rep, 2, system, y1),
-        y_neg1=ChainVector(rep, 0, system, y_neg),
+        y1=ChainVector(rep, 2, system, _preimage(up, part_pos)),
+        y_neg1=ChainVector(rep, 0, system, _preimage(down.T, part_neg)),
         objective=objective, model="reconstruct",
         residuals={"data": data_term, "roughness": rough / eta})
     return estimate, result

@@ -100,3 +100,34 @@ def component_count(n_vertices, edges):
         if ra != rb:
             parent[ra] = rb
     return len({find(v) for v in range(n_vertices)})
+
+
+def orthonormal_hodge_split(down, up, values):
+    """Hodge split by orthonormal column-space bases, certificates by lstsq.
+
+    `down` is B_k and `up` is B_{k+1} as float matrices; `values` is an
+    (n_k,) or (n_k, T) array.  Each image projection uses its own SVD basis
+    and each certificate its own least-squares solve, so nothing is shared
+    with the library's single projection kernel.  Returns the 2-D arrays
+    (x0, x1, x_neg1, y1, y_neg1).
+    """
+    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
+
+    def colspace(M):
+        if M.size == 0:
+            return np.zeros((M.shape[0], 0))
+        u, s, _ = np.linalg.svd(M, full_matrices=False)
+        tol = max(max(M.shape) * np.finfo(float).eps, 1e-12) * s[0]
+        return u[:, s > tol] if s[0] > 0 else np.zeros((M.shape[0], 0))
+
+    def preimage(B, part):
+        if B.size == 0:
+            return np.zeros((B.shape[1], part.shape[1]))
+        return np.linalg.lstsq(B, part, rcond=None)[0]
+
+    q_down = colspace(down.T)
+    q_up = colspace(up)
+    x_neg1 = q_down @ (q_down.T @ vals)
+    x1 = q_up @ (q_up.T @ vals)
+    x0 = vals - x_neg1 - x1
+    return x0, x1, x_neg1, preimage(up, x1), preimage(down.T, x_neg1)

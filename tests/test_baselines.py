@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from gssc import (FormatError, GridEstimate, KrrConfig, NumericalError,
+from gssc import (GridEstimate, KrrConfig, NumericalError,
                   SynthSpec, canonical_complex, evaluation_grid,
-                  krr_fit_eval, krr_grid, laplacian, load_grid, rbf_kernel,
-                  sample_async, save_grid, sc_product, synthesize)
+                  krr_fit_eval, krr_grid, laplacian, rbf_kernel,
+                  sample_async, sc_product, synthesize)
 
 
 def test_config_validation():
@@ -134,21 +134,6 @@ def test_product_smoother_lowers_its_own_objective():
     grad = 2 * (out.values - grid0.values) + 2 * alpha * L1 @ out.values \
         + 2 * beta * out.values @ Lt
     assert np.max(np.abs(grad)) <= 1e-8
-
-
-def test_grid_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    est = GridEstimate(rng.standard_normal((3, 7)), np.linspace(-3, 3, 7))
-    path = tmp_path / "g.csv"
-    save_grid(est, path)
-    loaded = load_grid(path)
-    assert np.allclose(loaded.grid, est.grid, atol=0)
-    assert np.allclose(loaded.values, est.values, atol=0)
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("edge,t_0\n0,1.0\n")
-    with pytest.raises(FormatError, match="grid"):
-        load_grid(bad)
 
 
 def test_grid_estimate_shape_check():

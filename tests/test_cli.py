@@ -224,3 +224,52 @@ def test_complex_gen_refuses_scx_for_delta_complexes(tmp_path, capsys):
                        "gen", "rp2")
     assert code == 3
     assert ".dcx" in err
+
+
+def _bad_input_files(tmp_path):
+    """A valid 4-edge signal and sample file plus malformed variants."""
+    signal = tmp_path / "f.csv"
+    signal.write_text("edge,c0,c1,c2,c3,c4,c5,c6\n"
+                      + "".join(f"{e},1,0,0,0,0,0,0\n" for e in range(4)))
+    samples = tmp_path / "s.csv"
+    samples.write_text("edge,t,y\n" + "".join(f"{e},{t},1.0\n" for e in range(4)
+                                               for t in (-1.0, 0.5)))
+    relabelled = tmp_path / "s_neg.csv"
+    relabelled.write_text(samples.read_text().replace("\n3,", "\n-1,"))
+    chain = tmp_path / "x.csv"
+    chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
+    for name, line in (("order0.cfg", "time_order = 0"),
+                       ("nan.cfg", "noise_levels = 0.01, nan"),
+                       ("inf.cfg", "sweep = samples\nnoise = inf")):
+        (tmp_path / name).write_text(f"complex = cycle(4)\ntrials = 1\n{line}\n")
+    return tmp_path
+
+
+BAD_INPUT = [
+    ("sample", ["sample", "cycle(4)", "{d}/f.csv", "-M", "0"], "at least one sample"),
+    ("sample-sigma", ["sample", "cycle(4)", "{d}/f.csv", "-M", "3", "--sigma", "-1"],
+     "sigma"),
+    ("synth-order", ["synth", "cycle(4)", "--time-order", "0"], "order"),
+    ("reconstruct-eta", ["reconstruct", "cycle(4)", "{d}/s.csv", "--eta", "0"], "eta"),
+    ("reconstruct-edge", ["reconstruct", "cycle(4)", "{d}/s_neg.csv"], "line 8"),
+    ("smooth-eta", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
+                    "smooth", "--eta", "0"], "eta"),
+    ("config-time-order", ["experiment", "{d}/order0.cfg"], "time_order"),
+    ("config-nan", ["experiment", "{d}/nan.cfg"], "noise"),
+    ("config-inf", ["experiment", "{d}/inf.cfg"], "noise"),
+]
+
+
+@pytest.mark.parametrize("argv,needle", [pytest.param(a, n, id=i) for i, a, n in BAD_INPUT])
+def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv, needle):
+    d = _bad_input_files(tmp_path)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "--out", str(out),
+                            *[a.format(d=d) for a in argv])
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gssc: error:")
+    assert needle in lines[0]
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -40,6 +40,24 @@ def test_config_validation_errors():
         ExperimentConfig(noise=-0.1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"noise_levels": (0.01, float("nan"))},
+    {"noise_levels": (float("inf"),)},
+    {"sweep": "samples", "noise": float("nan")},
+    {"time_order": 0},
+    {"eta": float("nan")},
+])
+def test_config_rejects_non_finite_noise_and_bad_orders(tmp_path, bad):
+    with pytest.raises(FormatError):
+        ExperimentConfig(**bad)
+    lines = [f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+             for key, v in bad.items()]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("complex = cycle(4)\ntrials = 1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(FormatError):
+        parse_config(cfg)
+
+
 def test_parse_config_round_trip(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(

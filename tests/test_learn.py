@@ -289,6 +289,16 @@ def test_samples_csv_round_trip(tmp_path):
         load_samples(bad, 2)
 
 
+@pytest.mark.parametrize("edge", ["-1", "2", "9"])
+def test_load_samples_rejects_edges_outside_the_complex(tmp_path, edge):
+    # -1 must not wrap to the last edge: a file missing that edge's rows
+    # would then load as complete
+    path = tmp_path / "s.csv"
+    path.write_text(f"edge,t,y\n0,0.0,1.0\n{edge},0.1,1.0\n")
+    with pytest.raises(FormatError, match=f"line 3: edge {edge} outside 0..1"):
+        load_samples(path, 2)
+
+
 def full_bases(rep):
     probe = spectral_bases(rep, 1, n_irr=rep.n_cells(1), n_sol=rep.n_cells(1))
     return probe
