@@ -33,26 +33,33 @@ class KrrConfig:
 
 
 def rbf_kernel(a, b, lengthscale):
+    """RBF kernel matrix; leading axes of `a` and `b` broadcast as a stack."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = a[:, None] - b[None, :]
+    diff = a[..., :, None] - b[..., None, :]
     return np.exp(-(diff ** 2) / (2.0 * lengthscale ** 2))
 
 
 def krr_fit_eval(t, y, config, eval_points):
-    """Kernel ridge predictor for one edge, evaluated at given instants."""
+    """Kernel ridge predictor evaluated at given instants.
+
+    `t` and `y` hold one edge's samples, shape (M,), or a stack of edges,
+    shape (n, M); each edge is fitted on its own samples, all in one
+    batched solve, and the result has shape (len(eval_points),) or
+    (n, len(eval_points)).
+    """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size == 0:
         raise ValueError("need at least one sample")
     K = rbf_kernel(t, t, config.lengthscale)
     try:
-        alpha = np.linalg.solve(K + config.ridge * np.eye(len(t)), y)
+        alpha = np.linalg.solve(K + config.ridge * np.eye(t.shape[-1]), y[..., None])
     except np.linalg.LinAlgError:
         raise NumericalError(
             "kernel system is singular (duplicated sample instants with "
             "ridge = 0?); use a ridge > 0")
-    return rbf_kernel(eval_points, t, config.lengthscale) @ alpha
+    return (rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]
 
 
 class GridEstimate:
@@ -76,9 +83,7 @@ def krr_grid(samples, config, grid=None):
     """Independent KRR per edge, tabulated on the evaluation grid."""
     if grid is None:
         grid = evaluation_grid()
-    rows = [krr_fit_eval(samples.t[e], samples.y[e], config, grid)
-            for e in range(samples.n_edges)]
-    return GridEstimate(np.vstack(rows), grid)
+    return GridEstimate(krr_fit_eval(samples.t, samples.y, config, grid), grid)
 
 
 def _time_second_difference(n):

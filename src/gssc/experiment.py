@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise FormatError("time_order must be >= 1")
         if self.sub_size < 1:
             raise FormatError("sub_size must be >= 1")
+        if self.n_irr < 0 or self.n_sol < 0:
+            raise FormatError("n_irr and n_sol must be >= 0")
 
     def points(self):
         """The (noise, samples_per_edge) pairs of the sweep, in sweep order."""
@@ -142,16 +144,14 @@ def _fmt(value):
 
 
 def _hyperparams(config, method, bases, sub):
-    if method == "gssc":
-        return (f"eta={_fmt(config.eta)};n_irr={bases.n_irr};"
-                f"n_sol={bases.n_sol};time_order={config.time_order}")
-    if method == "gssc_sub":
-        return (f"eta={_fmt(config.eta)};n_irr={sub.n_irr};n_sol={sub.n_sol};"
+    if method in ("gssc", "gssc_sub"):
+        b = bases if method == "gssc" else sub
+        return (f"eta={_fmt(config.eta)};n_irr={b.n_irr};n_sol={b.n_sol};"
                 f"time_order={config.time_order}")
+    krr = f"lengthscale={_fmt(config.lengthscale)};ridge={_fmt(config.ridge)}"
     if method == "krr":
-        return f"lengthscale={_fmt(config.lengthscale)};ridge={_fmt(config.ridge)}"
-    return (f"lengthscale={_fmt(config.lengthscale)};ridge={_fmt(config.ridge)};"
-            f"alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}")
+        return krr
+    return f"{krr};alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}"
 
 
 def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
@@ -164,25 +164,19 @@ def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
     seconds = {}
     for method in config.methods:
         start = time.perf_counter()
-        if method == "gssc":
-            est, _ = reconstruct_gssc(samples, rep, bases,
+        if method in ("gssc", "gssc_sub"):
+            est, _ = reconstruct_gssc(samples, rep,
+                                      bases if method == "gssc" else sub,
                                       config.time_order, config.eta)
             value = rmse_ratio(est, truth, grid)
-        elif method == "gssc_sub":
-            est, _ = reconstruct_gssc(samples, rep, sub,
-                                      config.time_order, config.eta)
-            value = rmse_ratio(est, truth, grid)
-        elif method == "krr":
-            if krr_est is None:
-                krr_est = krr_grid(samples, KrrConfig(config.lengthscale,
-                                                      config.ridge), grid)
-            value = rmse_ratio(krr_est.values, truth, grid)
         else:
+            # sc_product smooths the KRR estimate, so one fit serves both
             if krr_est is None:
                 krr_est = krr_grid(samples, KrrConfig(config.lengthscale,
                                                       config.ridge), grid)
-            smoothed = sc_product(krr_est, rep, config.alpha, config.beta)
-            value = rmse_ratio(smoothed.values, truth, grid)
+            est = (krr_est if method == "krr"
+                   else sc_product(krr_est, rep, config.alpha, config.beta))
+            value = rmse_ratio(est.values, truth, grid)
         rmses[method] = value
         seconds[method] = time.perf_counter() - start
     return rmses, seconds

@@ -210,12 +210,20 @@ def hodge_decompose(x):
     return result
 
 
+def _check_counts(n_irr, n_sol):
+    if n_irr < 0 or n_sol < 0:
+        raise ValueError(f"n_irr and n_sol must be >= 0, got {n_irr} and {n_sol}")
+
+
 class HodgeBases:
     """Orthonormal harmonic / irrotational / solenoidal bases at one degree.
 
     U0 spans ker L_k.  U_irr holds eigenvectors of B_k^T B_k and U_sol
     eigenvectors of B_{k+1} B_{k+1}^T, each restricted to nonzero
     eigenvalues and sorted ascending, truncated to the requested counts.
+    Invariant, kept by `spectral_bases` and `sub` and relied on by
+    `reconstruct_gssc`: column i of U_irr (U_sol) is a unit eigenvector
+    with the positive eigenvalue irr_eigenvalues[i] (sol_eigenvalues[i]).
     """
 
     def __init__(self, U0, U_irr, U_sol, irr_eigenvalues, sol_eigenvalues,
@@ -249,6 +257,7 @@ class HodgeBases:
 
     def sub(self, n_irr, n_sol):
         """Leading-columns sub-bases (smallest nonzero eigenvalues first)."""
+        _check_counts(n_irr, n_sol)
         n_irr = min(n_irr, self.n_irr)
         n_sol = min(n_sol, self.n_sol)
         return HodgeBases(self.U0, self.U_irr[:, :n_irr], self.U_sol[:, :n_sol],
@@ -260,8 +269,9 @@ def spectral_bases(rep, k, n_irr=20, n_sol=20):
     """Harmonic basis plus the first n_irr/n_sol nonzero-frequency vectors.
 
     Asking for more vectors than exist truncates and flags the result
-    rather than failing.
+    rather than failing; negative counts are rejected.
     """
+    _check_counts(n_irr, n_sol)
     spec0 = eig_sym(laplacian(rep, k))
     U0 = spec0.zero_space()
 

@@ -35,8 +35,8 @@ from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
 from .errors import InfeasibleError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _chain, _preimage, _split,
-                    eig_sym, laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _chain, _split, eig_sym,
+                    laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -175,11 +175,11 @@ def solve_smooth(x, eta=1.0, weights=None):
     n_up = rep.n_cells(k + 1)
     n_down = rep.n_cells(k - 1)
 
-    W = np.diag(w)
+    W = w[:, None]
     data_block = np.hstack([
-        W @ U0 if n0 else np.zeros((len(mat), 0)),
-        W @ up if up.size else np.zeros((len(mat), n_up)),
-        W @ down.T if down.size else np.zeros((len(mat), n_down)),
+        W * U0 if n0 else np.zeros((len(mat), 0)),
+        W * up if up.size else np.zeros((len(mat), n_up)),
+        W * down.T if down.size else np.zeros((len(mat), n_down)),
     ])
     pen_up = np.zeros((n_up, data_block.shape[1]))
     if up.size:
@@ -189,7 +189,7 @@ def solve_smooth(x, eta=1.0, weights=None):
         pen_down[:, n0 + n_up:] = (down @ down.T) / np.sqrt(eta)
 
     A = np.vstack([data_block, pen_up, pen_down])
-    b = np.vstack([W @ mat, np.zeros((n_up, n_cols)), np.zeros((n_down, n_cols))])
+    b = np.vstack([W * mat, np.zeros((n_up, n_cols)), np.zeros((n_down, n_cols))])
     theta, *_ = np.linalg.lstsq(A, b, rcond=None)
 
     a0 = theta[:n0]
@@ -277,8 +277,8 @@ def sample_async(f, samples_per_edge, sigma, seed):
         raise UnsupportedError("sampling needs a function-valued chain")
     if samples_per_edge < 1:
         raise ValueError("need at least one sample per edge")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     n = len(f.values)
     t = rng.uniform(-np.pi, np.pi, size=(n, samples_per_edge))
@@ -336,12 +336,23 @@ def load_samples(path, n_edges):
 def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     """Least-squares fit of spectral/time coefficients to scattered samples.
 
-    Unknowns are one time-coefficient row per basis vector in `bases`.  The
-    data term is the sum of squared sample residuals; the roughness of the
-    curl and gradient parts is penalized exactly as in `solve_smooth`, with
-    function norms reduced to coefficient norms by Parseval.  Solved by
-    normal equations; a singular system falls back to a 1e-10 ridge and
-    emits a ConditioningWarning.
+    The unknown theta has one time-coefficient row per column of
+    U = [U0 | U_irr | U_sol]; edge e carries coefficients u_e^T theta (u_e^T
+    is row e of U), observed through the (M, T) Fourier design Psi_e at its
+    sample instants.  The objective is the sum of squared sample residuals
+    plus (1/eta) times the roughness |B_1 x_neg1|^2 + |B_2^T x1|^2, function
+    norms reduced to coefficient norms by Parseval.  Because the columns of
+    `bases` are eigenvectors with the listed eigenvalues (the HodgeBases
+    invariant), the roughness is the diagonal sum_i lambda_i |theta_i|^2,
+    lambda = 0 on U0, and the per-edge normal equations
+
+        Gram = sum_e (u_e u_e^T) kron (Psi_e^T Psi_e) + diag(lambda / eta) kron I_T
+        rhs  = U^T [Psi_e^T y_e]_e
+
+    are solved by Cholesky; a singular system falls back to a 1e-10 ridge
+    and emits a ConditioningWarning.  The certificates are the closed-form
+    minimum-norm preimages y1 = B_2^T U_sol (theta_sol / lambda_sol) and
+    y_neg1 = B_1 U_irr (theta_irr / lambda_irr).
 
     Returns (estimate chain, DecompositionResult with the three parts).
     """
@@ -352,76 +363,49 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     n = rep.n_cells(1)
     if samples.n_edges != n:
         raise ValueError(f"{samples.n_edges} sample rows for {n} edges")
-    m = samples.samples_per_edge
-    blocks = [bases.U0, bases.U_irr, bases.U_sol]
-    sizes = [b.shape[1] for b in blocks]
-    total = sum(sizes)
+    U = bases.stacked()
+    K = U.shape[1]
+    lam = np.concatenate([np.zeros(bases.n_harmonic), bases.irr_eigenvalues,
+                          bases.sol_eigenvalues])
+    psi = system.design_matrix(samples.t.ravel()).reshape(
+        n, samples.samples_per_edge, T)
 
-    psi = system.design_matrix(samples.t.ravel())      # (n m, T)
-    edge_of_row = np.repeat(np.arange(n), m)
-    design = np.hstack([
-        (b[edge_of_row][:, :, None] * psi[:, None, :]).reshape(n * m, sizes[q] * T)
-        for q, b in enumerate(blocks)
-    ]) if total else np.zeros((n * m, 0))
+    outer = (U[:, :, None] * U[:, None, :]).reshape(n, K * K)
+    local = np.einsum("emt,emu->etu", psi, psi).reshape(n, T * T)
+    gram = (outer.T @ local).reshape(K, K, T, T).transpose(0, 2, 1, 3)
+    gram = gram.reshape(K * T, K * T)
+    gram[np.diag_indices(K * T)] += np.repeat(lam / eta, T)
+    rhs = (U.T @ np.einsum("emt,em->et", psi, samples.y)).ravel()
+    try:
+        factor = scipy.linalg.cho_factor(gram)
+    except scipy.linalg.LinAlgError:
+        warnings.warn("normal system is singular; adding 1e-10 ridge",
+                      ConditioningWarning)
+        factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
+    theta = scipy.linalg.cho_solve(factor, rhs).reshape(K, T)
 
-    down = rep.boundary_float(1)
-    up = rep.boundary_float(2)
-    pen_rows = []
-    offset_irr = sizes[0] * T
-    offset_sol = (sizes[0] + sizes[1]) * T
-    if sizes[1] and down.size:
-        block = np.kron(down @ bases.U_irr, np.eye(T)) / np.sqrt(eta)
-        rows = np.zeros((block.shape[0], total * T))
-        rows[:, offset_irr:offset_irr + sizes[1] * T] = block
-        pen_rows.append(rows)
-    if sizes[2] and up.size:
-        block = np.kron(up.T @ bases.U_sol, np.eye(T)) / np.sqrt(eta)
-        rows = np.zeros((block.shape[0], total * T))
-        rows[:, offset_sol:offset_sol + sizes[2] * T] = block
-        pen_rows.append(rows)
-
-    A = np.vstack([design] + pen_rows) if pen_rows else design
-    b = np.concatenate([samples.y.ravel(), np.zeros(A.shape[0] - n * m)])
-
-    if total:
-        gram = A.T @ A
-        rhs = A.T @ b
-        try:
-            factor = scipy.linalg.cho_factor(gram)
-        except scipy.linalg.LinAlgError:
-            warnings.warn("normal system is singular; adding 1e-10 ridge",
-                          ConditioningWarning)
-            factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
-        theta = scipy.linalg.cho_solve(factor, rhs)
-    else:
-        theta = np.zeros(0)
-
-    split = np.split(theta, [sizes[0] * T, (sizes[0] + sizes[1]) * T])
-    a0 = split[0].reshape(sizes[0], T)
-    a_irr = split[1].reshape(sizes[1], T)
-    a_sol = split[2].reshape(sizes[2], T)
-
-    part_zero = blocks[0] @ a0
-    part_neg = blocks[1] @ a_irr
-    part_pos = blocks[2] @ a_sol
+    a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
+                                        bases.n_harmonic + bases.n_irr])
+    part_zero = bases.U0 @ a0
+    part_neg = bases.U_irr @ a_irr
+    part_pos = bases.U_sol @ a_sol
     coeffs = part_zero + part_neg + part_pos
     estimate = ChainVector(rep, 1, system, coeffs)
 
-    fit = design @ theta - samples.y.ravel()
-    data_term = float(fit @ fit)
-    rough = 0.0
-    if up.size:
-        rough += float(np.sum((up.T @ part_pos) ** 2))
-    if down.size:
-        rough += float(np.sum((down @ part_neg) ** 2))
+    fit = np.einsum("emt,et->em", psi, coeffs) - samples.y
+    data_term = float(np.sum(fit ** 2))
+    rough = float(np.sum(lam[:, None] * theta ** 2))
     objective = data_term + rough / eta
 
+    # B_2 B_2^T u = lambda u, so B_2^T u / lambda is u's minimum-norm preimage
+    y1 = rep.boundary_float(2).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
+    y_neg1 = rep.boundary_float(1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
     result = DecompositionResult(
         x0=ChainVector(rep, 1, system, part_zero),
         x1=ChainVector(rep, 1, system, part_pos),
         x_neg1=ChainVector(rep, 1, system, part_neg),
-        y1=ChainVector(rep, 2, system, _preimage(up, part_pos)),
-        y_neg1=ChainVector(rep, 0, system, _preimage(down.T, part_neg)),
+        y1=ChainVector(rep, 2, system, y1),
+        y_neg1=ChainVector(rep, 0, system, y_neg1),
         objective=objective, model="reconstruct",
         residuals={"data": data_term, "roughness": rough / eta})
     return estimate, result

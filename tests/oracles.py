@@ -1,14 +1,21 @@
 """Independent reference computations used by the test suite.
 
 Everything here is deliberately naive (enumeration, cofactor-style
-recursion, union-find) so that it shares no code with the library
-implementations it checks.
+recursion, union-find, dense designs) so that it shares no algorithm with
+the library implementations it checks; only the chain and result
+containers are borrowed from the library.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
+import scipy.linalg
+
+from gssc.coefficients import ChainVector, FourierFn
+from gssc.hodge import DecompositionResult
+from gssc.learn import ConditioningWarning
 
 
 def bareiss_det(matrix):
@@ -131,3 +138,101 @@ def orthonormal_hodge_split(down, up, values):
     x1 = q_up @ (q_up.T @ vals)
     x0 = vals - x_neg1 - x1
     return x0, x1, x_neg1, preimage(up, x1), preimage(down.T, x_neg1)
+
+
+def _lstsq_preimage(B, part):
+    """Minimum-norm least-squares y with B y = part (zero when B is empty)."""
+    if not B.size:
+        return np.zeros((B.shape[1], part.shape[1]))
+    return np.linalg.lstsq(B, part, rcond=None)[0]
+
+
+def dense_reconstruct(samples, rep, bases, time_order=3, eta=1.0):
+    """Sampled reconstruction by the dense Kronecker design.
+
+    The reference for `gssc.reconstruct_gssc`: it builds the (n M) x (K T)
+    design explicitly, appends the roughness penalty as Kronecker rows of
+    B_1 U_irr and B_2^T U_sol, forms `A.T @ A`, and recovers the
+    certificates y1, y_neg1 by least-squares preimages.  Same arguments,
+    returns and ConditioningWarning fallback as the library function.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    system = FourierFn(time_order)
+    T = system.n_coeffs
+    n = rep.n_cells(1)
+    if samples.n_edges != n:
+        raise ValueError(f"{samples.n_edges} sample rows for {n} edges")
+    m = samples.samples_per_edge
+    blocks = [bases.U0, bases.U_irr, bases.U_sol]
+    sizes = [b.shape[1] for b in blocks]
+    total = sum(sizes)
+
+    psi = system.design_matrix(samples.t.ravel())      # (n m, T)
+    edge_of_row = np.repeat(np.arange(n), m)
+    design = np.hstack([
+        (b[edge_of_row][:, :, None] * psi[:, None, :]).reshape(n * m, sizes[q] * T)
+        for q, b in enumerate(blocks)
+    ]) if total else np.zeros((n * m, 0))
+
+    down = rep.boundary_float(1)
+    up = rep.boundary_float(2)
+    pen_rows = []
+    offset_irr = sizes[0] * T
+    offset_sol = (sizes[0] + sizes[1]) * T
+    if sizes[1] and down.size:
+        block = np.kron(down @ bases.U_irr, np.eye(T)) / np.sqrt(eta)
+        rows = np.zeros((block.shape[0], total * T))
+        rows[:, offset_irr:offset_irr + sizes[1] * T] = block
+        pen_rows.append(rows)
+    if sizes[2] and up.size:
+        block = np.kron(up.T @ bases.U_sol, np.eye(T)) / np.sqrt(eta)
+        rows = np.zeros((block.shape[0], total * T))
+        rows[:, offset_sol:offset_sol + sizes[2] * T] = block
+        pen_rows.append(rows)
+
+    A = np.vstack([design] + pen_rows) if pen_rows else design
+    b = np.concatenate([samples.y.ravel(), np.zeros(A.shape[0] - n * m)])
+
+    if total:
+        gram = A.T @ A
+        rhs = A.T @ b
+        try:
+            factor = scipy.linalg.cho_factor(gram)
+        except scipy.linalg.LinAlgError:
+            warnings.warn("normal system is singular; adding 1e-10 ridge",
+                          ConditioningWarning)
+            factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
+        theta = scipy.linalg.cho_solve(factor, rhs)
+    else:
+        theta = np.zeros(0)
+
+    split = np.split(theta, [sizes[0] * T, (sizes[0] + sizes[1]) * T])
+    a0 = split[0].reshape(sizes[0], T)
+    a_irr = split[1].reshape(sizes[1], T)
+    a_sol = split[2].reshape(sizes[2], T)
+
+    part_zero = blocks[0] @ a0
+    part_neg = blocks[1] @ a_irr
+    part_pos = blocks[2] @ a_sol
+    coeffs = part_zero + part_neg + part_pos
+    estimate = ChainVector(rep, 1, system, coeffs)
+
+    fit = design @ theta - samples.y.ravel()
+    data_term = float(fit @ fit)
+    rough = 0.0
+    if up.size:
+        rough += float(np.sum((up.T @ part_pos) ** 2))
+    if down.size:
+        rough += float(np.sum((down @ part_neg) ** 2))
+    objective = data_term + rough / eta
+
+    result = DecompositionResult(
+        x0=ChainVector(rep, 1, system, part_zero),
+        x1=ChainVector(rep, 1, system, part_pos),
+        x_neg1=ChainVector(rep, 1, system, part_neg),
+        y1=ChainVector(rep, 2, system, _lstsq_preimage(up, part_pos)),
+        y_neg1=ChainVector(rep, 0, system, _lstsq_preimage(down.T, part_neg)),
+        objective=objective, model="reconstruct",
+        residuals={"data": data_term, "roughness": rough / eta})
+    return estimate, result

@@ -249,9 +249,15 @@ BAD_INPUT = [
     ("sample", ["sample", "cycle(4)", "{d}/f.csv", "-M", "0"], "at least one sample"),
     ("sample-sigma", ["sample", "cycle(4)", "{d}/f.csv", "-M", "3", "--sigma", "-1"],
      "sigma"),
+    ("sample-sigma-nan", ["sample", "cycle(4)", "{d}/f.csv", "-M", "3", "--sigma", "nan"],
+     "sigma"),
+    ("sample-sigma-inf", ["sample", "cycle(4)", "{d}/f.csv", "-M", "3", "--sigma", "inf"],
+     "sigma"),
     ("synth-order", ["synth", "cycle(4)", "--time-order", "0"], "order"),
+    ("synth-n-sol", ["synth", "cycle(4)", "--n-sol", "-2"], "n_sol"),
     ("reconstruct-eta", ["reconstruct", "cycle(4)", "{d}/s.csv", "--eta", "0"], "eta"),
     ("reconstruct-edge", ["reconstruct", "cycle(4)", "{d}/s_neg.csv"], "line 8"),
+    ("reconstruct-n-irr", ["reconstruct", "cycle(4)", "{d}/s.csv", "--n-irr", "-1"], "n_irr"),
     ("smooth-eta", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
                     "smooth", "--eta", "0"], "eta"),
     ("config-time-order", ["experiment", "{d}/order0.cfg"], "time_order"),

@@ -46,6 +46,8 @@ def test_config_validation_errors():
     {"sweep": "samples", "noise": float("nan")},
     {"time_order": 0},
     {"eta": float("nan")},
+    {"n_irr": -1},
+    {"n_sol": -3},
 ])
 def test_config_rejects_non_finite_noise_and_bad_orders(tmp_path, bad):
     with pytest.raises(FormatError):

@@ -310,6 +310,16 @@ def test_sub_bases_take_leading_columns():
     assert (sub.U0 == bases.U0).all()
 
 
+def test_negative_basis_counts_are_rejected():
+    rep = canonical_complex("cycle(6)")
+    with pytest.raises(ValueError, match="n_irr"):
+        spectral_bases(rep, 1, n_irr=-1, n_sol=20)
+    with pytest.raises(ValueError, match="n_sol"):
+        spectral_bases(rep, 1, n_irr=20, n_sol=-1)
+    with pytest.raises(ValueError, match=">= 0"):
+        spectral_bases(rep, 1, 5, 5).sub(-1, 0)
+
+
 def test_frequency_identity_on_small_graphs():
     lhs, rhs, gap = courant_fischer_check(canonical_complex("path(2)"), 2)
     assert lhs == pytest.approx(2.0)
