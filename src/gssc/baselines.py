@@ -10,7 +10,6 @@ uses, which is the point of comparing against them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .hodge import laplacian
@@ -99,16 +98,17 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05):
     """Joint space-time smoothing of a grid estimate.
 
     Returns the minimizer of |Z - grid0|_F^2 + alpha tr(Z^T L_1 Z)
-    + beta tr(Z L_t Z^T), a Sylvester equation (I + alpha L_1) Z
-    + Z (beta L_t) = grid0.  With alpha = beta = 0 this is the identity.
+    + beta tr(Z L_t Z^T), the solution of (I + alpha L_1) Z + beta Z L_t
+    = grid0.  Both operators are symmetric, so with L_1 = P diag(a) P^T and
+    L_t = Q diag(b) Q^T the solve is the product filter
+    Z = P [(P^T grid0 Q) / (1 + alpha a_i + beta b_j)] Q^T.  With
+    alpha = beta = 0 this is the identity.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
     if grid0.n_edges != rep.n_cells(1):
         raise ValueError(f"{grid0.n_edges} grid rows for {rep.n_cells(1)} edges")
-    L1 = laplacian(rep, 1)
-    Lt = _time_second_difference(len(grid0.grid))
-    A = np.eye(grid0.n_edges) + alpha * L1
-    Z = scipy.linalg.solve_sylvester(A, beta * Lt, grid0.values)
+    a, P = np.linalg.eigh(laplacian(rep, 1))
+    b, Q = np.linalg.eigh(_time_second_difference(len(grid0.grid)))
+    Z = P @ ((P.T @ grid0.values @ Q) / (1.0 + alpha * a[:, None] + beta * b)) @ Q.T
     return GridEstimate(Z, grid0.grid)
-

@@ -39,10 +39,11 @@ class CoefficientSystem:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        """Group sum: plain array arithmetic unless the system reduces."""
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def scale(self, c, a):
         """Integer action c*a (any system); float c allowed for Real/FourierFn."""
@@ -75,12 +76,6 @@ class Real(CoefficientSystem):
     def zeros(self, n):
         return np.zeros(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
     def scale(self, c, a):
         return float(c) * a
 
@@ -106,12 +101,6 @@ class Integer(CoefficientSystem):
 
     def zeros(self, n):
         return np.zeros(n, dtype=object)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
 
     def scale(self, c, a):
         return int(c) * a
@@ -184,12 +173,6 @@ class FourierFn(CoefficientSystem):
 
     def zeros(self, n):
         return np.zeros((n, self.n_coeffs))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
 
     def scale(self, c, a):
         return float(c) * a

@@ -222,8 +222,9 @@ class HodgeBases:
     eigenvectors of B_{k+1} B_{k+1}^T, each restricted to nonzero
     eigenvalues and sorted ascending, truncated to the requested counts.
     Invariant, kept by `spectral_bases` and `sub` and relied on by
-    `reconstruct_gssc`: column i of U_irr (U_sol) is a unit eigenvector
-    with the positive eigenvalue irr_eigenvalues[i] (sol_eigenvalues[i]).
+    `reconstruct_gssc` and `solve_smooth`: column i of U_irr (U_sol) is a
+    unit eigenvector with the positive eigenvalue irr_eigenvalues[i]
+    (sol_eigenvalues[i]).
     """
 
     def __init__(self, U0, U_irr, U_sol, irr_eigenvalues, sol_eigenvalues,
@@ -255,6 +256,11 @@ class HodgeBases:
     def stacked(self):
         return np.hstack([self.U0, self.U_irr, self.U_sol])
 
+    def eigenvalues(self):
+        """L_k eigenvalue of each column of `stacked()`: 0 on U0."""
+        return np.concatenate([np.zeros(self.n_harmonic), self.irr_eigenvalues,
+                               self.sol_eigenvalues])
+
     def sub(self, n_irr, n_sol):
         """Leading-columns sub-bases (smallest nonzero eigenvalues first)."""
         _check_counts(n_irr, n_sol)
@@ -265,6 +271,23 @@ class HodgeBases:
                           n_irr, n_sol)
 
 
+def _nonzero_modes(gram):
+    """Eigenvectors and eigenvalues of `gram` above its zero cutoff."""
+    spec = eig_sym(gram)
+    keep = spec.eigenvalues > spec.zero_tol
+    return spec.eigenvectors[:, keep], spec.eigenvalues[keep]
+
+
+def _full_bases(rep, k):
+    """Every harmonic, irrotational and solenoidal vector at degree k."""
+    down = rep.boundary_float(k)
+    up = rep.boundary_float(k + 1)
+    U_irr, irr_vals = _nonzero_modes(down.T @ down)
+    U_sol, sol_vals = _nonzero_modes(up @ up.T)
+    return HodgeBases(eig_sym(laplacian(rep, k)).zero_space(), U_irr, U_sol,
+                      irr_vals, sol_vals, len(irr_vals), len(sol_vals))
+
+
 def spectral_bases(rep, k, n_irr=20, n_sol=20):
     """Harmonic basis plus the first n_irr/n_sol nonzero-frequency vectors.
 
@@ -272,24 +295,10 @@ def spectral_bases(rep, k, n_irr=20, n_sol=20):
     rather than failing; negative counts are rejected.
     """
     _check_counts(n_irr, n_sol)
-    spec0 = eig_sym(laplacian(rep, k))
-    U0 = spec0.zero_space()
-
-    down = rep.boundary_float(k)
-    spec_irr = eig_sym(down.T @ down if down.size
-                       else np.zeros((rep.n_cells(k), rep.n_cells(k))))
-    keep = spec_irr.eigenvalues > spec_irr.zero_tol
-    U_irr = spec_irr.eigenvectors[:, keep][:, :n_irr]
-    irr_vals = spec_irr.eigenvalues[keep][:n_irr]
-
-    up = rep.boundary_float(k + 1)
-    spec_sol = eig_sym(up @ up.T if up.size
-                       else np.zeros((rep.n_cells(k), rep.n_cells(k))))
-    keep = spec_sol.eigenvalues > spec_sol.zero_tol
-    U_sol = spec_sol.eigenvectors[:, keep][:, :n_sol]
-    sol_vals = spec_sol.eigenvalues[keep][:n_sol]
-
-    return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals, n_irr, n_sol)
+    full = _full_bases(rep, k)
+    return HodgeBases(full.U0, full.U_irr[:, :n_irr], full.U_sol[:, :n_sol],
+                      full.irr_eigenvalues[:n_irr], full.sol_eigenvalues[:n_sol],
+                      n_irr, n_sol)
 
 
 def courant_fischer_check(rep, l):

@@ -8,14 +8,21 @@ Three convex problems share the DecompositionResult container:
   that lands x in the kernel, then the smallest-norm class representative
   within the kernel.  Over the reals with p = 2 both stages are orthogonal
   projections and the result is exactly the Hodge decomposition; over Z/2
-  they are exhaustive subgroup searches.
+  both stages are one exhaustive walk over the two subgroups, ordered by
+  correction size first.
 * smooth       -- trade data fit against the roughness of the non-harmonic
   parts:  min |x' - x|^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
-  with x' = x0 + x1 + x_neg1 and x0 constrained to ker L_k.  As eta grows
-  this tends to the Hodge decomposition.
+  with x' = x0 + x1 + x_neg1 and x0 constrained to ker L_k.  The roughness
+  is diagonal in the Hodge eigenbasis, so this is a spectral filter that
+  shrinks the coefficient of an eigenvector with eigenvalue lambda by
+  1 / (1 + lambda / eta); as eta grows it tends to the Hodge decomposition.
 * reconstruct  -- the sampled variant: the data term becomes squared
   residuals at per-edge sample instants of a function-valued chain, the
   unknowns are spectral-basis coefficients per time-basis function.
+
+The smooth and reconstruct models both solve for coefficients in the Hodge
+eigenbasis and share one step that turns them into the three parts, their
+closed-form certificates and the roughness.
 
 Synthetic signals follow a fixed recipe: coefficients of the harmonic
 basis are standard normal, and the coefficient of the i-th irrotational or
@@ -34,9 +41,9 @@ import scipy.linalg
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
-from .errors import InfeasibleError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _chain, _split, eig_sym,
-                    laplacian, spectral_bases)
+from .errors import InfeasibleError, NumericalError, UnsupportedError
+from .hodge import (DecompositionResult, _as_matrix, _chain, _full_bases,
+                    _split, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -69,33 +76,28 @@ def _fundamental_mod2(x, p, w):
     neg_payloads = [(neg_cols[j], neg_bd[j]) for j in neg_idx]
     pos_payloads = [(pos_cols[j],) for j in pos_idx]
 
-    # stage 1: smallest correction x_neg1 with boundary(x - x_neg1) = 0
-    best_neg_power = None
-    for _, (elem, bd) in gf2.gray_iter(neg_payloads, width=2):
-        if bd != target_bd:
-            continue
-        power = gf2.mask_norm_power(elem, p, weights)
-        if best_neg_power is None or power < best_neg_power:
-            best_neg_power = power
-    if best_neg_power is None:
-        raise InfeasibleError(
-            "x cannot be written as cycle + B_k^T y over Z/2 "
-            "(its boundary is outside the reachable set)")
-
-    # stage 2: among minimal corrections, the smallest-norm cycle part;
-    # ties go to the smallest (y1, y_neg1) generator encodings
+    # one walk over corrections x_neg1 with boundary(x - x_neg1) = 0; the key
+    # (correction power, cycle-part power, y1 mask, y_neg1 mask) puts the
+    # smallest correction first, then the smallest cycle part, then the
+    # smallest generator encodings
     best = None
     for neg_mask, (c_elem, bd) in gf2.gray_iter(neg_payloads, width=2):
         if bd != target_bd:
             continue
-        if gf2.mask_norm_power(c_elem, p, weights) != best_neg_power:
+        neg_power = gf2.mask_norm_power(c_elem, p, weights)
+        if best is not None and neg_power > best[0][0]:
             continue
         base = target ^ c_elem
         for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
             x0_mask = base ^ s_elem
-            key = (gf2.mask_norm_power(x0_mask, p, weights), pos_mask, neg_mask)
+            key = (neg_power, gf2.mask_norm_power(x0_mask, p, weights),
+                   pos_mask, neg_mask)
             if best is None or key < best[0]:
                 best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
+    if best is None:
+        raise InfeasibleError(
+            "x cannot be written as cycle + B_k^T y over Z/2 "
+            "(its boundary is outside the reachable set)")
 
     _, x0_mask, s_elem, c_elem, pos_mask, neg_mask = best
     y1_vals = np.zeros(rep.n_cells(k + 1), dtype=object)
@@ -150,13 +152,38 @@ def solve_fundamental(x, p=2, weights=None):
 
 # -- smoothness model ----------------------------------------------------------
 
+def _spectral_parts(rep, k, bases, theta):
+    """Parts, certificates and roughness of the k-chain U theta.
+
+    `theta` has one coefficient row per column of U = bases.stacked().
+    Returns x0 = U0 a0, x1 = U_sol a_sol, x_neg1 = U_irr a_irr, the
+    minimum-norm certificates y1 = B_{k+1}^T U_sol (a_sol / lambda_sol) and
+    y_neg1 = B_k U_irr (a_irr / lambda_irr), and the roughness
+    |B_{k+1}^T x1|^2 + |B_k x_neg1|^2 = sum_i lambda_i |theta_i|^2.  Both
+    closed forms rest on the HodgeBases invariant: B_{k+1} B_{k+1}^T u =
+    lambda u makes B_{k+1}^T u / lambda the minimum-norm preimage of a
+    solenoidal column u, and B_k^T B_k does the same for irrotational ones.
+    """
+    a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
+                                        bases.n_harmonic + bases.n_irr])
+    y1 = rep.boundary_float(k + 1).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
+    y_neg1 = rep.boundary_float(k) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
+    rough = float(np.sum(bases.eigenvalues()[:, None] * theta ** 2))
+    return bases.U0 @ a0, bases.U_sol @ a_sol, bases.U_irr @ a_irr, y1, y_neg1, rough
+
+
 def solve_smooth(x, eta=1.0, weights=None):
-    """Quadratic smoothing split with the cycle part pinned to ker L_k.
+    """Quadratic smoothing split, solved as a filter in the Hodge eigenbasis.
 
     Minimizes |x' - x|_{2,w}^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
-    over x' = x0 + x1 + x_neg1, parametrized by the harmonic coefficients of
-    x0 and the certificates y1, y_neg1.  A single stacked least-squares
-    problem; the minimum-norm solution fixes the gauge freedom in y1, y_neg1.
+    over x' = x0 + x1 + x_neg1 with x0 in ker L_k.  Writing x' = U theta in
+    the full orthonormal eigenbasis U = [U0 | U_irr | U_sol] of C_k turns
+    the roughness into sum_i lambda_i |theta_i|^2, so theta solves the
+    n_k x n_k system (U^T W^2 U + diag(lambda / eta)) theta = U^T W^2 x,
+    one column per coefficient.  With unit weights this is the spectral
+    filter theta_i = u_i^T x / (1 + lambda_i / eta).  The system is solved
+    by least squares, so zero weights that leave harmonic directions
+    unobserved give the minimum-norm answer.
     """
     if not isinstance(x.system, (Real, FourierFn)):
         raise UnsupportedError(f"smooth model needs Real or FourierFn, got {x.system!r}")
@@ -166,51 +193,25 @@ def solve_smooth(x, eta=1.0, weights=None):
     k = x.degree
     w = resolve_weights(weights, len(x.values))
     mat = _as_matrix(x.values)
-    n_cols = mat.shape[1]
+    bases = _full_bases(rep, k)
+    if bases.n_harmonic + bases.n_irr + bases.n_sol != len(mat):
+        raise NumericalError(
+            f"Hodge bases at degree {k} have {bases.n_harmonic} + {bases.n_irr} "
+            f"+ {bases.n_sol} columns for {len(mat)} cells")
 
-    U0 = eig_sym(laplacian(rep, k)).zero_space()
-    up = rep.boundary_float(k + 1)
-    down = rep.boundary_float(k)
-    n0 = U0.shape[1]
-    n_up = rep.n_cells(k + 1)
-    n_down = rep.n_cells(k - 1)
-
-    W = w[:, None]
-    data_block = np.hstack([
-        W * U0 if n0 else np.zeros((len(mat), 0)),
-        W * up if up.size else np.zeros((len(mat), n_up)),
-        W * down.T if down.size else np.zeros((len(mat), n_down)),
-    ])
-    pen_up = np.zeros((n_up, data_block.shape[1]))
-    if up.size:
-        pen_up[:, n0:n0 + n_up] = (up.T @ up) / np.sqrt(eta)
-    pen_down = np.zeros((n_down, data_block.shape[1]))
-    if down.size:
-        pen_down[:, n0 + n_up:] = (down @ down.T) / np.sqrt(eta)
-
-    A = np.vstack([data_block, pen_up, pen_down])
-    b = np.vstack([W * mat, np.zeros((n_up, n_cols)), np.zeros((n_down, n_cols))])
-    theta, *_ = np.linalg.lstsq(A, b, rcond=None)
-
-    a0 = theta[:n0]
-    y1 = theta[n0:n0 + n_up]
-    y_neg = theta[n0 + n_up:]
-    part_zero = U0 @ a0 if n0 else np.zeros_like(mat)
-    part_pos = up @ y1 if up.size else np.zeros_like(mat)
-    part_neg = down.T @ y_neg if down.size else np.zeros_like(mat)
+    WU = w[:, None] * bases.stacked()
+    normal = WU.T @ WU + np.diag(bases.eigenvalues() / eta)
+    theta, *_ = np.linalg.lstsq(normal, WU.T @ (w[:, None] * mat), rcond=None)
+    part_zero, part_pos, part_neg, y1, y_neg, rough = _spectral_parts(rep, k, bases, theta)
 
     fit = part_zero + part_pos + part_neg - mat
     data_term = float(np.sum((w[:, None] * fit) ** 2))
-    rough_pos = float(np.sum((up.T @ part_pos) ** 2)) if up.size else 0.0
-    rough_neg = float(np.sum((down @ part_neg) ** 2)) if down.size else 0.0
-    objective = data_term + (rough_pos + rough_neg) / eta
-
     return DecompositionResult(
         x0=_chain(x, k, part_zero), x1=_chain(x, k, part_pos),
         x_neg1=_chain(x, k, part_neg), y1=_chain(x, k + 1, y1),
         y_neg1=_chain(x, k - 1, y_neg),
-        objective=objective, model="smooth",
-        residuals={"data": data_term, "roughness": (rough_pos + rough_neg) / eta})
+        objective=data_term + rough / eta, model="smooth",
+        residuals={"data": data_term, "roughness": rough / eta})
 
 
 # -- synthetic signals and asynchronous sampling -------------------------------
@@ -365,8 +366,7 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         raise ValueError(f"{samples.n_edges} sample rows for {n} edges")
     U = bases.stacked()
     K = U.shape[1]
-    lam = np.concatenate([np.zeros(bases.n_harmonic), bases.irr_eigenvalues,
-                          bases.sol_eigenvalues])
+    lam = bases.eigenvalues()
     psi = system.design_matrix(samples.t.ravel()).reshape(
         n, samples.samples_per_edge, T)
 
@@ -384,22 +384,14 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
     theta = scipy.linalg.cho_solve(factor, rhs).reshape(K, T)
 
-    a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
-                                        bases.n_harmonic + bases.n_irr])
-    part_zero = bases.U0 @ a0
-    part_neg = bases.U_irr @ a_irr
-    part_pos = bases.U_sol @ a_sol
+    part_zero, part_pos, part_neg, y1, y_neg1, rough = _spectral_parts(rep, 1, bases, theta)
     coeffs = part_zero + part_neg + part_pos
     estimate = ChainVector(rep, 1, system, coeffs)
 
     fit = np.einsum("emt,et->em", psi, coeffs) - samples.y
     data_term = float(np.sum(fit ** 2))
-    rough = float(np.sum(lam[:, None] * theta ** 2))
     objective = data_term + rough / eta
 
-    # B_2 B_2^T u = lambda u, so B_2^T u / lambda is u's minimum-norm preimage
-    y1 = rep.boundary_float(2).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
-    y_neg1 = rep.boundary_float(1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
     result = DecompositionResult(
         x0=ChainVector(rep, 1, system, part_zero),
         x1=ChainVector(rep, 1, system, part_pos),

@@ -236,3 +236,93 @@ def dense_reconstruct(samples, rep, bases, time_order=3, eta=1.0):
         objective=objective, model="reconstruct",
         residuals={"data": data_term, "roughness": rough / eta})
     return estimate, result
+
+
+def dense_smooth(x, eta=1.0, weights=None):
+    """Smooth model by one stacked least-squares problem in boundary coordinates.
+
+    The reference for `gssc.solve_smooth`: the unknowns are the harmonic
+    coefficients a0 of x0 and the certificates y1, y_neg1 themselves
+    (n_0 + n_{k+1} + n_{k-1} columns), the roughness enters as penalty rows
+    B_{k+1}^T B_{k+1} / sqrt(eta) and B_k B_k^T / sqrt(eta) stacked under
+    the weighted data block, and one minimum-norm `lstsq` fixes the gauge
+    freedom in y1, y_neg1.  The harmonic basis comes from numpy's `eigh`
+    of L_k with the library's zero cutoff.  Same arguments and result
+    fields as the library function.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    rep = x.complex
+    k = x.degree
+    mat = np.asarray(x.values, dtype=float).reshape(len(x.values), -1)
+    w = np.ones(len(mat)) if weights is None else np.asarray(weights, dtype=float)
+    n_cols = mat.shape[1]
+
+    up = rep.boundary_float(k + 1)
+    down = rep.boundary_float(k)
+    lam, vec = np.linalg.eigh(down.T @ down + up @ up.T)
+    tol = max(max(len(lam), 1) * np.finfo(float).eps * np.max(np.abs(lam), initial=0.0),
+              1e-12)
+    U0 = vec[:, np.abs(lam) <= tol]
+    n0 = U0.shape[1]
+    n_up = rep.n_cells(k + 1)
+    n_down = rep.n_cells(k - 1)
+
+    W = w[:, None]
+    data_block = np.hstack([
+        W * U0 if n0 else np.zeros((len(mat), 0)),
+        W * up if up.size else np.zeros((len(mat), n_up)),
+        W * down.T if down.size else np.zeros((len(mat), n_down)),
+    ])
+    pen_up = np.zeros((n_up, data_block.shape[1]))
+    if up.size:
+        pen_up[:, n0:n0 + n_up] = (up.T @ up) / np.sqrt(eta)
+    pen_down = np.zeros((n_down, data_block.shape[1]))
+    if down.size:
+        pen_down[:, n0 + n_up:] = (down @ down.T) / np.sqrt(eta)
+
+    A = np.vstack([data_block, pen_up, pen_down])
+    b = np.vstack([W * mat, np.zeros((n_up, n_cols)), np.zeros((n_down, n_cols))])
+    theta, *_ = np.linalg.lstsq(A, b, rcond=None)
+
+    a0 = theta[:n0]
+    y1 = theta[n0:n0 + n_up]
+    y_neg = theta[n0 + n_up:]
+    part_zero = U0 @ a0 if n0 else np.zeros_like(mat)
+    part_pos = up @ y1 if up.size else np.zeros_like(mat)
+    part_neg = down.T @ y_neg if down.size else np.zeros_like(mat)
+
+    fit = part_zero + part_pos + part_neg - mat
+    data_term = float(np.sum((w[:, None] * fit) ** 2))
+    rough_pos = float(np.sum((up.T @ part_pos) ** 2)) if up.size else 0.0
+    rough_neg = float(np.sum((down @ part_neg) ** 2)) if down.size else 0.0
+    objective = data_term + (rough_pos + rough_neg) / eta
+
+    def chain(degree, values):
+        return ChainVector(rep, degree, x.system,
+                           values[:, 0] if np.ndim(x.values) == 1 else values)
+
+    return DecompositionResult(
+        x0=chain(k, part_zero), x1=chain(k, part_pos), x_neg1=chain(k, part_neg),
+        y1=chain(k + 1, y1), y_neg1=chain(k - 1, y_neg),
+        objective=objective, model="smooth",
+        residuals={"data": data_term, "roughness": (rough_pos + rough_neg) / eta})
+
+
+def sylvester_product(values, rep, alpha=0.05, beta=0.05):
+    """Product smoother by a general Sylvester solve.
+
+    The reference for `gssc.sc_product`: `scipy.linalg.solve_sylvester` of
+    (I + alpha L_1) Z + Z (beta L_t) = values, with L_1 assembled from the
+    boundary matrices and L_t the free-boundary second difference on the
+    grid.  Takes and returns plain (n_edges, n_grid) arrays.
+    """
+    down = rep.boundary_float(1)
+    up = rep.boundary_float(2)
+    L1 = down.T @ down + up @ up.T
+    n_t = values.shape[1]
+    d = np.zeros((n_t - 1, n_t))
+    d[np.arange(n_t - 1), np.arange(n_t - 1)] = -1.0
+    d[np.arange(n_t - 1), np.arange(1, n_t)] = 1.0
+    A = np.eye(len(values)) + alpha * L1
+    return scipy.linalg.solve_sylvester(A, beta * (d.T @ d), values)
