@@ -49,6 +49,34 @@ def _as_int_matrix(data, rows=None, cols=None):
     return arr
 
 
+def _integral(v):
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _exact_boundary(k, mat):
+    """B_k as an object array of Python ints; refuses any non-integral entry."""
+    try:
+        exact = np.frompyfunc(int, 1, 1)(mat)
+        if not (exact != mat).any():
+            return exact
+    except (TypeError, ValueError, OverflowError):
+        pass
+    (i, j), v = next((ij, v) for ij, v in np.ndenumerate(mat) if not _integral(v))
+    raise ValueError(f"B_{k} entry ({i}, {j}) = {v!r} is not an integer")
+
+
+def _columns(mat):
+    """Nonzeros of each column of a 2-d array, as [(row, value), ...] by row."""
+    cols = [[] for _ in range(mat.shape[1])]
+    at_col, at_row = np.nonzero(mat.T)
+    for j, i in zip(at_col.tolist(), at_row.tolist()):
+        cols[j].append((i, mat[i, j]))
+    return cols
+
+
 class SimplicialComplex:
     """A face-closed set of simplexes over vertices 0..n_vertices-1.
 
@@ -210,11 +238,7 @@ class ChainComplexRep:
             if mat.shape != (dims[k - 1], dims[k]):
                 raise ValueError(
                     f"B_{k} has shape {mat.shape}, expected {(dims[k - 1], dims[k])}")
-            exact = _int_zeros(*mat.shape)
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    exact[i, j] = int(mat[i, j])
-            self._boundaries[k] = exact
+            self._boundaries[k] = _exact_boundary(k, mat)
         self.labels = labels
         self.name = name
         self._float_cache = {}
@@ -274,18 +298,23 @@ class ValidationReport:
 
 
 def validate(rep):
-    """Check B_k @ B_{k+1} = 0 exactly for every k; list offending entries."""
+    """Check B_k @ B_{k+1} = 0 exactly for every k; list offending entries.
+
+    Each column of the product sums the columns of B_k picked out by the
+    nonzeros of the matching column of B_{k+1}, in Python ints; failures are
+    listed row-major, as a dense product would give them.
+    """
     failures = []
     for k in range(1, rep.dim):
-        a = rep.boundary_matrix(k)
-        b = rep.boundary_matrix(k + 1)
-        if a.size == 0 or b.size == 0:
-            continue
-        prod = a @ b
-        for i in range(prod.shape[0]):
-            for j in range(prod.shape[1]):
-                if prod[i, j] != 0:
-                    failures.append((k, i, j, prod[i, j]))
+        down = _columns(rep.boundary_matrix(k))
+        entries = []
+        for j, col in enumerate(_columns(rep.boundary_matrix(k + 1))):
+            total = {}
+            for i, v in col:
+                for r, w in down[i]:
+                    total[r] = total.get(r, 0) + w * v
+            entries.extend((r, j, s) for r, s in total.items() if s)
+        failures.extend((k, i, j, s) for i, j, s in sorted(entries))
     return ValidationReport(not failures, failures)
 
 

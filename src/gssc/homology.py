@@ -1,14 +1,17 @@
 """Integer and field homology of chain complexes, and simplicial seminorms.
 
-The integer side is exact: Smith normal form over Z with unimodular
-certificates gives ranks, Betti numbers and torsion (invariant factors of
-the next boundary map that exceed 1).  All arithmetic uses Python ints, so
-entries may grow without overflow.
+The integer side is exact: ranks, Betti numbers and torsion (invariant
+factors of the next boundary map that exceed 1) come from sparse
+elimination on unit pivots, with Smith normal form run only on the
+non-unit remainder (Dumas, Saunders & Villard, J. Symb. Comput. 32, 2001).
+`smith_normal_form` keeps its unimodular certificates for `solve_integer`
+and for checking.  All arithmetic uses Python ints, so entries may grow
+without overflow.
 
 Field homology is a rank count: dim H_k = dim ker B_k - rank B_{k+1}.  Over
 the reals the ranks are numerical (tolerance delegated to `hodge`, the
-single source of truth for spectral cutoffs); over Z/p they come from exact
-modular elimination.
+single source of truth for spectral cutoffs); over Z/p they come from the
+same sparse elimination, where every nonzero entry is a unit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from . import gf2
 from .coefficients import (Integer, ModN, Real, norm_p, resolve_weights,
                            zero_chain)
+from .complexes import _columns
 from .errors import UnsupportedError
 from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
 
@@ -146,11 +150,95 @@ def smith_normal_form(matrix):
     return SNFResult(A, U, V, rank)
 
 
+def _unit_pivot(cols, rows, p):
+    """(row, column) of the unit of least Markowitz cost, or None.
+
+    Rows are scanned shortest first.  Once (shortest column - 1) * (row
+    length - 1) reaches the best cost found, no later row can beat it, so
+    on boundary matrices (short columns, longer rows) only the shortest rows
+    are looked at.
+    """
+    floor = min(map(len, cols.values()), default=1) - 1
+    best = None
+    for i in sorted(rows, key=lambda i: len(rows[i])):
+        n = len(rows[i]) - 1
+        if best is not None and floor * n >= best[0]:
+            break
+        for j in rows[i]:
+            v = cols[j][i]
+            if p is None and v != 1 and v != -1:
+                continue
+            cost = (len(cols[j]) - 1) * n
+            if not cost:
+                return i, j
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
+def _eliminate(matrix, p=None):
+    """Sparse elimination on unit pivots: (pivot count, non-unit remainder).
+
+    A unit is +-1 over Z (p None) and any entry nonzero mod p over Z/p.  Each
+    step takes the unit of least Markowitz cost (row length - 1) * (column
+    length - 1), clears its row with column operations and drops its row and
+    column.  A unit pivot splits the matrix into diag(1, Schur complement),
+    so the nonzero invariant factors are [1] * pivots followed by those of
+    the remainder, a dense object matrix holding no unit; over Z/p the
+    remainder is empty and the rank is the pivot count.
+    """
+    cols = {}   # column -> {row: value}
+    rows = {}   # row -> set of columns with a nonzero in that row
+    for j, entries in enumerate(_columns(np.asarray(matrix, dtype=object))):
+        for i, v in entries:
+            v = int(v) if p is None else int(v) % p
+            if v:
+                cols.setdefault(j, {})[i] = v
+                rows.setdefault(i, set()).add(j)
+    pivots = 0
+    while (pivot := _unit_pivot(cols, rows, p)) is not None:
+        r, c = pivot
+        pivot_col = cols.pop(c)
+        u = pivot_col.pop(r)
+        for i in pivot_col:
+            rows[i].discard(c)
+        inverse = u if p is None else pow(u, -1, p)  # 1/u = u for u = +-1
+        for j in rows.pop(r) - {c}:
+            col = cols[j]
+            f = col.pop(r) * inverse  # column j -= f * column c
+            for i, v in pivot_col.items():
+                w = col.get(i, 0) - f * v
+                if p is not None:
+                    w %= p
+                if w:
+                    if i not in col:
+                        rows[i].add(j)
+                    col[i] = w
+                elif i in col:
+                    del col[i]
+                    rows[i].discard(j)
+            if not col:
+                del cols[j]
+        pivots += 1
+    live = sorted({i for col in cols.values() for i in col})
+    at = {i: a for a, i in enumerate(live)}
+    remainder = np.zeros((len(live), len(cols)), dtype=object)
+    for b, col in enumerate(cols.values()):
+        for i, v in col.items():
+            remainder[at[i], b] = v
+    return pivots, remainder
+
+
+def _invariant_factors(matrix):
+    """Nonzero invariant factors over Z, ascending; their count is the rank."""
+    pivots, remainder = _eliminate(matrix)
+    return [1] * pivots + smith_normal_form(remainder).invariant_factors
+
+
 def integer_rank(matrix):
-    matrix = np.asarray(matrix, dtype=object)
-    if matrix.size == 0:
+    if np.asarray(matrix, dtype=object).size == 0:
         return 0
-    return smith_normal_form(matrix).rank
+    return len(_invariant_factors(matrix))
 
 
 def solve_integer(matrix, target):
@@ -176,31 +264,11 @@ def solve_integer(matrix, target):
 
 
 def mod_p_rank(matrix, p):
-    """Rank over Z/p by exact Gaussian elimination."""
+    """Rank over Z/p: the pivot count of sparse elimination mod p."""
     p = int(p)
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise UnsupportedError(f"{p} is not prime")
-    B = np.asarray(matrix, dtype=object)
-    if B.size == 0:
-        return 0
-    rows = [[int(x) % p for x in row] for row in B]
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return _eliminate(matrix, p)[0]
 
 
 class HomologySummary:
@@ -234,9 +302,9 @@ def homology_Z(rep, k):
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
     rank_k = integer_rank(rep.boundary_matrix(k))
-    snf_up = smith_normal_form(rep.boundary_matrix(k + 1))
-    betti = rep.n_cells(k) - rank_k - snf_up.rank
-    torsion = [d for d in snf_up.invariant_factors if d > 1]
+    factors = _invariant_factors(rep.boundary_matrix(k + 1))
+    betti = rep.n_cells(k) - rank_k - len(factors)
+    torsion = [d for d in factors if d > 1]
     return HomologySummary(betti, torsion)
 
 

@@ -83,6 +83,31 @@ def gf2_nullspace(matrix):
     return basis
 
 
+def dense_mod_p_rank(matrix, p):
+    """Rank over Z/p by dense Gauss-Jordan elimination, column by column."""
+    B = np.asarray(matrix, dtype=object)
+    if B.size == 0:
+        return 0
+    rows = [[int(x) % p for x in row] for row in B]
+    m, n = len(rows), len(rows[0])
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for i in range(m):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
 def primes_between(lo, hi):
     sieve = [True] * (hi + 1)
     sieve[0:2] = [False, False]

@@ -32,6 +32,13 @@ def test_homology_single_degree(capsys):
     assert out.strip() == "H_0 = Z, H_1 = Z^2, H_2 = Z"
 
 
+def test_homology_of_the_largest_ladder_rung_on_one_line(capsys):
+    code, out, err = run(capsys, "homology", "random(40,0.5,1.0,11)", "--all")
+    assert code == 0
+    assert out == "H_0 = Z, H_1 = 0, H_2 = Z^1017\n"
+    assert err == ""
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "homology", "no_such_file.scx")
     assert code == 2

@@ -1,5 +1,7 @@
 """Complex construction, boundary matrices, validation, and file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,52 @@ def test_validate_passes_simplicial_and_flags_a_flipped_sign():
     assert len(report.failures) >= 1
     k, row, col, value = report.failures[0]
     assert k == 1 and value != 0
+
+
+def dense_failures(rep):
+    """Nonzero entries of every dense product B_k @ B_{k+1}, row-major."""
+    out = []
+    for k in range(1, rep.dim):
+        prod = rep.boundary_matrix(k) @ rep.boundary_matrix(k + 1)
+        out.extend((k, i, j, prod[i, j]) for i, j in np.ndindex(prod.shape)
+                   if prod[i, j] != 0)
+    return out
+
+
+def test_validate_lists_the_dense_product_failures_in_order():
+    rp2 = canonical_complex("rp2")
+    B2 = np.array(rp2.boundary_matrix(2))
+    B2[0, 1] = 3
+    flipped = ChainComplexRep(rp2.dims, [rp2.boundary_matrix(1), B2])
+    assert validate(flipped).failures == dense_failures(flipped) != []
+
+    rng = np.random.default_rng(9)
+    good = to_chain_complex(SimplicialComplex.from_maximal(
+        [(0, 1, 2, 3), (1, 2, 3, 4), (0, 4), (4, 5)]))
+    for _ in range(5):
+        corrupted = []
+        for k in range(1, good.dim + 1):
+            B = np.array(good.boundary_matrix(k))
+            hits = rng.random(B.shape) < 0.15
+            B[hits] = [int(v) for v in rng.integers(-3, 4, size=int(hits.sum()))]
+            corrupted.append(B)
+        bad = ChainComplexRep(good.dims, corrupted)
+        expected = dense_failures(bad)
+        assert {k for k, *_ in expected} == {1, 2}
+        assert validate(bad).failures == expected
+
+
+def test_rep_refuses_non_integral_boundary_entries():
+    cases = [((2, 1), [[[0.5], [-1.0]]], "B_1 entry (0, 0)"),
+             ((2, 1), [[[1.0], [np.inf]]], "B_1 entry (1, 0)"),
+             ((2, 1), [[[np.nan], [1]]], "B_1 entry (0, 0)"),
+             ((1, 2, 1), [[[0, 0]], [[1], [1e-9 + 1]]], "B_2 entry (1, 0)")]
+    for dims, mats, where in cases:
+        with pytest.raises(ValueError, match=re.escape(where)):
+            ChainComplexRep(dims, [np.array(m) for m in mats])
+    rep = ChainComplexRep((2, 1), [np.array([[1.0], [-1.0]])])
+    assert rep.boundary_matrix(1).tolist() == [[1], [-1]]
+    assert all(type(v) is int for v in rep.boundary_matrix(1).flat)
 
 
 def test_canonical_rp2_matches_its_frozen_matrices():

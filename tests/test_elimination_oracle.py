@@ -1,0 +1,87 @@
+"""Sparse unit-pivot elimination against the dense code it replaced.
+
+The invariant factors behind `integer_rank` and `homology_Z` must equal the
+dense Smith normal form's, and `mod_p_rank` must equal dense modular
+Gauss-Jordan elimination, on seeded random integer matrices (including
+unit-free ones, which only the non-unit remainder can answer) and on every
+boundary matrix of the named complexes and of criterion 2's corpus.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import dense_mod_p_rank
+from test_acceptance import two_complex_corpus
+
+from gssc import (ChainComplexRep, HomologySummary, homology_Z, integer_rank,
+                  mod_p_rank, resolve_complex, smith_normal_form)
+from gssc.homology import _invariant_factors
+
+PRIMES = (2, 3, 5, 7, 101)
+NAMED = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
+
+
+def random_matrices(count=300, seed=20):
+    """Seeded integer matrices of mixed density, scale and shape."""
+    rng = np.random.default_rng(seed)
+    out = [np.zeros((0, 0), dtype=object), np.zeros((0, 4), dtype=object),
+           np.zeros((3, 0), dtype=object), np.zeros((4, 5), dtype=object)]
+    while len(out) < count:
+        kind = len(out) % 6
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        if kind == 1:
+            m = 1
+        elif kind == 2:
+            n = 1
+        B = rng.integers(-3, 4, size=(m, n))
+        B[rng.random((m, n)) < rng.random()] = 0  # density varies per matrix
+        if kind == 3:
+            B *= 2
+        elif kind == 4:
+            B *= 6
+        out.append(np.array(B, dtype=object))
+    return out
+
+
+def boundary_matrices():
+    reps = [resolve_complex(spec) for spec in NAMED] + two_complex_corpus(50)
+    return [rep.boundary_matrix(k) for rep in reps for k in range(1, rep.dim + 1)]
+
+
+def check_against_smith(B):
+    factors = _invariant_factors(B)
+    expected = smith_normal_form(B).invariant_factors if B.size else []
+    assert factors == expected
+    assert integer_rank(B) == len(expected)
+    return expected
+
+
+def test_random_matrices_match_smith_normal_form():
+    unit_free_torsion = 0
+    for B in random_matrices():
+        expected = check_against_smith(B)
+        m, n = B.shape
+        rep = ChainComplexRep((m, n), [B])
+        assert homology_Z(rep, 0) == HomologySummary(
+            m - len(expected), [d for d in expected if d > 1])
+        assert homology_Z(rep, 1) == HomologySummary(n - len(expected), [])
+        if B.size and all(v % 2 == 0 for v in B.flat) and expected:
+            unit_free_torsion += 1
+    assert unit_free_torsion >= 50
+
+
+def test_random_matrices_match_dense_mod_p_rank():
+    for B in random_matrices():
+        for p in PRIMES:
+            assert mod_p_rank(B, p) == dense_mod_p_rank(B, p)
+
+
+def test_boundary_matrices_match_smith_normal_form():
+    for B in boundary_matrices():
+        check_against_smith(B)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_boundary_matrices_match_dense_mod_p_rank(p):
+    for B in boundary_matrices():
+        assert mod_p_rank(B, p) == dense_mod_p_rank(B, p)

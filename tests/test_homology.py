@@ -1,16 +1,19 @@
 """Integer and field homology, Smith forms, and the seminorm of a class."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import bareiss_det, component_count, gcd_of_minors
+from oracles import (bareiss_det, component_count, dense_mod_p_rank,
+                     gcd_of_minors)
 
 from gssc import (ChainVector, HomologySummary, Integer, ModN, Real,
                   UnsupportedError, canonical_complex, homology_Z,
                   homology_field, integer_rank, mod_p_rank, random_complex,
-                  simplicial_seminorm, smith_normal_form, solve_integer,
-                  to_chain_complex)
+                  resolve_complex, simplicial_seminorm, smith_normal_form,
+                  solve_integer, to_chain_complex)
 
 
 def random_int_matrix(rng, max_side=6, lo=-5, hi=5):
@@ -108,6 +111,21 @@ def test_homology_of_named_complexes():
     assert homology_Z(canonical_complex("filled_triangle"), 1) == HomologySummary(0, [])
     with pytest.raises(UnsupportedError):
         homology_Z(rp2, 3)
+
+
+def test_homology_of_the_largest_ladder_rung():
+    # dims (40, 408, 1386): every degree took ~88 s by dense Smith form
+    rep = resolve_complex("random(40,0.5,1.0,11)")
+    start = time.perf_counter()
+    groups = [homology_Z(rep, k) for k in range(rep.dim + 1)]
+    elapsed = time.perf_counter() - start
+    for p in (3, 5):
+        ranks = [dense_mod_p_rank(rep.boundary_matrix(k), p)
+                 for k in range(rep.dim + 2)]
+        assert [g.betti for g in groups] == [
+            rep.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(rep.dim + 1)]
+    assert [g.torsion for g in groups] == [()] * (rep.dim + 1)
+    assert elapsed < 30.0
 
 
 def test_h0_counts_connected_components():
