@@ -94,7 +94,13 @@ def _time_second_difference(n):
     return d.T @ d
 
 
-def sc_product(grid0, rep, alpha=0.05, beta=0.05):
+def _product_eigenpairs(rep, n_grid):
+    """Eigenpairs (a, P) of L_1 and (b, Q) of the n_grid-point L_t."""
+    return (np.linalg.eigh(laplacian(rep, 1)),
+            np.linalg.eigh(_time_second_difference(n_grid)))
+
+
+def sc_product(grid0, rep, alpha=0.05, beta=0.05, eigenpairs=None):
     """Joint space-time smoothing of a grid estimate.
 
     Returns the minimizer of |Z - grid0|_F^2 + alpha tr(Z^T L_1 Z)
@@ -102,13 +108,19 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05):
     = grid0.  Both operators are symmetric, so with L_1 = P diag(a) P^T and
     L_t = Q diag(b) Q^T the solve is the product filter
     Z = P [(P^T grid0 Q) / (1 + alpha a_i + beta b_j)] Q^T.  With
-    alpha = beta = 0 this is the identity.
+    alpha = beta = 0 this is the identity.  `eigenpairs`, the
+    `_product_eigenpairs` of rep and the grid length, lets a caller that
+    smooths many estimates decompose both operators once.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
     if grid0.n_edges != rep.n_cells(1):
         raise ValueError(f"{grid0.n_edges} grid rows for {rep.n_cells(1)} edges")
-    a, P = np.linalg.eigh(laplacian(rep, 1))
-    b, Q = np.linalg.eigh(_time_second_difference(len(grid0.grid)))
+    if eigenpairs is None:
+        eigenpairs = _product_eigenpairs(rep, len(grid0.grid))
+    (a, P), (b, Q) = eigenpairs
+    if len(a) != grid0.n_edges or len(b) != len(grid0.grid):
+        raise ValueError(f"eigenpairs of sizes ({len(a)}, {len(b)}) for "
+                         f"{grid0.n_edges} edges and {len(grid0.grid)} grid points")
     Z = P @ ((P.T @ grid0.values @ Q) / (1.0 + alpha * a[:, None] + beta * b)) @ Q.T
     return GridEstimate(Z, grid0.grid)

@@ -40,7 +40,8 @@ def _build_parser():
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for randomized subcommands")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for the experiment sweep")
+                        help="experiment sweep cells run at once in parallel "
+                             "threads (>= 1); each cell uses one BLAS thread")
     parser.add_argument("--out", default=None,
                         help="output file or directory, subcommand-dependent")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the

@@ -21,7 +21,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .baselines import KrrConfig, krr_grid, sc_product
+from ._blas import one_blas_thread
+from .baselines import KrrConfig, _product_eigenpairs, krr_grid, sc_product
 from .complexes import resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
@@ -154,7 +155,8 @@ def _hyperparams(config, method, bases, sub):
     return f"{krr};alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}"
 
 
-def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
+def _run_cell(config, rep, bases, sub, grid, eigenpairs, signal, truth,
+              sigma, m, trial):
     """All requested methods on one (sweep point, trial) cell, shared data."""
     row_seed = config.seed + trial
     samples = sample_async(signal, m, sigma,
@@ -175,7 +177,8 @@ def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
                 krr_est = krr_grid(samples, KrrConfig(config.lengthscale,
                                                       config.ridge), grid)
             est = (krr_est if method == "krr"
-                   else sc_product(krr_est, rep, config.alpha, config.beta))
+                   else sc_product(krr_est, rep, config.alpha, config.beta,
+                                   eigenpairs))
             value = rmse_ratio(est.values, truth, grid)
         rmses[method] = value
         seconds[method] = time.perf_counter() - start
@@ -187,18 +190,25 @@ def run_experiment(config, out_dir, jobs=1, log=None):
 
     Returns the three file paths.  Output rows appear in deterministic
     order (sweep point, then trial, then method) regardless of `jobs`.
+    The bases, signals and product-filter eigenpairs are built once; the
+    cells then run on one BLAS thread, because their matrices are small
+    enough that BLAS threading costs more than it saves, and `jobs` >= 1
+    cells run at a time in parallel threads.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     rep = resolve_complex(config.complex)
     bases = spectral_bases(rep, 1, config.n_irr, config.n_sol)
     sub = bases.sub(min(config.sub_size, bases.n_irr),
                     min(config.sub_size, bases.n_sol))
     grid = evaluation_grid()
+    eigenpairs = _product_eigenpairs(rep, len(grid))
     points = config.points()
 
     signals = [synthesize(rep, SynthSpec(config.n_irr, config.n_sol,
                                          config.time_order,
-                                         seed=[config.seed + trial]))
+                                         seed=[config.seed + trial]), bases)
                for trial in range(config.trials)]
     truths = [eval_chain_on_grid(f, grid) for f in signals]
 
@@ -208,14 +218,15 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     def work(cell):
         pi, trial = cell
         sigma, m = points[pi]
-        return _run_cell(config, rep, bases, sub, grid, signals[trial],
-                         truths[trial], sigma, m, trial)
+        return _run_cell(config, rep, bases, sub, grid, eigenpairs,
+                         signals[trial], truths[trial], sigma, m, trial)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(cell) for cell in cells]
+    with one_blas_thread():
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(work, cells))
+        else:
+            outcomes = [work(cell) for cell in cells]
 
     results = {cell: out for cell, out in zip(cells, outcomes)}
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import gf2
 from .coefficients import (Integer, ModN, Real, norm_p, resolve_weights,
                            zero_chain)
-from .complexes import _columns
+from .complexes import _columns, _integral
 from .errors import UnsupportedError
 from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
 
@@ -31,6 +31,13 @@ def _obj_identity(n):
     for i in range(n):
         eye[i, i] = 1
     return eye
+
+
+def _int_entry(i, j, v):
+    """Entry (i, j) of an exact-API matrix as a Python int; refuses non-integers."""
+    if not _integral(v):
+        raise ValueError(f"entry ({i}, {j}) = {v!r} is not an integer")
+    return int(v)
 
 
 class SNFResult:
@@ -67,7 +74,8 @@ def smith_normal_form(matrix):
     Pivots are chosen with minimal absolute value, which keeps intermediate
     entries small in practice.  Row operations accumulate in U, column
     operations in V; each is a product of swaps, signed additions and
-    negations, so det(U), det(V) are +-1.
+    negations, so det(U), det(V) are +-1.  Entries must be integers
+    (integer-valued floats included); any other entry raises ValueError.
     """
     A = np.asarray(matrix, dtype=object).copy()
     if A.ndim != 2:
@@ -75,7 +83,7 @@ def smith_normal_form(matrix):
     m, n = A.shape
     for i in range(m):
         for j in range(n):
-            A[i, j] = int(A[i, j])
+            A[i, j] = _int_entry(i, j, A[i, j])
     U = _obj_identity(m)
     V = _obj_identity(n)
 
@@ -191,7 +199,9 @@ def _eliminate(matrix, p=None):
     rows = {}   # row -> set of columns with a nonzero in that row
     for j, entries in enumerate(_columns(np.asarray(matrix, dtype=object))):
         for i, v in entries:
-            v = int(v) if p is None else int(v) % p
+            v = _int_entry(i, j, v)
+            if p is not None:
+                v %= p
             if v:
                 cols.setdefault(j, {})[i] = v
                 rows.setdefault(i, set()).add(j)

@@ -230,14 +230,23 @@ class SynthSpec:
                 f"time_order={self.time_order}, seed={self.seed!r})")
 
 
-def synthesize(rep, spec):
+def synthesize(rep, spec, bases=None):
     """Draw a random edge signal with the documented spectral variance law.
 
     Harmonic coefficients are N(0, 1); the i-th irrotational and solenoidal
     rows are N(0, 1/i).  Draw order is harmonic, irrotational, solenoidal,
-    so results are reproducible from the seed alone.
+    so results are reproducible from the seed alone.  `bases`, if given,
+    must be `spectral_bases(rep, 1, spec.n_irr, spec.n_sol)`, built once by
+    a caller that draws many signals.
     """
-    bases = spectral_bases(rep, 1, spec.n_irr, spec.n_sol)
+    if bases is None:
+        bases = spectral_bases(rep, 1, spec.n_irr, spec.n_sol)
+    elif (len(bases.U0) != rep.n_cells(1)
+          or (bases.requested_irr, bases.requested_sol) != (spec.n_irr, spec.n_sol)):
+        raise ValueError(
+            f"bases for {len(bases.U0)} edges with n_irr={bases.requested_irr}, "
+            f"n_sol={bases.requested_sol} do not match {rep.n_cells(1)} edges "
+            f"with n_irr={spec.n_irr}, n_sol={spec.n_sol}")
     system = FourierFn(spec.time_order)
     T = system.n_coeffs
     rng = np.random.default_rng(spec.seed)

@@ -301,6 +301,13 @@ def test_criterion_8_reconstruction_study_properties(tmp_path):
             agg[name] = read_aggregate(paths["aggregate"])
         elapsed = time.perf_counter() - start
 
+        # the same bytes whether cells run one at a time or four at a time
+        run_experiment(parse_config(CONFIG_DIR / "default_samples_sweep.cfg"),
+                       out_root / "samples_jobs1", jobs=1)
+        for name in ("results.csv", "aggregate.csv"):
+            assert ((out_root / "samples_jobs1" / name).read_bytes()
+                    == (out_root / "default_samples_sweep" / name).read_bytes())
+
         # (i) noiseless recovery with the full basis is numerically exact
         exact = agg["exact_recovery"][("gssc", "0", 40)]
         assert exact < 1e-6

@@ -7,6 +7,7 @@ from gssc import (GridEstimate, KrrConfig, NumericalError,
                   SynthSpec, canonical_complex, evaluation_grid,
                   krr_fit_eval, krr_grid, laplacian, rbf_kernel,
                   sample_async, sc_product, synthesize)
+from gssc.baselines import _product_eigenpairs
 
 
 def test_config_validation():
@@ -110,6 +111,20 @@ def test_product_smoother_matches_a_kron_solve():
     A_big = np.kron(np.eye(n_t), np.eye(3) + alpha * L1) + beta * np.kron(Lt.T, np.eye(3))
     z = np.linalg.solve(A_big, grid0.values.ravel(order="F"))
     assert np.allclose(out.values, z.reshape((3, n_t), order="F"), atol=1e-10)
+
+
+def test_product_smoother_reuses_prebuilt_eigenpairs_exactly():
+    rep = canonical_complex("cycle(4)")
+    rng = np.random.default_rng(6)
+    grid0 = GridEstimate(rng.standard_normal((4, 7)), np.linspace(-1, 1, 7))
+    eigenpairs = _product_eigenpairs(rep, 7)
+    fresh = sc_product(grid0, rep, 0.3, 0.7)
+    reused = sc_product(grid0, rep, 0.3, 0.7, eigenpairs)
+    assert np.array_equal(fresh.values, reused.values)
+    for wrong in (_product_eigenpairs(canonical_complex("cycle(5)"), 7),
+                  _product_eigenpairs(rep, 8)):
+        with pytest.raises(ValueError, match="eigenpairs"):
+            sc_product(grid0, rep, 0.3, 0.7, wrong)
 
 
 def test_product_smoother_lowers_its_own_objective():

@@ -247,7 +247,8 @@ def _bad_input_files(tmp_path):
     chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
     for name, line in (("order0.cfg", "time_order = 0"),
                        ("nan.cfg", "noise_levels = 0.01, nan"),
-                       ("inf.cfg", "sweep = samples\nnoise = inf")):
+                       ("inf.cfg", "sweep = samples\nnoise = inf"),
+                       ("ok.cfg", "sample_counts = 5")):
         (tmp_path / name).write_text(f"complex = cycle(4)\ntrials = 1\n{line}\n")
     return tmp_path
 
@@ -270,6 +271,8 @@ BAD_INPUT = [
     ("config-time-order", ["experiment", "{d}/order0.cfg"], "time_order"),
     ("config-nan", ["experiment", "{d}/nan.cfg"], "noise"),
     ("config-inf", ["experiment", "{d}/inf.cfg"], "noise"),
+    ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
+    ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]
 
 

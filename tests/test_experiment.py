@@ -9,6 +9,7 @@ from gssc import (ExperimentConfig, FormatError, UnsupportedError,
                   default_experiment_complex, eig_sym, homology_Z, laplacian,
                   parse_config, resolve_complex, run_experiment, save_delta,
                   validate)
+from gssc import _blas, experiment
 
 
 def read_csv(path):
@@ -193,3 +194,61 @@ def test_trials_share_signals_across_sweep_points(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert float(row[5]) < 1e-6
+
+
+def test_run_experiment_refuses_jobs_below_one(tmp_path):
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(tiny_config(), tmp_path / str(jobs), jobs=jobs)
+        assert not (tmp_path / str(jobs)).exists()
+
+
+@pytest.fixture
+def blas_threads():
+    """Every loaded OpenBLAS set to 2 threads for the test, then restored."""
+    controls = _blas._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield lambda: [get() for get, _ in controls]
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_run_on_one_blas_thread_and_counts_are_restored(
+        tmp_path, monkeypatch, blas_threads, jobs):
+    before = blas_threads()
+    seen = []
+    real = experiment.reconstruct_gssc
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "reconstruct_gssc", spy)
+    run_experiment(tiny_config(), tmp_path / "ok", jobs=jobs)
+    assert seen and all(counts == [1] * len(before) for counts in seen)
+    assert blas_threads() == before
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(experiment, "reconstruct_gssc", fail)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_experiment(tiny_config(), tmp_path / "fail", jobs=jobs)
+    assert blas_threads() == before
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(_blas.ctypes, "CDLL", no_library)
+    assert _blas._openblas_controls() == []
+    ran = False
+    with _blas.one_blas_thread():
+        ran = True
+    assert ran

@@ -1,5 +1,6 @@
 """Integer and field homology, Smith forms, and the seminorm of a class."""
 
+import re
 import time
 
 import numpy as np
@@ -81,6 +82,20 @@ def test_mod_p_rank_bounds_and_prime_check():
     assert mod_p_rank(np.array([[2]], dtype=object), 2) == 0
     with pytest.raises(UnsupportedError, match="prime"):
         mod_p_rank(np.eye(2, dtype=object), 4)
+
+
+@pytest.mark.parametrize("bad,entry", [
+    ([[0.5, 1.0], [2.0, 2.7]], "(0, 0) = 0.5"),
+    ([[1, 0], [float("nan"), 1]], "(1, 0) = nan"),
+])
+def test_exact_api_refuses_non_integral_entries(bad, entry):
+    for call in (smith_normal_form, integer_rank, lambda m: mod_p_rank(m, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"entry {entry} is not")):
+            call(bad)
+    # integer-valued floats are integers
+    assert smith_normal_form([[2.0, 0.0], [0.0, 3.0]]).invariant_factors == [1, 6]
+    assert integer_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
+    assert mod_p_rank([[1.0, 2.0], [2.0, 1.0]], 3) == 1
 
 
 def test_solve_integer_round_trip_and_infeasible():

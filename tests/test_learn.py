@@ -9,9 +9,9 @@ from gssc import (ChainVector, ConditioningWarning, FormatError, FourierFn,
                   UnsupportedError, canonical_complex, eig_sym,
                   eval_chain_on_grid, evaluation_grid, hodge_decompose,
                   laplacian, load_samples, random_chain, random_complex,
-                  reconstruct_gssc, rmse_ratio, sample_async, save_samples,
-                  solve_fundamental, solve_smooth, spectral_bases, synthesize,
-                  to_chain_complex, zero_chain)
+                  reconstruct_gssc, resolve_complex, rmse_ratio, sample_async,
+                  save_samples, solve_fundamental, solve_smooth,
+                  spectral_bases, synthesize, to_chain_complex, zero_chain)
 
 
 def as_float(chain):
@@ -222,6 +222,18 @@ def test_synthesize_is_seed_deterministic():
     assert (np.asarray(a.values) == np.asarray(b.values)).all()
     c = synthesize(rep, SynthSpec(n_irr=5, n_sol=5, time_order=3, seed=124))
     assert np.max(np.abs(np.asarray(a.values) - np.asarray(c.values))) > 1e-3
+
+
+def test_synthesize_with_prebuilt_bases_draws_the_same_signal():
+    rep = resolve_complex("default")
+    spec = SynthSpec(n_irr=20, n_sol=20, time_order=3, seed=[7])
+    bases = spectral_bases(rep, 1, 20, 20)
+    assert np.array_equal(synthesize(rep, spec, bases).values,
+                          synthesize(rep, spec).values)
+    for wrong in (spectral_bases(canonical_complex("cycle(5)"), 1, 20, 20),
+                  spectral_bases(rep, 1, 19, 20)):
+        with pytest.raises(ValueError, match="do not match"):
+            synthesize(rep, spec, wrong)
 
 
 def test_synthesize_spectral_variance_law():
