@@ -212,14 +212,14 @@ def eval_fn(system, coeffs, ts):
 
 
 def resolve_weights(weights, n):
-    """Non-negative one-dimensional cell weights (None means unit), length n."""
+    """Finite non-negative one-dimensional cell weights (None means unit), length n."""
     if weights is None:
         return np.ones(n)
     arr = np.array(weights, dtype=float)
     if arr.ndim != 1:
         raise ValueError("weights must be one-dimensional")
-    if np.any(arr < 0):
-        raise ValueError("weights must be non-negative")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("weights must be finite and non-negative")
     if len(arr) != n:
         raise ValueError(f"{len(arr)} weights for {n} cells")
     return arr

@@ -36,19 +36,6 @@ def _int_zeros(rows, cols):
     return np.zeros((rows, cols), dtype=object)
 
 
-def _as_int_matrix(data, rows=None, cols=None):
-    """Copy `data` into an object array of Python ints, checking the shape."""
-    arr = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != arr.shape[1]:
-            raise ValueError("ragged integer matrix")
-        for j, v in enumerate(row):
-            arr[i, j] = int(v)
-    if rows is not None and arr.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {arr.shape}")
-    return arr
-
-
 def _integral(v):
     try:
         return int(v) == v
@@ -234,7 +221,7 @@ class ChainComplexRep:
         for k, mat in enumerate(boundaries, start=1):
             mat = np.asarray(mat, dtype=object)
             if mat.ndim != 2:
-                mat = _as_int_matrix([list(r) for r in mat])
+                raise ValueError(f"B_{k} must be a 2-d matrix, got {mat.ndim}-d")
             if mat.shape != (dims[k - 1], dims[k]):
                 raise ValueError(
                     f"B_{k} has shape {mat.shape}, expected {(dims[k - 1], dims[k])}")
@@ -345,13 +332,13 @@ def canonical_complex(name):
     """
     name = name.strip()
     if name == "rp2":
-        b1 = _as_int_matrix([[-1, -1, 0], [1, 1, 0]])
-        b2 = _as_int_matrix([[-1, 1], [1, -1], [1, 1]])
+        b1 = [[-1, -1, 0], [1, 1, 0]]
+        b2 = [[-1, 1], [1, -1], [1, 1]]
         return ChainComplexRep((2, 3, 2), [b1, b2], name="rp2",
                                labels=[["v", "w"], ["a", "b", "c"], ["U", "L"]])
     if name == "torus":
         b1 = _int_zeros(1, 3)
-        b2 = _as_int_matrix([[1, 1], [1, 1], [-1, -1]])
+        b2 = [[1, 1], [1, 1], [-1, -1]]
         return ChainComplexRep((1, 3, 2), [b1, b2], name="torus",
                                labels=[["v"], ["a", "b", "c"], ["U", "L"]])
     if name == "filled_triangle":
@@ -538,7 +525,7 @@ def load_delta(path):
                         f"block B{k} row has {len(row)} entries, expected {cols}", lineno)
                 block.append(row)
                 pos += 1
-        boundaries.append(_as_int_matrix(block, rows, cols))
+        boundaries.append(np.array(block, dtype=object).reshape(rows, cols))
     if pos < len(lines):
         lineno, text = lines[pos]
         raise FormatError(f"unexpected trailing content {text!r}", lineno)

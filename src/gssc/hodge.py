@@ -8,9 +8,16 @@ and real chain space splits orthogonally as
 
     C_k = im B_k^T  (+)  ker L_k  (+)  im B_{k+1}.
 
-Eigenvalues below `zero_tol = max(n, 1) * eps * lambda_max` (floored at
-1e-12) count as zero; that cutoff is the single source of truth for every
-numerical rank and kernel dimension in the package.
+One scale-relative cutoff decides what is zero: an eigenvalue of an n x n
+symmetric matrix counts as zero when its magnitude is at most
+`max(n * eps, 1e-12) * lambda_max`.  Every numerical rank, kernel
+dimension, image projection and certificate preimage in the package comes
+from `eig_sym` under that cutoff; for a boundary B they come from the
+nonzero eigenpairs of its smaller Gram (`_modes`), so a singular value of
+B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
+weights of a weighted projection) by any positive constant leaves every
+rank and every projection unchanged.  The one exception is the weighted
+normal system of `learn.solve_smooth`, whose `lstsq` keeps its own rcond.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ ZERO_TOL_FLOOR = 1e-12
 
 
 def spectral_zero_tol(n, lam_max):
-    return max(max(n, 1) * np.finfo(float).eps * abs(lam_max), ZERO_TOL_FLOOR)
+    return max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * abs(lam_max)
 
 
 class Spectrum:
@@ -58,18 +65,42 @@ def eig_sym(matrix):
         raise ValueError("need a square matrix")
     n = M.shape[0]
     if n == 0:
-        return Spectrum(np.zeros(0), np.zeros((0, 0)), ZERO_TOL_FLOOR)
+        return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
     scale = max(float(np.max(np.abs(M))), 1e-300)
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     lam, vec = np.linalg.eigh((M + M.T) / 2.0)
-    for j in range(n):
+    tol = spectral_zero_tol(n, float(np.max(np.abs(lam))))
+    return Spectrum(lam, _signed(vec), tol)
+
+
+def _signed(vec):
+    """Flip columns in place so each one's first entry above 1e-12 of its
+    largest magnitude is positive; returns `vec`."""
+    for j in range(vec.shape[1]):
         col = vec[:, j]
         nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
         if nz.size and col[nz[0]] < 0:
             vec[:, j] = -col
-    tol = spectral_zero_tol(n, float(np.max(np.abs(lam), initial=0.0)))
-    return Spectrum(lam, vec, tol)
+    return vec
+
+
+def _modes(B):
+    """Nonzero eigenpairs (V, lam) of B^T B, eigenvalues ascending.
+
+    Only the smaller of B B^T and B^T B is factored.  When that is B B^T,
+    each unit eigenvector u with eigenvalue lam maps to the unit
+    eigenvector B^T u / sqrt(lam) of B^T B (SVD duality).  The columns of V
+    are an orthonormal basis of im B^T, signed as `eig_sym` signs them,
+    and B V (V^T t / lam) is the minimum-norm y with B^T y = V V^T t.
+    """
+    B = np.asarray(B, dtype=float)
+    dual = B.shape[0] < B.shape[1]
+    spec = eig_sym(B @ B.T if dual else B.T @ B)
+    keep = spec.eigenvalues > spec.zero_tol
+    lam = spec.eigenvalues[keep]
+    V = spec.eigenvectors[:, keep]
+    return (_signed(B.T @ V / np.sqrt(lam)) if dual else V), lam
 
 
 def laplacian(rep, k):
@@ -87,28 +118,15 @@ def laplacian(rep, k):
     return (L + L.T) / 2.0
 
 
-def _significant(s, shape):
-    """Mask of singular values above the spectral cutoff (s descending)."""
-    if s[0] == 0.0:
-        return np.zeros(s.shape, dtype=bool)
-    return s > max(max(shape) * np.finfo(float).eps * s[0], ZERO_TOL_FLOOR * s[0])
-
-
 def numerical_rank(matrix):
-    """SVD rank with the spectral cutoff convention."""
-    M = np.asarray(matrix, dtype=float)
-    if M.size == 0:
-        return 0
-    return int(np.sum(_significant(np.linalg.svd(M, compute_uv=False), M.shape)))
+    """Rank of a 2-d matrix under the package's one spectral cutoff.
 
-
-def _colspace_basis(matrix):
-    """Orthonormal basis of the column space (empty for zero matrices)."""
-    M = np.asarray(matrix, dtype=float)
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    return u[:, _significant(s, M.shape)]
+    Counts the eigenvalues of its smaller Gram above
+    `max(n * eps, 1e-12) * lambda_max`, i.e. the singular values above
+    about 1e-6 * sigma_max; the count is the same for any positive
+    multiple of the matrix.
+    """
+    return len(_modes(matrix)[1])
 
 
 class DecompositionResult:
@@ -144,25 +162,24 @@ def _chain(like, degree, mat):
                        mat[:, 0] if np.ndim(like.values) == 1 else mat)
 
 
-def _preimage(B, part):
-    """Minimum-norm least-squares y with B y = part (zero when B is empty)."""
-    if not B.size:
-        return np.zeros((B.shape[1], part.shape[1]))
-    return np.linalg.lstsq(B, part, rcond=None)[0]
-
-
 def _weighted_projection(B, target, w):
-    """(y, B y) with B y the w-weighted least-squares projection onto im B."""
-    if not B.size:
-        return np.zeros((B.shape[1], target.shape[1])), np.zeros_like(target)
-    y = np.linalg.lstsq(w[:, None] * B, w[:, None] * target, rcond=None)[0]
+    """(y, B y): B y is the w-weighted least-squares projection of `target`
+    onto im B and y its minimum-norm minimizer.
+
+    With A = W B, y = A^T V (V^T W target / lam) for the modes (V, lam) of
+    A^T, which span im A.
+    """
+    A = w[:, None] * B
+    V, lam = _modes(A.T)
+    y = A.T @ (V @ ((V.T @ (w[:, None] * target)) / lam[:, None]))
     return y, B @ y
 
 
 def _split(x, w, model):
     """The projection-and-certificate kernel behind every real Hodge split.
 
-    x_neg1 is the orthonormal projection of x onto im B_k^T and y_neg1 its
+    x_neg1 = V V^T x is the orthonormal projection of x onto im B_k^T, for
+    the modes (V, lam) of B_k, and y_neg1 = B_k V (V^T x / lam) its
     minimum-norm preimage.  x1 = B_{k+1} y1 is the w-weighted least-squares
     projection of the remainder onto im B_{k+1}, so its certificate holds
     by construction; x0 is what is left, a cycle.  Function-valued chains
@@ -172,12 +189,13 @@ def _split(x, w, model):
     k = x.degree
     mat = _as_matrix(x.values)
     down = rep.boundary_float(k)
-    q_down = _colspace_basis(down.T)
-    part_neg = q_down @ (q_down.T @ mat) if q_down.size else np.zeros_like(mat)
+    V, lam = _modes(down)
+    coef = V.T @ mat
+    part_neg = V @ coef
+    y_neg = down @ (V @ (coef / lam[:, None]))
     in_kernel = mat - part_neg
     y1, part_pos = _weighted_projection(rep.boundary_float(k + 1), in_kernel, w)
     part_zero = in_kernel - part_pos
-    y_neg = _preimage(down.T, part_neg)
     x0 = _chain(x, k, part_zero)
     return DecompositionResult(
         x0=x0, x1=_chain(x, k, part_pos), x_neg1=_chain(x, k, part_neg),
@@ -185,7 +203,7 @@ def _split(x, w, model):
         objective=norm_p(x0, 2, w), model=model,
         # x1 = B_{k+1} y1 exactly, so only the preimage certificate can miss
         residuals={"x1_certificate": 0.0, "x_neg1_certificate": float(np.linalg.norm(
-            (down.T @ y_neg if down.size else 0) - part_neg))})
+            down.T @ y_neg - part_neg))})
 
 
 def hodge_decompose(x):
@@ -271,19 +289,10 @@ class HodgeBases:
                           n_irr, n_sol)
 
 
-def _nonzero_modes(gram):
-    """Eigenvectors and eigenvalues of `gram` above its zero cutoff."""
-    spec = eig_sym(gram)
-    keep = spec.eigenvalues > spec.zero_tol
-    return spec.eigenvectors[:, keep], spec.eigenvalues[keep]
-
-
 def _full_bases(rep, k):
     """Every harmonic, irrotational and solenoidal vector at degree k."""
-    down = rep.boundary_float(k)
-    up = rep.boundary_float(k + 1)
-    U_irr, irr_vals = _nonzero_modes(down.T @ down)
-    U_sol, sol_vals = _nonzero_modes(up @ up.T)
+    U_irr, irr_vals = _modes(rep.boundary_float(k))
+    U_sol, sol_vals = _modes(rep.boundary_float(k + 1).T)
     return HodgeBases(eig_sym(laplacian(rep, k)).zero_space(), U_irr, U_sol,
                       irr_vals, sol_vals, len(irr_vals), len(sol_vals))
 
@@ -318,11 +327,10 @@ def courant_fischer_check(rep, l):
     if not 2 <= l <= len(spec):
         raise ValueError(f"l must be in 2..{len(spec)}")
     lhs = float(spec.eigenvalues[l - 1])
-    e = spec.eigenvectors[:, l - 1]
+    e = spec.eigenvectors[:, l - 1:l]
     B1 = rep.boundary_float(1)
-    y, *_ = np.linalg.lstsq(B1, e, rcond=None)
-    u = B1 @ y
+    _, u = _weighted_projection(B1, e, np.ones(len(e)))
     v = B1.T @ u
-    rhs = float(v @ v) / float(u @ u)
+    rhs = float(np.sum(v * v)) / float(np.sum(u * u))
     gap = abs(lhs - rhs) / max(abs(lhs), ZERO_TOL_FLOOR)
     return lhs, rhs, gap

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from gssc.coefficients import ChainVector, FourierFn
-from gssc.hodge import DecompositionResult
+from gssc.hodge import DecompositionResult, HodgeBases
 from gssc.learn import ConditioningWarning
 
 
@@ -163,6 +163,38 @@ def orthonormal_hodge_split(down, up, values):
     x1 = q_up @ (q_up.T @ vals)
     x0 = vals - x_neg1 - x1
     return x0, x1, x_neg1, preimage(up, x1), preimage(down.T, x_neg1)
+
+
+def dense_full_bases(rep, k):
+    """Harmonic, irrotational and solenoidal bases from three n_k x n_k eighs.
+
+    The reference for `gssc.hodge._full_bases`: U0 is the kernel of the
+    dense L_k, U_irr the eigenvectors of B_k^T B_k and U_sol those of
+    B_{k+1} B_{k+1}^T with eigenvalues above max(n * eps, 1e-12) * lambda_max,
+    ascending.  Each column's first entry above 1e-12 of its largest
+    magnitude is made positive.
+    """
+    down = rep.boundary_float(k)
+    up = rep.boundary_float(k + 1)
+    n = rep.n_cells(k)
+
+    def eigh(gram, keep_zero):
+        if n == 0:
+            return np.zeros((0, 0)), np.zeros(0)
+        lam, vec = np.linalg.eigh(gram)
+        tol = max(n * np.finfo(float).eps, 1e-12) * np.max(np.abs(lam))
+        keep = np.abs(lam) <= tol if keep_zero else lam > tol
+        vec, lam = vec[:, keep], lam[keep]
+        for j in range(vec.shape[1]):
+            big = np.abs(vec[:, j]) > 1e-12 * np.max(np.abs(vec[:, j]))
+            if vec[np.argmax(big), j] < 0:
+                vec[:, j] *= -1
+        return vec, lam
+
+    U0, _ = eigh(down.T @ down + up @ up.T, keep_zero=True)
+    U_irr, irr_vals = eigh(down.T @ down, keep_zero=False)
+    U_sol, sol_vals = eigh(up @ up.T, keep_zero=False)
+    return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals, len(irr_vals), len(sol_vals))
 
 
 def _lstsq_preimage(B, part):

@@ -220,6 +220,14 @@ def test_complex_gen_round_trips_both_formats(tmp_path, capsys):
     assert out.strip() == "H_0 = Z, H_1 = Z/2, H_2 = 0"
 
 
+def test_homology_of_a_delta_complex_with_empty_blocks(tmp_path, capsys):
+    dcx = tmp_path / "z.dcx"
+    dcx.write_text("dims 2 0 1\nB1\nB2\n")
+    code, out, err = run(capsys, "homology", str(dcx), "--all")
+    assert code == 0 and err == ""
+    assert out.strip() == "H_0 = Z^2, H_1 = 0, H_2 = Z"
+
+
 def test_complex_gen_without_out_prints_dims(capsys):
     code, out, _ = run(capsys, "complex", "gen", "rp2")
     assert code == 0

@@ -6,7 +6,8 @@ import pytest
 from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN, Real,
                   UnsupportedError, apply_boundary, apply_coboundary,
                   canonical_complex, eval_fn, load_chain, norm_p,
-                  random_chain, save_chain, scale, zero_chain)
+                  random_chain, save_chain, scale, solve_fundamental,
+                  zero_chain)
 
 SYSTEMS = [Real(), Integer(), ModN(2), ModN(5), FourierFn(2)]
 
@@ -107,6 +108,11 @@ def test_negative_weights_are_rejected():
         norm_p(x, 2, weights=[1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         norm_p(x, 2, weights=[1.0, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            norm_p(x, 2, weights=[1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve_fundamental(x, weights=[1.0, bad, 1.0])
 
 
 def test_unsupported_p_is_named():

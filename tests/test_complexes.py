@@ -250,6 +250,23 @@ def test_dcx_round_trip_and_corruption_rejected(tmp_path):
         load_delta(bad)
 
 
+def test_dcx_round_trip_with_empty_blocks(tmp_path):
+    rep = ChainComplexRep((2, 0, 1), [np.zeros((2, 0), dtype=object),
+                                      np.zeros((0, 1), dtype=object)])
+    path = tmp_path / "z.dcx"
+    save_delta(rep, path)
+    loaded = load_delta(path)
+    assert loaded.dims == (2, 0, 1)
+    assert loaded.boundary_matrix(1).shape == (2, 0)
+    assert loaded.boundary_matrix(2).shape == (0, 1)
+
+
 def test_delta_rep_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         ChainComplexRep((2, 2), [np.zeros((3, 2), dtype=object)])
+
+
+@pytest.mark.parametrize("boundary", [[1, -1], [[[1]]], [[1, 2], [3]]])
+def test_delta_rep_rejects_boundaries_that_are_not_2d(boundary):
+    with pytest.raises(ValueError, match="2-d"):
+        ChainComplexRep((2, 1), [boundary])

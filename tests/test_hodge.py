@@ -7,7 +7,8 @@ import scipy.linalg
 from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   UnsupportedError, canonical_complex, courant_fischer_check,
                   eig_sym, hodge_decompose, laplacian, numerical_rank,
-                  random_chain, random_complex, spectral_bases,
+                  random_chain, random_complex, resolve_complex,
+                  simplicial_seminorm, solve_fundamental, spectral_bases,
                   to_chain_complex)
 
 
@@ -297,6 +298,44 @@ def test_spectral_bases_span_the_right_subspaces():
         assert np.max(np.abs(upper @ u - lam * u)) <= 1e-8 * max(1.0, lam)
     # counts add up to the whole space
     assert bases.n_harmonic + numerical_rank(down) + numerical_rank(up) == rep.n_cells(1)
+
+
+def test_numerical_rank_cuts_relative_to_the_largest_singular_value():
+    assert numerical_rank(np.diag([1.0, 1e-7])) == 1
+    assert numerical_rank(np.diag([1.0, 1e-5])) == 2
+    assert numerical_rank(np.zeros((3, 2))) == 0
+    assert numerical_rank(np.zeros((0, 4))) == 0
+    B2 = resolve_complex("random(12,0.6,0.8,4)").boundary_float(2)
+    ranks = {numerical_rank(c * B) for c in (1e-8, 1.0, 1e8) for B in (B2, B2.T)}
+    assert ranks == {numerical_rank(B2)}
+
+
+SCALES = (1e-7, 1e7)
+
+
+@pytest.mark.parametrize("system", [Real(), FourierFn(3)])
+def test_weighted_fundamental_split_is_scale_invariant(system):
+    rep = resolve_complex("random(12,0.6,0.8,4)")
+    x = random_chain(rep, 1, system, 12)
+    w = np.random.default_rng(12).uniform(0.5, 2.0, rep.n_cells(1))
+    base = solve_fundamental(x, weights=w)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(x.values))))
+    for c in SCALES:
+        scaled = solve_fundamental(x, weights=c * w)
+        for part, ref in zip(scaled.parts(), base.parts()):
+            assert np.max(np.abs(part.values - ref.values)) <= tol
+
+
+def test_weighted_seminorm_is_scale_invariant():
+    rep = resolve_complex("random(12,0.6,0.8,4)")
+    split = hodge_decompose(random_chain(rep, 1, Real(), 13))
+    cycle = split.x0.with_values(split.x0.values + split.x1.values)
+    w = np.random.default_rng(13).uniform(0.5, 2.0, rep.n_cells(1))
+    value, mini = simplicial_seminorm(cycle, weights=w)
+    for c in SCALES:
+        scaled_value, scaled_mini = simplicial_seminorm(cycle, weights=c * w)
+        assert scaled_value == pytest.approx(c * value, rel=1e-10)
+        assert np.max(np.abs(scaled_mini.values - mini.values)) <= 1e-10
 
 
 def test_sub_bases_take_leading_columns():
