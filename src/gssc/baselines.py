@@ -22,7 +22,7 @@ class KrrConfig:
     def __init__(self, lengthscale=1.0, ridge=1e-2):
         if not lengthscale > 0:
             raise ValueError("lengthscale must be positive")
-        if ridge < 0:
+        if not ridge >= 0:
             raise ValueError("ridge must be >= 0")
         self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)
@@ -112,7 +112,7 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05, eigenpairs=None):
     `_product_eigenpairs` of rep and the grid length, lets a caller that
     smooths many estimates decompose both operators once.
     """
-    if alpha < 0 or beta < 0:
+    if not (alpha >= 0 and beta >= 0):
         raise ValueError("alpha and beta must be >= 0")
     if grid0.n_edges != rep.n_cells(1):
         raise ValueError(f"{grid0.n_edges} grid rows for {rep.n_cells(1)} edges")

@@ -208,6 +208,8 @@ def _cmd_sample(args):
 
 
 def _cmd_reconstruct(args):
+    if args.sub_size < 0:
+        raise FormatError(f"sub-size must be >= 0, got {args.sub_size}")
     rep = resolve_complex(args.complex)
     out = _require_out(args, "estimate CSV")
     samples = load_samples(args.samples, rep.n_cells(1))

@@ -293,34 +293,29 @@ def random_chain(rep, degree, system, rng):
     return ChainVector(rep, degree, system, system.random(rep.n_cells(degree), rng))
 
 
+def _apply_boundary(x, k, adjoint):
+    """B_k x (degree k - 1) or, with `adjoint`, B_k^T x (degree k); zero
+    when the complex has no B_k.  Exact systems multiply the integer
+    matrix, reduced mod n for ModN."""
+    rep = x.complex
+    degree = k if adjoint else k - 1
+    if k < 1 or k > rep.dim:
+        return zero_chain(rep, degree, x.system)
+    B = rep.boundary_matrix(k) if x.system.exact else rep.boundary_float(k)
+    out = (B.T if adjoint else B) @ x.values
+    if isinstance(x.system, ModN):
+        out = out % x.system.modulus
+    return ChainVector(rep, degree, x.system, out)
+
+
 def apply_boundary(x):
     """Boundary of a degree-k chain: y_j = sum_i (B_k)_{j i} x_i, degree k-1."""
-    rep = x.complex
-    k = x.degree
-    if k < 1 or k > rep.dim:
-        return zero_chain(rep, k - 1, x.system)
-    if x.system.exact:
-        out = rep.boundary_matrix(k) @ x.values
-        if isinstance(x.system, ModN):
-            out = out % x.system.modulus
-    else:
-        out = rep.boundary_float(k) @ x.values
-    return ChainVector(rep, k - 1, x.system, out)
+    return _apply_boundary(x, x.degree, adjoint=False)
 
 
 def apply_coboundary(x):
     """Adjoint action B_{k+1}^T on a degree-k chain; result has degree k+1."""
-    rep = x.complex
-    k = x.degree + 1
-    if k < 1 or k > rep.dim:
-        return zero_chain(rep, x.degree + 1, x.system)
-    if x.system.exact:
-        out = rep.boundary_matrix(k).T @ x.values
-        if isinstance(x.system, ModN):
-            out = out % x.system.modulus
-    else:
-        out = rep.boundary_float(k).T @ x.values
-    return ChainVector(rep, k, x.system, out)
+    return _apply_boundary(x, x.degree + 1, adjoint=True)
 
 
 def norm_p(x, p=2, weights=None):
@@ -400,6 +395,8 @@ def load_chain(path, rep, degree, system):
                     values[idx] = int(row[1])
             except (ValueError, IndexError):
                 raise FormatError(f"bad value row {row}", lineno)
+            if not system.exact and not np.all(np.isfinite(values[idx])):
+                raise FormatError(f"non-finite value in row {row}", lineno)
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)[:5]
         raise FormatError(f"{path}: missing rows for cells {missing}")

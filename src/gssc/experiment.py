@@ -90,6 +90,13 @@ class ExperimentConfig:
             raise FormatError("sub_size must be >= 1")
         if self.n_irr < 0 or self.n_sol < 0:
             raise FormatError("n_irr and n_sol must be >= 0")
+        if not 0 < self.lengthscale < math.inf:
+            raise FormatError("lengthscale must be finite and positive")
+        for key in ("ridge", "alpha", "beta"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise FormatError(f"{key} must be finite and >= 0")
+        if self.seed < 0:
+            raise FormatError("seed must be >= 0")
 
     def points(self):
         """The (noise, samples_per_edge) pairs of the sweep, in sweep order."""

@@ -16,8 +16,8 @@ from `eig_sym` under that cutoff; for a boundary B they come from the
 nonzero eigenpairs of its smaller Gram (`_modes`), so a singular value of
 B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
 weights of a weighted projection) by any positive constant leaves every
-rank and every projection unchanged.  The one exception is the weighted
-normal system of `learn.solve_smooth`, whose `lstsq` keeps its own rcond.
+rank and every projection unchanged.  The weighted normal system of
+`learn.solve_smooth` is solved from its `eig_sym` under the same cutoff.
 """
 
 from __future__ import annotations
@@ -178,32 +178,26 @@ def _weighted_projection(B, target, w):
 def _split(x, w, model):
     """The projection-and-certificate kernel behind every real Hodge split.
 
-    x_neg1 = V V^T x is the orthonormal projection of x onto im B_k^T, for
-    the modes (V, lam) of B_k, and y_neg1 = B_k V (V^T x / lam) its
-    minimum-norm preimage.  x1 = B_{k+1} y1 is the w-weighted least-squares
-    projection of the remainder onto im B_{k+1}, so its certificate holds
-    by construction; x0 is what is left, a cycle.  Function-valued chains
-    are split coefficient column by coefficient column.
+    Two calls of `_weighted_projection`: x_neg1 = B_k^T y_neg1 is the
+    orthogonal projection of x onto im B_k^T, and x1 = B_{k+1} y1 the
+    w-weighted least-squares projection of the remainder onto im B_{k+1};
+    both certificates are minimum-norm preimages and hold by construction.
+    x0 is what is left, a cycle.  Function-valued chains are split
+    coefficient column by coefficient column.
     """
     rep = x.complex
     k = x.degree
     mat = _as_matrix(x.values)
-    down = rep.boundary_float(k)
-    V, lam = _modes(down)
-    coef = V.T @ mat
-    part_neg = V @ coef
-    y_neg = down @ (V @ (coef / lam[:, None]))
+    y_neg, part_neg = _weighted_projection(rep.boundary_float(k).T, mat,
+                                           np.ones(len(mat)))
     in_kernel = mat - part_neg
     y1, part_pos = _weighted_projection(rep.boundary_float(k + 1), in_kernel, w)
-    part_zero = in_kernel - part_pos
-    x0 = _chain(x, k, part_zero)
+    x0 = _chain(x, k, in_kernel - part_pos)
     return DecompositionResult(
         x0=x0, x1=_chain(x, k, part_pos), x_neg1=_chain(x, k, part_neg),
         y1=_chain(x, k + 1, y1), y_neg1=_chain(x, k - 1, y_neg),
         objective=norm_p(x0, 2, w), model=model,
-        # x1 = B_{k+1} y1 exactly, so only the preimage certificate can miss
-        residuals={"x1_certificate": 0.0, "x_neg1_certificate": float(np.linalg.norm(
-            down.T @ y_neg - part_neg))})
+        residuals={"x1_certificate": 0.0, "x_neg1_certificate": 0.0})
 
 
 def hodge_decompose(x):
@@ -240,7 +234,7 @@ class HodgeBases:
     eigenvectors of B_{k+1} B_{k+1}^T, each restricted to nonzero
     eigenvalues and sorted ascending, truncated to the requested counts.
     Invariant, kept by `spectral_bases` and `sub` and relied on by
-    `reconstruct_gssc` and `solve_smooth`: column i of U_irr (U_sol) is a
+    `reconstruct_gssc`: column i of U_irr (U_sol) is a
     unit eigenvector with the positive eigenvalue irr_eigenvalues[i]
     (sol_eigenvalues[i]).
     """

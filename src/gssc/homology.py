@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf2
-from .coefficients import (Integer, ModN, Real, norm_p, resolve_weights,
-                           zero_chain)
+from .coefficients import (Integer, ModN, Real, _apply_boundary, norm_p,
+                           resolve_weights, zero_chain)
 from .complexes import _columns, _integral
 from .errors import UnsupportedError
 from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
@@ -338,22 +338,17 @@ def homology_field(rep, k, field):
 def _require_kernel_chain(x):
     rep = x.complex
     k = x.degree
+    bd = _apply_boundary(x, k, adjoint=False).values
     if x.system.exact:
-        bd = rep.boundary_matrix(k) @ x.values if 1 <= k <= rep.dim else None
-        if bd is not None:
-            if isinstance(x.system, ModN):
-                bd = bd % x.system.modulus
-            if any(v != 0 for v in bd):
-                raise ValueError("representative is not a cycle (boundary nonzero)")
-    else:
-        if 1 <= k <= rep.dim:
-            B = rep.boundary_float(k)
-            flat = np.asarray(x.values, dtype=float)
-            resid = np.max(np.abs(B @ flat), initial=0.0)
-            scale = max(1.0, float(np.max(np.abs(flat), initial=0.0)))
-            if resid > 1e-8 * scale * max(1.0, float(np.max(np.abs(B), initial=0.0))):
-                raise ValueError("representative is not a cycle (boundary residual "
-                                 f"{resid:.3e})")
+        if any(v != 0 for v in bd):
+            raise ValueError("representative is not a cycle (boundary nonzero)")
+    elif bd.size:
+        resid = np.max(np.abs(bd))
+        scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
+        B = rep.boundary_float(k)
+        if resid > 1e-8 * scale * max(1.0, float(np.max(np.abs(B), initial=0.0))):
+            raise ValueError("representative is not a cycle (boundary residual "
+                             f"{resid:.3e})")
 
 
 def simplicial_seminorm(x, p=2, weights=None):

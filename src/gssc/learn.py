@@ -13,16 +13,15 @@ Three convex problems share the DecompositionResult container:
 * smooth       -- trade data fit against the roughness of the non-harmonic
   parts:  min |x' - x|^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
   with x' = x0 + x1 + x_neg1 and x0 constrained to ker L_k.  The roughness
-  is diagonal in the Hodge eigenbasis, so this is a spectral filter that
-  shrinks the coefficient of an eigenvector with eigenvalue lambda by
-  1 / (1 + lambda / eta); as eta grows it tends to the Hodge decomposition.
+  is x'^T L_k x', so the fitted chain x' solves one normal system and the
+  parts are its Hodge decomposition; with unit weights this shrinks the
+  L_k eigenvector with eigenvalue lambda by 1 / (1 + lambda / eta), and as
+  eta grows it tends to the Hodge decomposition of x.
 * reconstruct  -- the sampled variant: the data term becomes squared
   residuals at per-edge sample instants of a function-valued chain, the
-  unknowns are spectral-basis coefficients per time-basis function.
-
-The smooth and reconstruct models both solve for coefficients in the Hodge
-eigenbasis and share one step that turns them into the three parts, their
-closed-form certificates and the roughness.
+  unknowns are spectral-basis coefficients per time-basis function, and
+  the parts and certificates are read off those coefficients in closed
+  form.
 
 Synthetic signals follow a fixed recipe: coefficients of the harmonic
 basis are standard normal, and the coefficient of the i-th irrotational or
@@ -41,9 +40,9 @@ import scipy.linalg
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
-from .errors import InfeasibleError, NumericalError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _chain, _full_bases,
-                    _split, spectral_bases)
+from .errors import InfeasibleError, UnsupportedError
+from .hodge import (DecompositionResult, _as_matrix, _chain, _split, eig_sym,
+                    laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -152,38 +151,32 @@ def solve_fundamental(x, p=2, weights=None):
 
 # -- smoothness model ----------------------------------------------------------
 
-def _spectral_parts(rep, k, bases, theta):
-    """Parts, certificates and roughness of the k-chain U theta.
+def _smooth_fit(rep, k, mat, w, eta):
+    """Minimum-norm solution x' of (W^2 + L_k / eta) x' = W^2 x.
 
-    `theta` has one coefficient row per column of U = bases.stacked().
-    Returns x0 = U0 a0, x1 = U_sol a_sol, x_neg1 = U_irr a_irr, the
-    minimum-norm certificates y1 = B_{k+1}^T U_sol (a_sol / lambda_sol) and
-    y_neg1 = B_k U_irr (a_irr / lambda_irr), and the roughness
-    |B_{k+1}^T x1|^2 + |B_k x_neg1|^2 = sum_i lambda_i |theta_i|^2.  Both
-    closed forms rest on the HodgeBases invariant: B_{k+1} B_{k+1}^T u =
-    lambda u makes B_{k+1}^T u / lambda the minimum-norm preimage of a
-    solenoidal column u, and B_k^T B_k does the same for irrotational ones.
+    One `eig_sym` of the normal matrix; eigenvalues at or below its zero
+    cutoff are dropped, which is where zero weights leave a harmonic
+    direction unobserved.  Kept apart from `solve_smooth` so that its
+    n_k x n_k arrays are freed before the split runs.
     """
-    a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
-                                        bases.n_harmonic + bases.n_irr])
-    y1 = rep.boundary_float(k + 1).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
-    y_neg1 = rep.boundary_float(k) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
-    rough = float(np.sum(bases.eigenvalues()[:, None] * theta ** 2))
-    return bases.U0 @ a0, bases.U_sol @ a_sol, bases.U_irr @ a_irr, y1, y_neg1, rough
+    normal = laplacian(rep, k) / eta
+    normal[np.diag_indices_from(normal)] += w ** 2
+    spec = eig_sym(normal)
+    keep = spec.eigenvalues > spec.zero_tol
+    V = spec.eigenvectors[:, keep]
+    return V @ ((V.T @ ((w ** 2)[:, None] * mat)) / spec.eigenvalues[keep][:, None])
 
 
 def solve_smooth(x, eta=1.0, weights=None):
-    """Quadratic smoothing split, solved as a filter in the Hodge eigenbasis.
+    """Quadratic smoothing split: fit one chain, then Hodge-split it.
 
     Minimizes |x' - x|_{2,w}^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
-    over x' = x0 + x1 + x_neg1 with x0 in ker L_k.  Writing x' = U theta in
-    the full orthonormal eigenbasis U = [U0 | U_irr | U_sol] of C_k turns
-    the roughness into sum_i lambda_i |theta_i|^2, so theta solves the
-    n_k x n_k system (U^T W^2 U + diag(lambda / eta)) theta = U^T W^2 x,
-    one column per coefficient.  With unit weights this is the spectral
-    filter theta_i = u_i^T x / (1 + lambda_i / eta).  The system is solved
-    by least squares, so zero weights that leave harmonic directions
-    unobserved give the minimum-norm answer.
+    over x' = x0 + x1 + x_neg1 with x0 in ker L_k.  The roughness is
+    x'^T L_k x', so x' is the minimum-norm solution of
+    (W^2 + L_k / eta) x' = W^2 x, one column per coefficient, and the parts
+    and certificates are the orthogonal Hodge split of x'.  With unit
+    weights this is the spectral filter that shrinks the L_k eigenvector
+    with eigenvalue lambda by 1 / (1 + lambda / eta).
     """
     if not isinstance(x.system, (Real, FourierFn)):
         raise UnsupportedError(f"smooth model needs Real or FourierFn, got {x.system!r}")
@@ -193,25 +186,14 @@ def solve_smooth(x, eta=1.0, weights=None):
     k = x.degree
     w = resolve_weights(weights, len(x.values))
     mat = _as_matrix(x.values)
-    bases = _full_bases(rep, k)
-    if bases.n_harmonic + bases.n_irr + bases.n_sol != len(mat):
-        raise NumericalError(
-            f"Hodge bases at degree {k} have {bases.n_harmonic} + {bases.n_irr} "
-            f"+ {bases.n_sol} columns for {len(mat)} cells")
-
-    WU = w[:, None] * bases.stacked()
-    normal = WU.T @ WU + np.diag(bases.eigenvalues() / eta)
-    theta, *_ = np.linalg.lstsq(normal, WU.T @ (w[:, None] * mat), rcond=None)
-    part_zero, part_pos, part_neg, y1, y_neg, rough = _spectral_parts(rep, k, bases, theta)
-
-    fit = part_zero + part_pos + part_neg - mat
-    data_term = float(np.sum((w[:, None] * fit) ** 2))
-    return DecompositionResult(
-        x0=_chain(x, k, part_zero), x1=_chain(x, k, part_pos),
-        x_neg1=_chain(x, k, part_neg), y1=_chain(x, k + 1, y1),
-        y_neg1=_chain(x, k - 1, y_neg),
-        objective=data_term + rough / eta, model="smooth",
-        residuals={"data": data_term, "roughness": rough / eta})
+    fitted = _smooth_fit(rep, k, mat, w, eta)
+    result = _split(_chain(x, k, fitted), np.ones(len(mat)), "smooth")
+    data_term = float(np.sum((w[:, None] * (fitted - mat)) ** 2))
+    rough = float(np.sum((rep.boundary_float(k) @ fitted) ** 2)
+                  + np.sum((rep.boundary_float(k + 1).T @ fitted) ** 2)) / eta
+    result.objective = data_term + rough
+    result.residuals = {"data": data_term, "roughness": rough}
+    return result
 
 
 # -- synthetic signals and asynchronous sampling -------------------------------
@@ -327,6 +309,8 @@ def load_samples(path, n_edges):
                 sample = (float(row[1]), float(row[2]))
             except (ValueError, IndexError):
                 raise FormatError(f"bad sample row {row}", lineno)
+            if not np.all(np.isfinite(sample)):
+                raise FormatError(f"non-finite sample row {row}", lineno)
             if not 0 <= e < n_edges:
                 raise FormatError(f"edge {e} outside 0..{n_edges - 1}", lineno)
             rows[e].append(sample)
@@ -393,7 +377,12 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
     theta = scipy.linalg.cho_solve(factor, rhs).reshape(K, T)
 
-    part_zero, part_pos, part_neg, y1, y_neg1, rough = _spectral_parts(rep, 1, bases, theta)
+    a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
+                                        bases.n_harmonic + bases.n_irr])
+    y1 = rep.boundary_float(2).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
+    y_neg1 = rep.boundary_float(1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
+    rough = float(np.sum(lam[:, None] * theta ** 2))
+    part_zero, part_pos, part_neg = bases.U0 @ a0, bases.U_sol @ a_sol, bases.U_irr @ a_irr
     coeffs = part_zero + part_neg + part_pos
     estimate = ChainVector(rep, 1, system, coeffs)
 

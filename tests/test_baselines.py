@@ -15,6 +15,9 @@ def test_config_validation():
         KrrConfig(lengthscale=0.0)
     with pytest.raises(ValueError):
         KrrConfig(ridge=-1.0)
+    for bad in ({"lengthscale": float("nan")}, {"ridge": float("nan")}):
+        with pytest.raises(ValueError):
+            KrrConfig(**bad)
     assert KrrConfig().ridge == pytest.approx(1e-2)
 
 
@@ -78,8 +81,9 @@ def test_product_smoother_identity_at_zero_strength():
     grid0 = GridEstimate(rng.standard_normal((4, 12)), np.linspace(-3, 3, 12))
     out = sc_product(grid0, rep, alpha=0.0, beta=0.0)
     assert np.allclose(out.values, grid0.values, atol=1e-12)
-    with pytest.raises(ValueError):
-        sc_product(grid0, rep, alpha=-0.1)
+    for bad in ({"alpha": -0.1}, {"alpha": float("nan")}, {"beta": float("nan")}):
+        with pytest.raises(ValueError):
+            sc_product(grid0, rep, **bad)
 
 
 def test_product_smoother_fixes_harmonic_constant_signals():

@@ -251,11 +251,18 @@ def _bad_input_files(tmp_path):
                                                for t in (-1.0, 0.5)))
     relabelled = tmp_path / "s_neg.csv"
     relabelled.write_text(samples.read_text().replace("\n3,", "\n-1,"))
+    infinite = tmp_path / "s_inf.csv"
+    infinite.write_text(samples.read_text().replace("\n0,-1.0,", "\n0,inf,"))
     chain = tmp_path / "x.csv"
     chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
+    (tmp_path / "x_nan.csv").write_text(chain.read_text().replace("-0.5", "nan"))
     for name, line in (("order0.cfg", "time_order = 0"),
                        ("nan.cfg", "noise_levels = 0.01, nan"),
                        ("inf.cfg", "sweep = samples\nnoise = inf"),
+                       ("alpha_nan.cfg", "alpha = nan"),
+                       ("ridge_nan.cfg", "ridge = nan"),
+                       ("lengthscale0.cfg", "lengthscale = 0"),
+                       ("seed_neg.cfg", "seed = -1"),
                        ("ok.cfg", "sample_counts = 5")):
         (tmp_path / name).write_text(f"complex = cycle(4)\ntrials = 1\n{line}\n")
     return tmp_path
@@ -274,11 +281,19 @@ BAD_INPUT = [
     ("reconstruct-eta", ["reconstruct", "cycle(4)", "{d}/s.csv", "--eta", "0"], "eta"),
     ("reconstruct-edge", ["reconstruct", "cycle(4)", "{d}/s_neg.csv"], "line 8"),
     ("reconstruct-n-irr", ["reconstruct", "cycle(4)", "{d}/s.csv", "--n-irr", "-1"], "n_irr"),
+    ("reconstruct-sub-size", ["reconstruct", "cycle(4)", "{d}/s.csv", "--sub-size", "-3"],
+     "sub-size"),
+    ("reconstruct-inf-sample", ["reconstruct", "cycle(4)", "{d}/s_inf.csv"], "line 2"),
     ("smooth-eta", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
                     "smooth", "--eta", "0"], "eta"),
+    ("decompose-nan-chain", ["decompose", "cycle(4)", "{d}/x_nan.csv", "-k", "1"], "line 3"),
     ("config-time-order", ["experiment", "{d}/order0.cfg"], "time_order"),
     ("config-nan", ["experiment", "{d}/nan.cfg"], "noise"),
     ("config-inf", ["experiment", "{d}/inf.cfg"], "noise"),
+    ("config-alpha-nan", ["experiment", "{d}/alpha_nan.cfg"], "alpha"),
+    ("config-ridge-nan", ["experiment", "{d}/ridge_nan.cfg"], "ridge"),
+    ("config-lengthscale-0", ["experiment", "{d}/lengthscale0.cfg"], "lengthscale"),
+    ("config-seed-negative", ["experiment", "{d}/seed_neg.cfg"], "seed"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

@@ -230,6 +230,13 @@ def test_chain_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("cell,value\n0,1.0\n1,2.0\n7,3.0\n")
     with pytest.raises(FormatError, match="out of range"):
         load_chain(path, rep, 1, Real())
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"cell,value\n0,1.0\n1,{value}\n2,3.0\n")
+        with pytest.raises(FormatError, match="line 3: non-finite"):
+            load_chain(path, rep, 1, Real())
+    path.write_text("edge,c0,c1,c2\n0,1,0,0\n1,0,nan,0\n2,0,0,1\n")
+    with pytest.raises(FormatError, match="line 3: non-finite"):
+        load_chain(path, rep, 1, FourierFn(1))
 
 
 def test_integer_system_rejects_fractions():

@@ -49,6 +49,13 @@ def test_config_validation_errors():
     {"eta": float("nan")},
     {"n_irr": -1},
     {"n_sol": -3},
+    {"lengthscale": 0.0},
+    {"lengthscale": float("inf")},
+    {"ridge": float("nan")},
+    {"ridge": -1e-3},
+    {"alpha": float("nan")},
+    {"beta": float("inf")},
+    {"seed": -1},
 ])
 def test_config_rejects_non_finite_noise_and_bad_orders(tmp_path, bad):
     with pytest.raises(FormatError):

@@ -299,6 +299,10 @@ def test_samples_csv_round_trip(tmp_path):
     bad.write_text("edge,t,y\n0,0.0,1.0\n0,0.1,1.0\n1,0.0,1.0\n")
     with pytest.raises(FormatError, match="unequal"):
         load_samples(bad, 2)
+    for row in ("0,inf,1.0", "0,0.5,nan"):
+        bad.write_text(f"edge,t,y\n0,0.0,1.0\n{row}\n1,0.0,1.0\n1,0.1,1.0\n")
+        with pytest.raises(FormatError, match="line 3: non-finite"):
+            load_samples(bad, 2)
 
 
 @pytest.mark.parametrize("edge", ["-1", "2", "9"])

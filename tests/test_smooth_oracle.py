@@ -1,7 +1,8 @@
-"""The spectral-filter smoothers against their dense references.
+"""The smoothers against their dense references.
 
-`solve_smooth` solves the smooth model in the full Hodge eigenbasis and
-writes its certificates in closed form; `oracles.dense_smooth` stacks
+`solve_smooth` fits one chain x' from the normal system
+(W^2 + L_k / eta) x' = W^2 x, solved by one symmetric eigendecomposition,
+and returns the Hodge split of x'; `oracles.dense_smooth` stacks
 boundary-matrix penalty rows under the data block and solves for the
 certificates by one `lstsq`.  `sc_product` filters in the eigenbases of
 L_1 and L_t; `oracles.sylvester_product` runs a general Sylvester solve.
@@ -9,11 +10,13 @@ In real arithmetic each pair is the same computation.
 
 In floating point the smooth pair are two roundings of one least-squares
 problem.  With zero weights and a large eta its normal matrix
-U^T W^2 U + diag(lambda / eta) has condition number kappa up to ~1e8, so
-parts are compared to 1e-9 relative or 10 kappa eps, whichever is larger
-(the measured difference stays below 0.4 kappa eps).  Zero weights can
-also leave harmonic directions unobserved; both solvers return the
-minimum-norm answer there, so they are compared as well.
+U^T W^2 U + diag(lambda / eta) (U the full Hodge eigenbasis) has
+condition number kappa up to ~1e8, so parts are compared to 1e-9
+relative or 10 kappa eps, whichever is larger.  Zero weights can also
+leave harmonic directions unobserved; both solvers return the
+minimum-norm answer there, so they are compared as well.  The same
+tolerance bounds the scale invariance: the weights c w with eta give
+the same parts as the weights w with eta c^2.
 """
 
 import functools
@@ -21,8 +24,7 @@ import functools
 import numpy as np
 import pytest
 
-import gssc.learn
-from gssc import (FourierFn, GridEstimate, NumericalError, Real,
+from gssc import (FourierFn, GridEstimate, Real,
                   evaluation_grid, random_chain, resolve_complex, sc_product,
                   solve_smooth, spectral_bases)
 
@@ -110,13 +112,24 @@ def test_solve_smooth_matches_the_stacked_lstsq(spec, k, system, eta, weights):
                        atol=1e-9 * scale)
 
 
-def test_solve_smooth_refuses_a_basis_that_does_not_span_the_chains(monkeypatch):
-    # the filter is only the smooth model when U is a full basis of C_k
-    full = gssc.learn._full_bases
-    monkeypatch.setattr(gssc.learn, "_full_bases", lambda rep, k: full(rep, k).sub(2, 2))
-    rep = resolve_complex("default")
-    with pytest.raises(NumericalError):
-        solve_smooth(random_chain(rep, 1, Real(), 0))
+@pytest.mark.parametrize("spec,k,c", [
+    pytest.param(spec, k, c, id=f"{spec}-k{k}-c{c:g}")
+    for spec in FULL_SPECS for k in range(resolve_complex(spec).dim + 1)
+    for c in (1e-2, 1e2)])
+def test_solve_smooth_depends_on_weights_only_through_eta_times_their_square(spec, k, c):
+    # |cW(x' - x)|^2 + x'^T L x' / eta = c^2 (|W(x' - x)|^2 + x'^T L x' / (eta c^2))
+    rep, bases = complex_and_bases(spec, k)
+    x = random_chain(rep, k, FourierFn(3), [k, len(spec), 11])
+    scale = max(1.0, float(np.linalg.norm(as_matrix(x))))
+    eta = 30.0
+    for weights in ("unit", "random", "zeros"):
+        w = weight_vector(weights, rep.n_cells(k), k)
+        w = np.ones(rep.n_cells(k)) if w is None else w
+        scaled = solve_smooth(x, eta=eta, weights=c * w)
+        plain = solve_smooth(x, eta=eta * c ** 2, weights=w)
+        tol = max(1e-9, 10 * condition(bases, w, eta * c ** 2) * EPS)
+        for g, r in zip(scaled.parts(), plain.parts()):
+            assert np.max(np.abs(as_matrix(g) - as_matrix(r)), initial=0.0) <= tol * scale
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.05, 0.05), (1.0, 0.0), (0.0, 1.0)])
