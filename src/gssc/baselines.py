@@ -20,10 +20,10 @@ class KrrConfig:
     """RBF kernel ridge hyperparameters."""
 
     def __init__(self, lengthscale=1.0, ridge=1e-2):
-        if not lengthscale > 0:
-            raise ValueError("lengthscale must be positive")
-        if not ridge >= 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 < lengthscale < np.inf:
+            raise ValueError(f"lengthscale must be finite and positive, got {lengthscale}")
+        if not 0 <= ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
         self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)
 
@@ -112,8 +112,9 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05, eigenpairs=None):
     `_product_eigenpairs` of rep and the grid length, lets a caller that
     smooths many estimates decompose both operators once.
     """
-    if not (alpha >= 0 and beta >= 0):
-        raise ValueError("alpha and beta must be >= 0")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if grid0.n_edges != rep.n_cells(1):
         raise ValueError(f"{grid0.n_edges} grid rows for {rep.n_cells(1)} edges")
     if eigenpairs is None:

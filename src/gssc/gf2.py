@@ -1,14 +1,17 @@
-"""Dense GF(2) linear algebra on Python-int bitmasks.
+"""GF(2) linear algebra on Python-int bitmasks.
 
 A vector over Z/2 with n entries is stored as one int whose bit i is the
-entry at index i.  XOR is addition, so subgroup enumeration walks a Gray
-code and touches one generator per step.
+entry at index i, built from the nonzeros of a matrix column.  XOR is
+addition, so subgroup enumeration walks a Gray code and touches one
+generator per step, and one elimination that records which inputs make up
+each reduced vector gives a basis, a particular solution and a kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .complexes import _columns
 from .errors import UnsupportedError
 
 # hard cap on 2^(number of generators) in exhaustive searches
@@ -33,32 +36,70 @@ def mask_to_vector(mask, n):
 
 def column_masks(matrix):
     """Columns of an integer matrix, reduced mod 2, as row-indexed masks."""
-    rows, cols = matrix.shape
     out = []
-    for j in range(cols):
+    for entries in _columns(np.asarray(matrix, dtype=object)):
         mask = 0
-        for i in range(rows):
-            if int(matrix[i, j]) % 2:
+        for i, v in entries:
+            if int(v) % 2:
                 mask |= 1 << i
         out.append(mask)
     return out
 
 
-def independent_columns(masks):
-    """Indices of a greedy maximal independent subset (a column-space basis)."""
-    basis = {}
-    keep = []
+def combine(masks, subset):
+    """XOR of masks[i] over the set bits i of `subset`."""
+    out = 0
+    while subset:
+        low = subset & -subset
+        out ^= masks[low.bit_length() - 1]
+        subset ^= low
+    return out
+
+
+def _eliminate(masks):
+    """Greedy elimination of `masks` in order, tracking combinations.
+
+    Returns (kept, kernel): `kept` lists the inputs that raised the rank, a
+    basis of the span; `kernel` holds, per input that did not, the subset of
+    inputs (a mask over their indices) that XORs to zero with it, together a
+    basis of all such subsets.
+    """
+    pivots = {}
+    kept = []
+    kernel = []
     for idx, m in enumerate(masks):
-        cur = m
+        cur, subset = m, 1 << idx
         while cur:
             lead = cur.bit_length() - 1
-            if lead in basis:
-                cur ^= basis[lead]
-            else:
-                basis[lead] = cur
-                keep.append(idx)
+            if lead not in pivots:
+                pivots[lead] = (cur, subset)
+                kept.append(idx)
                 break
-    return keep
+            vec, sub = pivots[lead]
+            cur ^= vec
+            subset ^= sub
+        else:
+            kernel.append(subset)
+    return kept, kernel
+
+
+def independent_columns(masks):
+    """Indices of a greedy maximal independent subset (a column-space basis)."""
+    return _eliminate(masks)[0]
+
+
+def solution_coset(masks, target):
+    """The subsets of `masks` whose XOR is `target`, as (a0, kernel basis).
+
+    Subsets are masks over the indices of `masks`; the solutions are a0 XOR
+    the span of the kernel basis.  None when the target, eliminated as one
+    more input, raises the rank.
+    """
+    n = len(masks)
+    kept, kernel = _eliminate(list(masks) + [target])
+    if kept and kept[-1] == n:
+        return None
+    return kernel[-1] ^ (1 << n), kernel[:-1]
 
 
 def mask_norm_power(mask, p, weights=None):
@@ -99,8 +140,16 @@ def gray_iter(payloads, width=None):
         yield g ^ (g >> 1), tuple(acc)
 
 
-def check_enumeration_bound(n_generators, what):
-    if n_generators > ENUMERATION_BITS:
+def check_enumeration_bound(n_generators, what, coset_bits=None):
+    """Refuse walks over more than 2^ENUMERATION_BITS elements in total.
+
+    `coset_bits`, if given, counts an outer coset walk that runs the walk of
+    `n_generators` once per element; the message then names both counts.
+    """
+    total = n_generators + (coset_bits or 0)
+    if total > ENUMERATION_BITS:
+        size = (f"2^{n_generators}" if coset_bits is None else
+                f"2^{coset_bits} coset x 2^{n_generators} boundary = 2^{total}")
         raise UnsupportedError(
-            f"{what}: exhaustive search over 2^{n_generators} elements exceeds "
+            f"{what}: exhaustive search over {size} elements exceeds "
             f"the 2^{ENUMERATION_BITS} bound")

@@ -8,8 +8,9 @@ Three convex problems share the DecompositionResult container:
   that lands x in the kernel, then the smallest-norm class representative
   within the kernel.  Over the reals with p = 2 both stages are orthogonal
   projections and the result is exactly the Hodge decomposition; over Z/2
-  both stages are one exhaustive walk over the two subgroups, ordered by
-  correction size first.
+  the first stage is a walk of the feasible coset of corrections, found by
+  one GF(2) solve, and the second the exhaustive boundary walk under each
+  correction, ordered by correction size first.
 * smooth       -- trade data fit against the roughness of the non-harmonic
   parts:  min |x' - x|^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
   with x' = x0 + x1 + x_neg1 and x0 constrained to ker L_k.  The roughness
@@ -57,32 +58,39 @@ def _fundamental_mod2(x, p, w):
     n_k = len(x.values)
     weights = None if w is None else np.asarray(w, dtype=float)
 
-    down = rep.boundary_matrix(k)          # rows of this, as C_k vectors, span im B_k^T
-    up = rep.boundary_matrix(k + 1)
-
-    neg_cols = gf2.column_masks(down.T if down.size else np.zeros((n_k, 0), dtype=object))
-    neg_bd = gf2.column_masks(down @ down.T if down.size else np.zeros((0, 0), dtype=object))
-    # boundary of column j of B_k^T is B_k (B_k^T e_j), precomputed above
+    down = rep.boundary_matrix(k)
+    down_cols = gf2.column_masks(down)      # B_k e_i, as C_{k-1} masks
+    neg_cols = gf2.column_masks(down.T)     # rows of B_k: B_k^T e_j spans im B_k^T
     neg_idx = gf2.independent_columns(neg_cols)
-    pos_cols = gf2.column_masks(up if up.size else np.zeros((n_k, 0), dtype=object))
-    pos_idx = gf2.independent_columns(pos_cols)
-    gf2.check_enumeration_bound(len(neg_idx) + len(pos_idx), "fundamental model")
-
+    neg_gens = [neg_cols[j] for j in neg_idx]
     target = gf2.vector_to_mask(x.values)
-    target_bd = gf2.vector_to_mask(
-        (down @ x.values) % 2 if down.size else np.zeros(0, dtype=object))
 
-    neg_payloads = [(neg_cols[j], neg_bd[j]) for j in neg_idx]
+    # a correction c = sum_i a_i B_k^T e_{neg_idx[i]} is feasible iff
+    # B_k c = B_k x; the generators are independent, so the coordinate masks
+    # a of the feasible corrections form one coset a0 + kernel of that map
+    coset = gf2.solution_coset([gf2.combine(down_cols, g) for g in neg_gens],
+                               gf2.combine(down_cols, target))
+    if coset is None:
+        raise InfeasibleError(
+            "x cannot be written as cycle + B_k^T y over Z/2 "
+            "(its boundary is outside the reachable set)")
+    a0, kernel = coset
+    pos_cols = gf2.column_masks(rep.boundary_matrix(k + 1))
+    pos_idx = gf2.independent_columns(pos_cols)
+    gf2.check_enumeration_bound(len(pos_idx), "fundamental model",
+                                coset_bits=len(kernel))
+
+    c0 = gf2.combine(neg_gens, a0)
+    coset_payloads = [(z, gf2.combine(neg_gens, z)) for z in kernel]
     pos_payloads = [(pos_cols[j],) for j in pos_idx]
 
-    # one walk over corrections x_neg1 with boundary(x - x_neg1) = 0; the key
+    # walk the feasible corrections, and under each one im B_{k+1}; the key
     # (correction power, cycle-part power, y1 mask, y_neg1 mask) puts the
     # smallest correction first, then the smallest cycle part, then the
     # smallest generator encodings
     best = None
-    for neg_mask, (c_elem, bd) in gf2.gray_iter(neg_payloads, width=2):
-        if bd != target_bd:
-            continue
+    for _, (dz, dc) in gf2.gray_iter(coset_payloads, width=2):
+        neg_mask, c_elem = a0 ^ dz, c0 ^ dc
         neg_power = gf2.mask_norm_power(c_elem, p, weights)
         if best is not None and neg_power > best[0][0]:
             continue
@@ -93,20 +101,12 @@ def _fundamental_mod2(x, p, w):
                    pos_mask, neg_mask)
             if best is None or key < best[0]:
                 best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
-    if best is None:
-        raise InfeasibleError(
-            "x cannot be written as cycle + B_k^T y over Z/2 "
-            "(its boundary is outside the reachable set)")
 
     _, x0_mask, s_elem, c_elem, pos_mask, neg_mask = best
-    y1_vals = np.zeros(rep.n_cells(k + 1), dtype=object)
-    for bit, j in enumerate(pos_idx):
-        if (pos_mask >> bit) & 1:
-            y1_vals[j] = 1
-    y_neg_vals = np.zeros(rep.n_cells(k - 1), dtype=object)
-    for bit, j in enumerate(neg_idx):
-        if (neg_mask >> bit) & 1:
-            y_neg_vals[j] = 1
+    y1_vals = gf2.mask_to_vector(
+        gf2.combine([1 << j for j in pos_idx], pos_mask), rep.n_cells(k + 1))
+    y_neg_vals = gf2.mask_to_vector(
+        gf2.combine([1 << j for j in neg_idx], neg_mask), rep.n_cells(k - 1))
 
     x0 = ChainVector(rep, k, x.system, gf2.mask_to_vector(x0_mask, n_k))
     result = DecompositionResult(
@@ -125,9 +125,13 @@ def _fundamental_mod2(x, p, w):
 def solve_fundamental(x, p=2, weights=None):
     """Minimal-cycle-part decomposition of a chain (see module docstring).
 
-    Real and FourierFn chains use the closed-form projections (p = 2);
-    ModN(2) chains are solved exhaustively for p in {1, 2}.  Integer chains
-    are rejected: their search space is infinite.
+    Real and FourierFn chains use the closed-form projections (p = 2).
+    ModN(2) chains are solved exactly for p in {1, 2}: one GF(2) solve of
+    B_k c = B_k x over c in im B_k^T gives the feasible coset of corrections
+    (or InfeasibleError), and a walk of that coset, then the exhaustive
+    boundary walk of im B_{k+1} under each correction, finds the minimum;
+    UnsupportedError if the two walks together exceed 2^24 elements.
+    Integer chains are rejected: their search space is infinite.
     """
     w = resolve_weights(weights, len(x.values))
     if isinstance(x.system, (Real, FourierFn)):

@@ -13,7 +13,9 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from gssc.coefficients import ChainVector, FourierFn
+from gssc import gf2
+from gssc.coefficients import ChainVector, FourierFn, norm_p
+from gssc.errors import InfeasibleError
 from gssc.hodge import DecompositionResult, HodgeBases
 from gssc.learn import ConditioningWarning
 
@@ -383,3 +385,103 @@ def sylvester_product(values, rep, alpha=0.05, beta=0.05):
     d[np.arange(n_t - 1), np.arange(1, n_t)] = 1.0
     A = np.eye(len(values)) + alpha * L1
     return scipy.linalg.solve_sylvester(A, beta * (d.T @ d), values)
+
+
+def _dense_column_masks(matrix):
+    """Columns mod 2 as row-indexed masks, by a scan of every entry."""
+    rows, cols = matrix.shape
+    return [sum(1 << i for i in range(rows) if int(matrix[i, j]) % 2)
+            for j in range(cols)]
+
+
+def _greedy_independent(masks):
+    """Indices of the masks that raise the rank, taken in order."""
+    basis = {}
+    keep = []
+    for idx, m in enumerate(masks):
+        cur = m
+        while cur:
+            lead = cur.bit_length() - 1
+            if lead in basis:
+                cur ^= basis[lead]
+            else:
+                basis[lead] = cur
+                keep.append(idx)
+                break
+    return keep
+
+
+def dense_fundamental_mod2(x, p, w):
+    """Z/2 fundamental model by one exhaustive walk of im B_k^T x im B_{k+1}.
+
+    The reference for `gssc.learn._fundamental_mod2`, which walks only the
+    feasible coset of corrections: this walks every element of im B_k^T
+    (boundaries by a dense object `B_k @ B_k^T`), skips those whose boundary
+    misses B_k x, and keeps the least key (correction power, cycle-part
+    power, y1 mask, y_neg1 mask) in the same generator coordinates.
+    Raises UnsupportedError when the two walks exceed 2^24 elements together
+    and InfeasibleError when no correction is feasible.  `w` is None for
+    unit weights.
+    """
+    rep = x.complex
+    k = x.degree
+    n_k = len(x.values)
+    weights = None if w is None else np.asarray(w, dtype=float)
+
+    down = rep.boundary_matrix(k)
+    up = rep.boundary_matrix(k + 1)
+
+    neg_cols = _dense_column_masks(down.T if down.size else np.zeros((n_k, 0), dtype=object))
+    neg_bd = _dense_column_masks(down @ down.T if down.size else np.zeros((0, 0), dtype=object))
+    neg_idx = _greedy_independent(neg_cols)
+    pos_cols = _dense_column_masks(up if up.size else np.zeros((n_k, 0), dtype=object))
+    pos_idx = _greedy_independent(pos_cols)
+    gf2.check_enumeration_bound(len(neg_idx) + len(pos_idx), "fundamental model")
+
+    target = gf2.vector_to_mask(x.values)
+    target_bd = gf2.vector_to_mask(
+        (down @ x.values) % 2 if down.size else np.zeros(0, dtype=object))
+
+    neg_payloads = [(neg_cols[j], neg_bd[j]) for j in neg_idx]
+    pos_payloads = [(pos_cols[j],) for j in pos_idx]
+
+    best = None
+    for neg_mask, (c_elem, bd) in gf2.gray_iter(neg_payloads, width=2):
+        if bd != target_bd:
+            continue
+        neg_power = gf2.mask_norm_power(c_elem, p, weights)
+        if best is not None and neg_power > best[0][0]:
+            continue
+        base = target ^ c_elem
+        for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
+            x0_mask = base ^ s_elem
+            key = (neg_power, gf2.mask_norm_power(x0_mask, p, weights),
+                   pos_mask, neg_mask)
+            if best is None or key < best[0]:
+                best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
+    if best is None:
+        raise InfeasibleError(
+            "x cannot be written as cycle + B_k^T y over Z/2 "
+            "(its boundary is outside the reachable set)")
+
+    _, x0_mask, s_elem, c_elem, pos_mask, neg_mask = best
+    y1_vals = np.zeros(rep.n_cells(k + 1), dtype=object)
+    for bit, j in enumerate(pos_idx):
+        if (pos_mask >> bit) & 1:
+            y1_vals[j] = 1
+    y_neg_vals = np.zeros(rep.n_cells(k - 1), dtype=object)
+    for bit, j in enumerate(neg_idx):
+        if (neg_mask >> bit) & 1:
+            y_neg_vals[j] = 1
+
+    x0 = ChainVector(rep, k, x.system, gf2.mask_to_vector(x0_mask, n_k))
+    return DecompositionResult(
+        x0=x0,
+        x1=ChainVector(rep, k, x.system, gf2.mask_to_vector(s_elem, n_k)),
+        x_neg1=ChainVector(rep, k, x.system, gf2.mask_to_vector(c_elem, n_k)),
+        y1=ChainVector(rep, k + 1, x.system, y1_vals),
+        y_neg1=ChainVector(rep, k - 1, x.system, y_neg_vals),
+        objective=norm_p(x0, p, weights),
+        model="fundamental",
+        residuals={"kernel": 0.0, "x1_certificate": 0.0, "x_neg1_certificate": 0.0},
+    )

@@ -21,6 +21,12 @@ def test_config_validation():
     assert KrrConfig().ridge == pytest.approx(1e-2)
 
 
+@pytest.mark.parametrize("name", ["lengthscale", "ridge"])
+def test_config_refuses_infinite_hyperparameters(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        KrrConfig(**{name: float("inf")})
+
+
 def test_kernel_matrix_values():
     K = rbf_kernel([0.0, 1.0], [0.0, 1.0], lengthscale=1.0)
     assert K[0, 0] == pytest.approx(1.0)
@@ -84,6 +90,14 @@ def test_product_smoother_identity_at_zero_strength():
     for bad in ({"alpha": -0.1}, {"alpha": float("nan")}, {"beta": float("nan")}):
         with pytest.raises(ValueError):
             sc_product(grid0, rep, **bad)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_product_smoother_refuses_infinite_strengths(name):
+    rep = canonical_complex("cycle(4)")
+    grid0 = GridEstimate(np.ones((4, 12)), np.linspace(-3, 3, 12))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sc_product(grid0, rep, **{name: float("inf")})
 
 
 def test_product_smoother_fixes_harmonic_constant_signals():

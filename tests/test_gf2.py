@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gssc import UnsupportedError
-from gssc.gf2 import (check_enumeration_bound, column_masks, gray_iter,
-                      independent_columns, mask_norm_power,
-                      mask_to_vector, vector_to_mask)
+from gssc.gf2 import (check_enumeration_bound, column_masks, combine,
+                      gray_iter, independent_columns, mask_norm_power,
+                      mask_to_vector, solution_coset, vector_to_mask)
 
 
 def test_mask_vector_round_trip():
@@ -91,3 +91,35 @@ def test_enumeration_bound():
     check_enumeration_bound(24, "test")
     with pytest.raises(UnsupportedError, match="2\\^25"):
         check_enumeration_bound(25, "test")
+
+
+def test_column_masks_of_empty_shapes():
+    assert column_masks(np.zeros((0, 3), dtype=object)) == [0, 0, 0]
+    assert column_masks(np.zeros((3, 0), dtype=object)) == []
+
+
+def test_solution_coset_is_every_subset_hitting_the_target():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n_rows = int(rng.integers(1, 7))
+        n_cols = int(rng.integers(0, 8))
+        masks = [vector_to_mask(rng.integers(0, 2, size=n_rows))
+                 for _ in range(n_cols)]
+        target = vector_to_mask(rng.integers(0, 2, size=n_rows))
+        want = {subset for subset in range(1 << n_cols)
+                if combine(masks, subset) == target}
+        got = solution_coset(masks, target)
+        if not want:
+            assert got is None
+            continue
+        a0, kernel = got
+        coset = {a0 ^ dz for _, (dz,) in gray_iter([(z,) for z in kernel], width=1)}
+        assert coset == want
+        assert len(coset) == 1 << len(kernel)
+
+
+def test_enumeration_bound_names_coset_and_boundary_bits():
+    check_enumeration_bound(20, "test", coset_bits=4)
+    with pytest.raises(UnsupportedError,
+                       match="2\\^3 coset x 2\\^22 boundary = 2\\^25"):
+        check_enumeration_bound(22, "test", coset_bits=3)
