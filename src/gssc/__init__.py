@@ -26,7 +26,7 @@ from .hodge import (DecompositionResult, HodgeBases, Spectrum,
                     laplacian, numerical_rank, spectral_bases)
 from .homology import (HomologySummary, SNFResult, homology_Z, homology_field,
                        integer_rank, mod_p_rank, simplicial_seminorm,
-                       smith_normal_form, solve_integer)
+                       smith_normal_form)
 from .learn import (ConditioningWarning, SampleSet, SynthSpec,
                     eval_chain_on_grid, evaluation_grid, load_samples,
                     reconstruct_gssc, rmse_ratio, sample_async, save_samples,
@@ -52,6 +52,6 @@ __all__ = [
     "resolve_weights", "rmse_ratio", "run_experiment", "sample_async",
     "save_chain", "save_complex", "save_delta", "save_samples",
     "sc_product", "scale", "simplicial_seminorm", "smith_normal_form",
-    "solve_fundamental", "solve_integer", "solve_smooth", "spectral_bases",
-    "synthesize", "to_chain_complex", "validate", "zero_chain",
+    "solve_fundamental", "solve_smooth", "spectral_bases", "synthesize",
+    "to_chain_complex", "validate", "zero_chain",
 ]

@@ -215,8 +215,7 @@ def _cmd_reconstruct(args):
     samples = load_samples(args.samples, rep.n_cells(1))
     bases = spectral_bases(rep, 1, args.n_irr, args.n_sol)
     if args.sub_size > 0:
-        bases = bases.sub(min(args.sub_size, bases.n_irr),
-                          min(args.sub_size, bases.n_sol))
+        bases = bases.sub(args.sub_size, args.sub_size)
     estimate, result = reconstruct_gssc(samples, rep, bases,
                                         time_order=args.time_order,
                                         eta=args.eta)

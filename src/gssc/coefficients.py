@@ -24,6 +24,7 @@ import csv
 
 import numpy as np
 
+from .complexes import _integral
 from .errors import FormatError, UnsupportedError
 
 
@@ -86,18 +87,23 @@ class Real(CoefficientSystem):
         return rng.standard_normal(n)
 
 
+def _exact_values(system, values, n):
+    """Python ints of `values`; refuses any value that is not integral."""
+    arr = np.empty(n, dtype=object)
+    for i, v in enumerate(np.asarray(values, dtype=object).reshape(n)):
+        if not _integral(v):
+            raise ValueError(f"{system!r} value {v!r} is not an integer")
+        arr[i] = int(v)
+    return arr
+
+
 class Integer(CoefficientSystem):
     """Arbitrary-precision integer values; norm |a|."""
 
     exact = True
 
     def coerce(self, values, n):
-        arr = np.empty(n, dtype=object)
-        for i, v in enumerate(np.asarray(values, dtype=object).reshape(n)):
-            if isinstance(v, float) and not v.is_integer():
-                raise ValueError(f"non-integer value {v!r} in an Integer chain")
-            arr[i] = int(v)
-        return arr
+        return _exact_values(self, values, n)
 
     def zeros(self, n):
         return np.zeros(n, dtype=object)
@@ -124,10 +130,7 @@ class ModN(CoefficientSystem):
         self.modulus = modulus
 
     def coerce(self, values, n):
-        arr = np.empty(n, dtype=object)
-        for i, v in enumerate(np.asarray(values, dtype=object).reshape(n)):
-            arr[i] = int(v) % self.modulus
-        return arr
+        return _exact_values(self, values, n) % self.modulus
 
     def zeros(self, n):
         return np.zeros(n, dtype=object)

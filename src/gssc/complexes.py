@@ -24,6 +24,7 @@ boundary-matrix presentation shared by both kinds of complex.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 
@@ -146,14 +147,7 @@ class SimplicialComplex:
     def index_of(self, simplex):
         s = tuple(simplex)
         level = self.simplexes(len(s) - 1)
-        lo = 0
-        hi = len(level)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if level[mid] < s:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(level, s)
         if lo < len(level) and level[lo] == s:
             return lo
         raise KeyError(f"simplex {s} not in complex")

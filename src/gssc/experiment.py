@@ -207,8 +207,7 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     os.makedirs(out_dir, exist_ok=True)
     rep = resolve_complex(config.complex)
     bases = spectral_bases(rep, 1, config.n_irr, config.n_sol)
-    sub = bases.sub(min(config.sub_size, bases.n_irr),
-                    min(config.sub_size, bases.n_sol))
+    sub = bases.sub(config.sub_size, config.sub_size)
     grid = evaluation_grid()
     eigenpairs = _product_eigenpairs(rep, len(grid))
     points = config.points()

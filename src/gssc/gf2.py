@@ -102,21 +102,27 @@ def solution_coset(masks, target):
     return kernel[-1] ^ (1 << n), kernel[:-1]
 
 
-def mask_norm_power(mask, p, weights=None):
-    """p-th power of the weighted Hamming norm: sum over set bits of w_i^p.
+def weight_powers(weights, p):
+    """The list of w_i^p that `mask_norm_power` sums; None for unit weights."""
+    return None if weights is None else [float(v) ** p for v in weights]
 
-    Exact (an int) for unit weights.  Monotone in the norm, so it is the
-    right comparison key when searching for minimizers; equal power sums
-    mean genuinely tied candidates.
+
+def mask_norm_power(mask, powers=None):
+    """p-th power of the weighted Hamming norm: sum of powers[i] over set bits.
+
+    `powers` comes from `weight_powers` (built once per search) and is
+    summed from the lowest set bit up.  Exact (an int, the bit count) for
+    unit weights.  Monotone in the norm, so it is the right comparison key
+    when searching for minimizers; equal power sums mean genuinely tied
+    candidates.
     """
-    if weights is None:
+    if powers is None:
         return mask.bit_count()
     total = 0.0
-    m = mask
-    while m:
-        low = m & -m
-        total += float(weights[low.bit_length() - 1]) ** p
-        m ^= low
+    while mask:
+        low = mask & -mask
+        total += powers[low.bit_length() - 1]
+        mask ^= low
     return total
 
 

@@ -4,9 +4,11 @@ The integer side is exact: ranks, Betti numbers and torsion (invariant
 factors of the next boundary map that exceed 1) come from sparse
 elimination on unit pivots, with Smith normal form run only on the
 non-unit remainder (Dumas, Saunders & Villard, J. Symb. Comput. 32, 2001).
-`smith_normal_form` keeps its unimodular certificates for `solve_integer`
-and for checking.  All arithmetic uses Python ints, so entries may grow
-without overflow.
+Class membership is decided by the same invariant factors: a chain x lies
+in the column lattice of B exactly when [B | x] has the factors of B
+(Newman, *Integral Matrices*, 1972, ch. II).  The public
+`smith_normal_form` keeps its unimodular certificates for checking.  All
+arithmetic uses Python ints, so entries may grow without overflow.
 
 Field homology is a rank count: dim H_k = dim ker B_k - rank B_{k+1}.  Over
 the reals the ranks are numerical (tolerance delegated to `hodge`, the
@@ -251,28 +253,6 @@ def integer_rank(matrix):
     return len(_invariant_factors(matrix))
 
 
-def solve_integer(matrix, target):
-    """One integer solution z of B z = target, or None when none exists."""
-    B = np.asarray(matrix, dtype=object)
-    m, n = B.shape
-    t = np.asarray(target, dtype=object).reshape(m)
-    snf = smith_normal_form(B)
-    rhs = snf.U @ t
-    y = np.zeros(n, dtype=object)
-    for i in range(min(m, n)):
-        d = snf.S[i, i]
-        if d != 0:
-            if rhs[i] % d != 0:
-                return None
-            y[i] = rhs[i] // d
-        elif rhs[i] != 0:
-            return None
-    for i in range(min(m, n), m):
-        if rhs[i] != 0:
-            return None
-    return snf.V @ y
-
-
 def mod_p_rank(matrix, p):
     """Rank over Z/p: the pivot count of sparse elimination mod p."""
     p = int(p)
@@ -358,8 +338,11 @@ def simplicial_seminorm(x, p=2, weights=None):
     the Hodge split's weighted least-squares projection onto im B_{k+1};
     Z/2 chains are solved by exhaustive enumeration of the image subgroup
     (2^rank elements, rank capped at 24).  Integer chains are answered only
-    when the class is trivial; the infimum over an infinite coset is out of
-    scope otherwise.
+    when the class is trivial, that is when x is in the column lattice of
+    B_{k+1}: appending x as one more column leaves the invariant factors of
+    the sparse elimination unchanged.  A nonzero class, including any
+    nonzero cycle of the top degree, is refused: the infimum over an
+    infinite coset is out of scope.
     """
     rep = x.complex
     k = x.degree
@@ -382,11 +365,12 @@ def simplicial_seminorm(x, p=2, weights=None):
         gens = [masks[j] for j in gf2.independent_columns(masks)]
         gf2.check_enumeration_bound(len(gens), "Z/2 seminorm")
         target = gf2.vector_to_mask(x.values)
+        powers = gf2.weight_powers(None if weights is None else w, p)
         best_power = None
         best_mask = None
         for _, (elem,) in gf2.gray_iter([(g,) for g in gens]):
             cand = target ^ elem
-            power = gf2.mask_norm_power(cand, p, None if weights is None else w)
+            power = gf2.mask_norm_power(cand, powers)
             if best_power is None or power < best_power or (power == best_power
                                                          and cand < best_mask):
                 best_power = power
@@ -395,9 +379,10 @@ def simplicial_seminorm(x, p=2, weights=None):
         return float(best_power) if p == 1 else float(np.sqrt(best_power)), mini
 
     if isinstance(x.system, Integer):
-        if all(int(v) == 0 for v in x.values):
-            return 0.0, x
-        if B_up.size and solve_integer(B_up, x.values) is not None:
+        # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff
+        # [B_{k+1} | x] has the same invariant factors as B_{k+1}
+        with_x = np.hstack([B_up, x.values.reshape(-1, 1)])
+        if _invariant_factors(with_x) == _invariant_factors(B_up):
             return 0.0, zero_chain(rep, k, x.system)
         raise UnsupportedError(
             "integer seminorm of a nontrivial class (infimum over an infinite "

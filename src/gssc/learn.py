@@ -56,7 +56,7 @@ def _fundamental_mod2(x, p, w):
     rep = x.complex
     k = x.degree
     n_k = len(x.values)
-    weights = None if w is None else np.asarray(w, dtype=float)
+    powers = gf2.weight_powers(w, p)
 
     down = rep.boundary_matrix(k)
     down_cols = gf2.column_masks(down)      # B_k e_i, as C_{k-1} masks
@@ -91,13 +91,13 @@ def _fundamental_mod2(x, p, w):
     best = None
     for _, (dz, dc) in gf2.gray_iter(coset_payloads, width=2):
         neg_mask, c_elem = a0 ^ dz, c0 ^ dc
-        neg_power = gf2.mask_norm_power(c_elem, p, weights)
+        neg_power = gf2.mask_norm_power(c_elem, powers)
         if best is not None and neg_power > best[0][0]:
             continue
         base = target ^ c_elem
         for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
             x0_mask = base ^ s_elem
-            key = (neg_power, gf2.mask_norm_power(x0_mask, p, weights),
+            key = (neg_power, gf2.mask_norm_power(x0_mask, powers),
                    pos_mask, neg_mask)
             if best is None or key < best[0]:
                 best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
@@ -115,7 +115,7 @@ def _fundamental_mod2(x, p, w):
         x_neg1=ChainVector(rep, k, x.system, gf2.mask_to_vector(c_elem, n_k)),
         y1=ChainVector(rep, k + 1, x.system, y1_vals),
         y_neg1=ChainVector(rep, k - 1, x.system, y_neg_vals),
-        objective=norm_p(x0, p, weights),
+        objective=norm_p(x0, p, w),
         model="fundamental",
         residuals={"kernel": 0.0, "x1_certificate": 0.0, "x_neg1_certificate": 0.0},
     )

@@ -17,6 +17,7 @@ from gssc import gf2
 from gssc.coefficients import ChainVector, FourierFn, norm_p
 from gssc.errors import InfeasibleError
 from gssc.hodge import DecompositionResult, HodgeBases
+from gssc.homology import smith_normal_form
 from gssc.learn import ConditioningWarning
 
 
@@ -54,6 +55,33 @@ def gcd_of_minors(matrix, k):
             sub = mat[np.ix_(rows, cols)]
             g = math.gcd(g, abs(bareiss_det(sub)))
     return g
+
+
+def dense_solve_integer(matrix, target):
+    """One integer solution z of B z = target, or None when none exists.
+
+    Reads the answer off the certificates of the dense `smith_normal_form`
+    of all of B: with S = U B V, B z = t has an integer solution exactly
+    when each (U t)_i is divisible by S_ii (and vanishes where S_ii = 0).
+    """
+    B = np.asarray(matrix, dtype=object)
+    m, n = B.shape
+    t = np.asarray(target, dtype=object).reshape(m)
+    snf = smith_normal_form(B)
+    rhs = snf.U @ t
+    y = np.zeros(n, dtype=object)
+    for i in range(min(m, n)):
+        d = snf.S[i, i]
+        if d != 0:
+            if rhs[i] % d != 0:
+                return None
+            y[i] = rhs[i] // d
+        elif rhs[i] != 0:
+            return None
+    for i in range(min(m, n), m):
+        if rhs[i] != 0:
+            return None
+    return snf.V @ y
 
 
 def gf2_nullspace(matrix):
@@ -411,6 +439,19 @@ def _greedy_independent(masks):
     return keep
 
 
+def _dense_mask_norm_power(mask, p, weights=None):
+    """sum of w_i^p over the set bits of `mask`, each power taken per bit."""
+    if weights is None:
+        return mask.bit_count()
+    total = 0.0
+    m = mask
+    while m:
+        low = m & -m
+        total += float(weights[low.bit_length() - 1]) ** p
+        m ^= low
+    return total
+
+
 def dense_fundamental_mod2(x, p, w):
     """Z/2 fundamental model by one exhaustive walk of im B_k^T x im B_{k+1}.
 
@@ -449,13 +490,13 @@ def dense_fundamental_mod2(x, p, w):
     for neg_mask, (c_elem, bd) in gf2.gray_iter(neg_payloads, width=2):
         if bd != target_bd:
             continue
-        neg_power = gf2.mask_norm_power(c_elem, p, weights)
+        neg_power = _dense_mask_norm_power(c_elem, p, weights)
         if best is not None and neg_power > best[0][0]:
             continue
         base = target ^ c_elem
         for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
             x0_mask = base ^ s_elem
-            key = (neg_power, gf2.mask_norm_power(x0_mask, p, weights),
+            key = (neg_power, _dense_mask_norm_power(x0_mask, p, weights),
                    pos_mask, neg_mask)
             if best is None or key < best[0]:
                 best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)

@@ -1,5 +1,8 @@
 """Coefficient systems, chain arithmetic, norms, and chain CSV files."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -243,3 +246,22 @@ def test_integer_system_rejects_fractions():
     rep = canonical_complex("cycle(3)")
     with pytest.raises(ValueError):
         ChainVector(rep, 1, Integer(), [1.0, 2.5, 3.0])
+
+
+def test_exact_systems_refuse_non_integral_values():
+    rep = canonical_complex("cycle(3)")
+    cases = [(ModN(2), [0.5, 1.0, 2.7], "0.5"),
+             (ModN(5), [1, 2.5, 0], "2.5"),
+             (ModN(5), [float("inf"), 0, 0], "inf"),
+             (ModN(3), [float("nan"), 0, 0], "nan"),
+             (Integer(), [Fraction(5, 2), 0, 0], "Fraction"),
+             (Integer(), ["7", 0, 0], "'7'"),
+             (Integer(), [float("-inf"), 0, 0], "-inf")]
+    for system, values, shown in cases:
+        with pytest.raises(ValueError, match=re.escape(shown)) as err:
+            ChainVector(rep, 1, system, values)
+        assert repr(system) in str(err.value)
+    # integral values of any type are read exactly, then reduced
+    exact = [4.0, np.int64(-1), Fraction(10, 2)]
+    assert list(ChainVector(rep, 1, ModN(3), exact).values) == [1, 2, 2]
+    assert list(ChainVector(rep, 1, Integer(), exact).values) == [4, -1, 5]
