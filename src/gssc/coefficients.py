@@ -124,6 +124,8 @@ class ModN(CoefficientSystem):
     exact = True
 
     def __init__(self, modulus):
+        if not _integral(modulus):
+            raise ValueError(f"modulus {modulus!r} is not an integer")
         modulus = int(modulus)
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
@@ -164,6 +166,8 @@ class FourierFn(CoefficientSystem):
     """Truncated Fourier functions of a given order on [-pi, pi]."""
 
     def __init__(self, order=3):
+        if not _integral(order):
+            raise ValueError(f"order {order!r} is not an integer")
         order = int(order)
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -282,7 +286,7 @@ def negate(x):
 
 def scale(c, x):
     """Integer action on any system; real scaling for Real/FourierFn."""
-    if not isinstance(x.system, (Real, FourierFn)) and int(c) != c:
+    if not isinstance(x.system, (Real, FourierFn)) and not _integral(c):
         raise UnsupportedError(f"non-integer scalar for {x.system!r}")
     return x.with_values(x.system.scale(c, x.values))
 

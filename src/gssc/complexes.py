@@ -59,8 +59,8 @@ def _exact_boundary(k, mat):
 def _columns(mat):
     """Nonzeros of each column of a 2-d array, as [(row, value), ...] by row."""
     cols = [[] for _ in range(mat.shape[1])]
-    at_col, at_row = np.nonzero(mat.T)
-    for j, i in zip(at_col.tolist(), at_row.tolist()):
+    at_row, at_col = np.nonzero(mat)
+    for i, j in zip(at_row.tolist(), at_col.tolist()):
         cols[j].append((i, mat[i, j]))
     return cols
 

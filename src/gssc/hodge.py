@@ -77,11 +77,13 @@ def eig_sym(matrix):
 def _signed(vec):
     """Flip columns in place so each one's first entry above 1e-12 of its
     largest magnitude is positive; returns `vec`."""
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            vec[:, j] = -col
+    if not vec.size:
+        return vec  # argmax of an empty axis raises
+    mag = np.abs(vec)
+    above = mag > 1e-12 * mag.max(axis=0)
+    first = vec[np.argmax(above, axis=0), np.arange(vec.shape[1])]
+    flip = above.any(axis=0) & (first < 0)
+    vec[:, flip] = -vec[:, flip]
     return vec
 
 

@@ -2,8 +2,9 @@
 
 The integer side is exact: ranks, Betti numbers and torsion (invariant
 factors of the next boundary map that exceed 1) come from sparse
-elimination on unit pivots, with Smith normal form run only on the
-non-unit remainder (Dumas, Saunders & Villard, J. Symb. Comput. 32, 2001).
+elimination on unit pivots, each in a shortest column holding one, with
+Smith normal form run only on the non-unit remainder (Dumas, Saunders &
+Villard, J. Symb. Comput. 32, 2001).
 Class membership is decided by the same invariant factors: a chain x lies
 in the column lattice of B exactly when [B | x] has the factors of B
 (Newman, *Integral Matrices*, 1972, ch. II).  The public
@@ -160,42 +161,18 @@ def smith_normal_form(matrix):
     return SNFResult(A, U, V, rank)
 
 
-def _unit_pivot(cols, rows, p):
-    """(row, column) of the unit of least Markowitz cost, or None.
-
-    Rows are scanned shortest first.  Once (shortest column - 1) * (row
-    length - 1) reaches the best cost found, no later row can beat it, so
-    on boundary matrices (short columns, longer rows) only the shortest rows
-    are looked at.
-    """
-    floor = min(map(len, cols.values()), default=1) - 1
-    best = None
-    for i in sorted(rows, key=lambda i: len(rows[i])):
-        n = len(rows[i]) - 1
-        if best is not None and floor * n >= best[0]:
-            break
-        for j in rows[i]:
-            v = cols[j][i]
-            if p is None and v != 1 and v != -1:
-                continue
-            cost = (len(cols[j]) - 1) * n
-            if not cost:
-                return i, j
-            if best is None or cost < best[0]:
-                best = (cost, i, j)
-    return None if best is None else best[1:]
-
-
 def _eliminate(matrix, p=None):
     """Sparse elimination on unit pivots: (pivot count, non-unit remainder).
 
-    A unit is +-1 over Z (p None) and any entry nonzero mod p over Z/p.  Each
-    step takes the unit of least Markowitz cost (row length - 1) * (column
-    length - 1), clears its row with column operations and drops its row and
-    column.  A unit pivot splits the matrix into diag(1, Schur complement),
-    so the nonzero invariant factors are [1] * pivots followed by those of
-    the remainder, a dense object matrix holding no unit; over Z/p the
-    remainder is empty and the rank is the pivot count.
+    A unit is +-1 over Z (p None) and any entry nonzero mod p over Z/p.
+    Each step takes the shortest column that holds a unit (columns are kept
+    in buckets by length; over Z those without +-1 are passed over), pivots
+    on its unit in the shortest row, clears that row with column operations
+    and drops the row and column, until no unit is left.  A unit pivot
+    splits the matrix into diag(1, Schur complement), so the nonzero
+    invariant factors, which no pivot order changes, are [1] * pivots
+    followed by those of the remainder, a dense object matrix holding no
+    unit; over Z/p the remainder is empty and the rank is the pivot count.
     """
     cols = {}   # column -> {row: value}
     rows = {}   # row -> set of columns with a nonzero in that row
@@ -207,16 +184,36 @@ def _eliminate(matrix, p=None):
             if v:
                 cols.setdefault(j, {})[i] = v
                 rows.setdefault(i, set()).add(j)
+    by_len = {}  # column length -> set of live columns of that length
+    for j, col in cols.items():
+        by_len.setdefault(len(col), set()).add(j)
+
+    def is_unit(v):
+        return p is not None or v == 1 or v == -1
+
+    def relength(j, old):
+        """Move column j out of the bucket of length `old` into its current one."""
+        bucket = by_len[old]
+        bucket.discard(j)
+        if not bucket:
+            del by_len[old]
+        if j in cols:
+            by_len.setdefault(len(cols[j]), set()).add(j)
+
     pivots = 0
-    while (pivot := _unit_pivot(cols, rows, p)) is not None:
-        r, c = pivot
+    while (c := next((j for n in sorted(by_len) for j in by_len[n]
+                      if any(map(is_unit, cols[j].values()))), None)) is not None:
         pivot_col = cols.pop(c)
+        relength(c, len(pivot_col))
+        r = min((i for i, v in pivot_col.items() if is_unit(v)),
+                key=lambda i: len(rows[i]))
         u = pivot_col.pop(r)
         for i in pivot_col:
             rows[i].discard(c)
         inverse = u if p is None else pow(u, -1, p)  # 1/u = u for u = +-1
         for j in rows.pop(r) - {c}:
             col = cols[j]
+            old = len(col)
             f = col.pop(r) * inverse  # column j -= f * column c
             for i, v in pivot_col.items():
                 w = col.get(i, 0) - f * v
@@ -231,6 +228,7 @@ def _eliminate(matrix, p=None):
                     rows[i].discard(j)
             if not col:
                 del cols[j]
+            relength(j, old)
         pivots += 1
     live = sorted({i for col in cols.values() for i in col})
     at = {i: a for a, i in enumerate(live)}
@@ -255,6 +253,8 @@ def integer_rank(matrix):
 
 def mod_p_rank(matrix, p):
     """Rank over Z/p: the pivot count of sparse elimination mod p."""
+    if not _integral(p):
+        raise ValueError(f"modulus {p!r} is not an integer")
     p = int(p)
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise UnsupportedError(f"{p} is not prime")

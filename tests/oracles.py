@@ -138,6 +138,18 @@ def dense_mod_p_rank(matrix, p):
     return rank
 
 
+def loop_signed(vec):
+    """Column sign convention of `hodge._signed`, one column at a time: flip
+    each column whose first entry above 1e-12 of its largest magnitude is
+    negative.  Works in place and returns `vec`."""
+    for j in range(vec.shape[1]):
+        col = vec[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
+        if nz.size and col[nz[0]] < 0:
+            vec[:, j] = -col
+    return vec
+
+
 def primes_between(lo, hi):
     sieve = [True] * (hi + 1)
     sieve[0:2] = [False, False]

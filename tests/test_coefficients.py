@@ -73,6 +73,30 @@ def test_fractional_scale_needs_a_field():
     assert chains_equal(scale(0.5, b), ChainVector(rep, 1, Real(), [0.5, 1.0, 1.5]))
 
 
+@pytest.mark.parametrize("system", [Integer(), ModN(5)], ids=repr)
+@pytest.mark.parametrize("c", [float("inf"), float("nan")])
+def test_non_finite_scale_is_a_non_integer_scalar(system, c):
+    a = zero_chain(canonical_complex("cycle(3)"), 1, system)
+    with pytest.raises(UnsupportedError, match="non-integer scalar"):
+        scale(c, a)
+
+
+@pytest.mark.parametrize("system,value,shown", [
+    (ModN, 2.5, "modulus 2.5"),
+    (ModN, "3", "modulus '3'"),
+    (FourierFn, 2.7, "order 2.7"),
+])
+def test_integer_parameters_refuse_non_integral_values(system, value, shown):
+    with pytest.raises(ValueError, match=re.escape(f"{shown} is not an integer")):
+        system(value)
+
+
+def test_integer_parameters_accept_integral_values_of_any_type():
+    assert ModN(3.0).modulus == 3
+    assert ModN(np.int64(7)).modulus == 7
+    assert FourierFn(2.0).n_coeffs == 5
+
+
 def test_norm_triangle_inequality_and_homogeneity():
     rep = canonical_complex("cycle(6)")
     rng = np.random.default_rng(5)

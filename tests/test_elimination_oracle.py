@@ -4,7 +4,9 @@ The invariant factors behind `integer_rank` and `homology_Z` must equal the
 dense Smith normal form's, and `mod_p_rank` must equal dense modular
 Gauss-Jordan elimination, on seeded random integer matrices (including
 unit-free ones, which only the non-unit remainder can answer) and on every
-boundary matrix of the named complexes and of criterion 2's corpus.
+boundary matrix of the named complexes and of criterion 2's corpus.  The
+shortest-column pivot search must not depend on row or column order, and
+over Z it must pass over short columns that hold no unit.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from test_acceptance import two_complex_corpus
 
 from gssc import (ChainComplexRep, HomologySummary, homology_Z, integer_rank,
                   mod_p_rank, resolve_complex, smith_normal_form)
-from gssc.homology import _invariant_factors
+from gssc.cli import main
+from gssc.homology import _eliminate, _invariant_factors
 
 PRIMES = (2, 3, 5, 7, 101)
 NAMED = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
@@ -85,3 +88,45 @@ def test_boundary_matrices_match_smith_normal_form():
 def test_boundary_matrices_match_dense_mod_p_rank(p):
     for B in boundary_matrices():
         assert mod_p_rank(B, p) == dense_mod_p_rank(B, p)
+
+
+def test_row_and_column_order_leave_ranks_and_factors_unchanged():
+    rng = np.random.default_rng(31)
+    for B in random_matrices() + boundary_matrices():
+        P = B[rng.permutation(B.shape[0])][:, rng.permutation(B.shape[1])]
+        assert _invariant_factors(P) == (
+            smith_normal_form(B).invariant_factors if B.size else [])
+        for p in PRIMES:
+            assert mod_p_rank(P, p) == dense_mod_p_rank(B, p)
+
+
+def test_integer_search_passes_over_short_columns_without_a_unit():
+    B = np.array([[2, 0, 1, 0],
+                  [0, 0, 1, -1],
+                  [0, 6, 0, 1]], dtype=object)
+    assert _eliminate(B)[0] == 2
+    assert _invariant_factors(B) == smith_normal_form(B).invariant_factors == [1, 1, 2]
+    # the same in bulk: unit-free columns 2 e_i and 6 e_i of length 1 in front
+    rng = np.random.default_rng(32)
+    passed = 0
+    for B in random_matrices():
+        if not any(v in (1, -1) for v in B.flat):
+            continue
+        m = B.shape[0]
+        short = np.zeros((m, 2), dtype=object)
+        short[rng.integers(m), 0] = 2
+        short[rng.integers(m), 1] = 6
+        C = np.hstack([short, B])
+        assert _eliminate(C)[0] >= 1
+        assert _invariant_factors(C) == smith_normal_form(C).invariant_factors
+        passed += 1
+    assert passed >= 100
+
+
+def test_homology_of_random_70_matches_its_mod_3_ranks(capsys):
+    spec = "random(70,0.5,1.0,11)"
+    assert main(["homology", spec, "--all"]) == 0
+    assert capsys.readouterr().out == "H_0 = Z, H_1 = 0, H_2 = Z^6138\n"
+    rep = resolve_complex(spec)
+    ranks = [0] + [mod_p_rank(rep.boundary_matrix(k), 3) for k in (1, 2)] + [0]
+    assert [rep.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(3)] == [1, 0, 6138]

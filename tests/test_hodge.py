@@ -10,6 +10,9 @@ from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   random_chain, random_complex, resolve_complex,
                   simplicial_seminorm, solve_fundamental, spectral_bases,
                   to_chain_complex)
+from gssc.hodge import _signed
+
+from oracles import loop_signed
 
 
 def random_reps(count, n_vertices=8, seed0=0):
@@ -48,6 +51,30 @@ def test_eig_sym_is_deterministic_and_orthonormal():
     assert np.allclose(a.eigenvectors.T @ a.eigenvectors, np.eye(7), atol=1e-12)
     assert np.allclose(M @ a.eigenvectors,
                        a.eigenvectors * a.eigenvalues, atol=1e-10)
+
+
+def raw_eigenvectors(M):
+    return np.linalg.eigh((M + M.T) / 2.0)[1]
+
+
+def test_signed_matches_the_column_loop_bit_for_bit():
+    rep = resolve_complex("random(40,0.5,1.0,11)")
+    B1, B2 = rep.boundary_float(1), rep.boundary_float(2)
+    rng = np.random.default_rng(11)
+    cases = [raw_eigenvectors(laplacian(rep, 1)), raw_eigenvectors(B2 @ B2.T),
+             raw_eigenvectors(B1 @ B1.T)]
+    cases += [vec * rng.choice([-1.0, 1.0], size=vec.shape[1]) for vec in cases]
+    with_zeros = rng.standard_normal((6, 5))
+    with_zeros[:, [1, 3]] = 0.0
+    with_zeros[:2, 4] = [1e-14, -1e-15]  # below the cutoff: the sign comes later
+    non_finite = np.array([[-1.0, -1.0], [np.inf, np.nan]])  # nothing above the cutoff
+    cases += [with_zeros, non_finite, np.zeros((4, 3)), np.zeros((0, 0)),
+              np.zeros((5, 0))]
+    for vec in cases:
+        got = _signed(vec.copy())
+        want = loop_signed(vec.copy())
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_graph_laplacian_of_a_single_edge():

@@ -84,6 +84,13 @@ def test_mod_p_rank_bounds_and_prime_check():
         mod_p_rank(np.eye(2, dtype=object), 4)
 
 
+@pytest.mark.parametrize("p,shown", [(3.5, "3.5"), ("3", "'3'")])
+def test_mod_p_rank_refuses_a_non_integral_modulus(p, shown):
+    with pytest.raises(ValueError, match=re.escape(f"modulus {shown} is not an integer")):
+        mod_p_rank(np.eye(2, dtype=object), p)
+    assert mod_p_rank(np.eye(2, dtype=object), 3.0) == 2
+
+
 @pytest.mark.parametrize("bad,entry", [
     ([[0.5, 1.0], [2.0, 2.7]], "(0, 0) = 0.5"),
     ([[1, 0], [float("nan"), 1]], "(1, 0) = nan"),
