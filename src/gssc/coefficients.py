@@ -13,9 +13,10 @@ four systems:
   (2 m + 1 coefficients per value; the norm is the coefficient 2-norm,
   which equals the L2 function norm by Parseval).
 
-The boundary matrices act by integer multiples of the group operation, so
-applying a boundary is a plain matrix product in every system, reduced mod n
-for ModN and taken row-wise over the coefficient columns for FourierFn.
+The boundary matrices act by integer multiples of the group operation:
+exact systems sum over the sparse integer columns (reduced mod n for ModN),
+the others take a float matrix product, row-wise over the coefficient
+columns for FourierFn.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import csv
 
 import numpy as np
 
-from .complexes import _integral
+from .complexes import _as_int, _integral
 from .errors import FormatError, UnsupportedError
 
 
@@ -89,12 +90,9 @@ class Real(CoefficientSystem):
 
 def _exact_values(system, values, n):
     """Python ints of `values`; refuses any value that is not integral."""
-    arr = np.empty(n, dtype=object)
-    for i, v in enumerate(np.asarray(values, dtype=object).reshape(n)):
-        if not _integral(v):
-            raise ValueError(f"{system!r} value {v!r} is not an integer")
-        arr[i] = int(v)
-    return arr
+    what = f"{system!r} value"
+    values = np.asarray(values, dtype=object).reshape(n)
+    return np.array([_as_int(what, v) for v in values], dtype=object)
 
 
 class Integer(CoefficientSystem):
@@ -124,9 +122,7 @@ class ModN(CoefficientSystem):
     exact = True
 
     def __init__(self, modulus):
-        if not _integral(modulus):
-            raise ValueError(f"modulus {modulus!r} is not an integer")
-        modulus = int(modulus)
+        modulus = _as_int("modulus", modulus)
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         self.modulus = modulus
@@ -166,9 +162,7 @@ class FourierFn(CoefficientSystem):
     """Truncated Fourier functions of a given order on [-pi, pi]."""
 
     def __init__(self, order=3):
-        if not _integral(order):
-            raise ValueError(f"order {order!r} is not an integer")
-        order = int(order)
+        order = _as_int("order", order)
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
@@ -302,17 +296,24 @@ def random_chain(rep, degree, system, rng):
 
 def _apply_boundary(x, k, adjoint):
     """B_k x (degree k - 1) or, with `adjoint`, B_k^T x (degree k); zero
-    when the complex has no B_k.  Exact systems multiply the integer
-    matrix, reduced mod n for ModN."""
+    when the complex has no B_k.  Exact systems sum over the sparse integer
+    columns in Python ints."""
     rep = x.complex
     degree = k if adjoint else k - 1
     if k < 1 or k > rep.dim:
         return zero_chain(rep, degree, x.system)
-    B = rep.boundary_matrix(k) if x.system.exact else rep.boundary_float(k)
-    out = (B.T if adjoint else B) @ x.values
-    if isinstance(x.system, ModN):
-        out = out % x.system.modulus
-    return ChainVector(rep, degree, x.system, out)
+    if not x.system.exact:
+        B = rep.boundary_float(k)
+        out = (B.T if adjoint else B) @ x.values
+    elif adjoint:
+        vals = x.values.tolist()
+        out = [sum(v * vals[i] for i, v in col) for col in rep.columns(k)]
+    else:
+        out = [0] * rep.n_cells(k - 1)
+        for col, c in zip(rep.columns(k), x.values.tolist()):
+            for i, v in col:
+                out[i] += v * c
+    return ChainVector(rep, degree, x.system, out)  # ModN reduces on coercion
 
 
 def apply_boundary(x):

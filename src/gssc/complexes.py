@@ -10,9 +10,10 @@ Conventions fixed here and relied on everywhere else:
   column/row layout and every file format.
 * The boundary of [v_0, ..., v_k] is the alternating sum over vertex
   deletions, sum_j (-1)^j [..., v_{j-1}, v_{j+1}, ...].
-* Boundary matrices are integer matrices kept in object arrays of Python
-  ints, so products such as B_k @ B_{k+1} are exact and the chain identity
-  can be checked with zero tolerance.
+* Boundary matrices are stored once, as sparse columns of Python ints: column
+  j of B_k is the tuple of its nonzeros (row, value), by row.  Exact code reads
+  them, so B_k B_{k+1} = 0 is checked with zero tolerance; dense object and
+  float arrays are built from them on request.
 * Out-of-range degrees denote the zero module: C_{-1} = C_{K+1} = 0, and
   boundary matrices off the end have an empty shape instead of raising.
 
@@ -33,10 +34,6 @@ import numpy as np
 from .errors import FormatError, UnsupportedError
 
 
-def _int_zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=object)
-
-
 def _integral(v):
     try:
         return int(v) == v
@@ -44,25 +41,36 @@ def _integral(v):
         return False
 
 
-def _exact_boundary(k, mat):
-    """B_k as an object array of Python ints; refuses any non-integral entry."""
-    try:
-        exact = np.frompyfunc(int, 1, 1)(mat)
-        if not (exact != mat).any():
-            return exact
-    except (TypeError, ValueError, OverflowError):
-        pass
-    (i, j), v = next((ij, v) for ij, v in np.ndenumerate(mat) if not _integral(v))
-    raise ValueError(f"B_{k} entry ({i}, {j}) = {v!r} is not an integer")
+def _as_int(what, v):
+    """int(v); refuses any v that is not integral, naming it."""
+    if not _integral(v):
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return int(v)
 
 
-def _columns(mat):
-    """Nonzeros of each column of a 2-d array, as [(row, value), ...] by row."""
+def _columns(mat, what="entry"):
+    """Sparse columns of a dense 2-d integer matrix, tuples of (row, int) by
+    row; refuses the first entry, row-major, that is != 0 and not an integer."""
+    mat = np.asarray(mat, dtype=object)
+    if mat.ndim != 2:
+        raise ValueError("need a 2-d matrix")
     cols = [[] for _ in range(mat.shape[1])]
-    at_row, at_col = np.nonzero(mat)
+    at_row, at_col = np.nonzero(mat != 0)
     for i, j in zip(at_row.tolist(), at_col.tolist()):
-        cols[j].append((i, mat[i, j]))
-    return cols
+        v = mat[i, j]
+        if not _integral(v):
+            raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
+        cols[j].append((i, int(v)))
+    return tuple(map(tuple, cols))
+
+
+def _to_dense(columns, n_rows, dtype=object):
+    """The n_rows x len(columns) array of sparse columns (zeros elsewhere)."""
+    out = np.zeros((n_rows, len(columns)), dtype=dtype)
+    for j, col in enumerate(columns):
+        for i, v in col:
+            out[i, j] = v
+    return out
 
 
 class SimplicialComplex:
@@ -175,25 +183,25 @@ class SimplicialComplex:
         return f"SimplicialComplex(dims=({counts}))"
 
 
+def _face_columns(complex, k):
+    """Sparse columns of B_k: each k-simplex's alternating face signs, rows in
+    order (the face deleting vertex j sorts before the one deleting j - 1)."""
+    if k < 1:
+        return ((),) * complex.n_simplexes(k)
+    face_index = {s: i for i, s in enumerate(complex.simplexes(k - 1))}
+    return tuple(
+        tuple((face_index[s[:j] + s[j + 1:]], -1 if j % 2 else 1)
+              for j in range(k, -1, -1))
+        for s in complex.simplexes(k))
+
+
 def build_boundary(complex, k):
     """Integer matrix of the boundary map C_k -> C_{k-1}.
 
     Column j holds the alternating face signs of the j-th k-simplex; an
     out-of-range k gives the empty matrix of the documented shape.
     """
-    rows = complex.n_simplexes(k - 1)
-    cols = complex.n_simplexes(k)
-    mat = _int_zeros(rows, cols)
-    if k < 1 or k > complex.dim:
-        return mat
-    face_index = {s: i for i, s in enumerate(complex.simplexes(k - 1))}
-    for col, simplex in enumerate(complex.simplexes(k)):
-        sign = 1
-        for j in range(len(simplex)):
-            face = simplex[:j] + simplex[j + 1:]
-            mat[face_index[face], col] = sign
-            sign = -sign
-    return mat
+    return _to_dense(_face_columns(complex, k), complex.n_simplexes(k - 1))
 
 
 class ChainComplexRep:
@@ -211,18 +219,23 @@ class ChainComplexRep:
         if len(boundaries) != len(dims) - 1:
             raise ValueError("need exactly one boundary matrix per adjacent pair of dims")
         self.dims = dims
-        self._boundaries = {}
+        self._columns = {}
         for k, mat in enumerate(boundaries, start=1):
             mat = np.asarray(mat, dtype=object)
-            if mat.ndim != 2:
-                raise ValueError(f"B_{k} must be a 2-d matrix, got {mat.ndim}-d")
             if mat.shape != (dims[k - 1], dims[k]):
-                raise ValueError(
-                    f"B_{k} has shape {mat.shape}, expected {(dims[k - 1], dims[k])}")
-            self._boundaries[k] = _exact_boundary(k, mat)
+                raise ValueError(f"B_{k} has shape {mat.shape}, expected the 2-d "
+                                 f"shape {(dims[k - 1], dims[k])}")
+            self._columns[k] = _columns(mat, f"B_{k} entry")
         self.labels = labels
         self.name = name
         self._float_cache = {}
+
+    @classmethod
+    def _from_columns(cls, dims, columns, labels=None):
+        """The rep of integral sparse columns [B_1, ..., B_K] of the right shapes."""
+        rep = cls((0,), [], labels)
+        rep.dims, rep._columns = tuple(dims), dict(enumerate(columns, start=1))
+        return rep
 
     @property
     def dim(self):
@@ -233,15 +246,21 @@ class ChainComplexRep:
             return self.dims[k]
         return 0
 
+    def columns(self, k):
+        """B_k as stored: per column, a tuple of (row, int) by row; off-range
+        degrees give n_k empty columns."""
+        if k in self._columns:
+            return self._columns[k]
+        return ((),) * self.n_cells(k)
+
     def boundary_matrix(self, k):
-        """Exact integer B_k; off-range degrees give the empty-shaped matrix."""
-        if k in self._boundaries:
-            return self._boundaries[k]
-        return _int_zeros(self.n_cells(k - 1), self.n_cells(k))
+        """A fresh dense object array of the exact integer B_k."""
+        return _to_dense(self.columns(k), self.n_cells(k - 1))
 
     def boundary_float(self, k):
+        """Dense float B_k, built once and cached; do not modify it."""
         if k not in self._float_cache:
-            self._float_cache[k] = self.boundary_matrix(k).astype(float)
+            self._float_cache[k] = _to_dense(self.columns(k), self.n_cells(k - 1), float)
         return self._float_cache[k]
 
     def __repr__(self):
@@ -252,9 +271,9 @@ class ChainComplexRep:
 def to_chain_complex(complex):
     """ChainComplexRep of a simplicial complex, labels = vertex tuples."""
     dims = [complex.n_simplexes(k) for k in range(complex.dim + 1)]
-    boundaries = [build_boundary(complex, k) for k in range(1, complex.dim + 1)]
+    columns = [_face_columns(complex, k) for k in range(1, complex.dim + 1)]
     labels = [list(complex.simplexes(k)) for k in range(complex.dim + 1)]
-    return ChainComplexRep(dims, boundaries, labels=labels)
+    return ChainComplexRep._from_columns(dims, columns, labels=labels)
 
 
 class ValidationReport:
@@ -287,9 +306,9 @@ def validate(rep):
     """
     failures = []
     for k in range(1, rep.dim):
-        down = _columns(rep.boundary_matrix(k))
+        down = rep.columns(k)
         entries = []
-        for j, col in enumerate(_columns(rep.boundary_matrix(k + 1))):
+        for j, col in enumerate(rep.columns(k + 1)):
             total = {}
             for i, v in col:
                 for r, w in down[i]:
@@ -331,7 +350,7 @@ def canonical_complex(name):
         return ChainComplexRep((2, 3, 2), [b1, b2], name="rp2",
                                labels=[["v", "w"], ["a", "b", "c"], ["U", "L"]])
     if name == "torus":
-        b1 = _int_zeros(1, 3)
+        b1 = [[0, 0, 0]]
         b2 = [[1, 1], [1, 1], [-1, -1]]
         return ChainComplexRep((1, 3, 2), [b1, b2], name="torus",
                                labels=[["v"], ["a", "b", "c"], ["U", "L"]])
@@ -463,10 +482,8 @@ def save_delta(rep, path):
         for k in range(1, rep.dim + 1):
             fh.write(f"B{k}\n")
             mat = rep.boundary_matrix(k)
-            if mat.size == 0:
-                continue
-            for i in range(mat.shape[0]):
-                fh.write(" ".join(str(mat[i, j]) for j in range(mat.shape[1])) + "\n")
+            if mat.size:
+                fh.writelines(" ".join(map(str, row)) + "\n" for row in mat.tolist())
 
 
 def load_delta(path):

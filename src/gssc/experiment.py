@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ._blas import one_blas_thread
 from .baselines import KrrConfig, _product_eigenpairs, krr_grid, sc_product
-from .complexes import resolve_complex
+from .complexes import _as_int, resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
 from .learn import (SynthSpec, eval_chain_on_grid, evaluation_grid,
@@ -47,15 +47,15 @@ class ExperimentConfig:
         self.methods = tuple(methods)
         self.sweep = sweep
         self.noise_levels = tuple(float(v) for v in noise_levels)
-        self.sample_counts = tuple(int(v) for v in sample_counts)
+        self.sample_counts = tuple(_as_int("sample count", v) for v in sample_counts)
         self.noise = float(noise)
-        self.samples_per_edge = int(samples_per_edge)
-        self.trials = int(trials)
-        self.seed = int(seed)
-        self.time_order = int(time_order)
-        self.n_irr = int(n_irr)
-        self.n_sol = int(n_sol)
-        self.sub_size = int(sub_size)
+        self.samples_per_edge = _as_int("samples_per_edge", samples_per_edge)
+        self.trials = _as_int("trials", trials)
+        self.seed = _as_int("seed", seed)
+        self.time_order = _as_int("time_order", time_order)
+        self.n_irr = _as_int("n_irr", n_irr)
+        self.n_sol = _as_int("n_sol", n_sol)
+        self.sub_size = _as_int("sub_size", sub_size)
         self.eta = float(eta)
         self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)

@@ -1,7 +1,7 @@
 """GF(2) linear algebra on Python-int bitmasks.
 
 A vector over Z/2 with n entries is stored as one int whose bit i is the
-entry at index i, built from the nonzeros of a matrix column.  XOR is
+entry at index i, built from the nonzeros of a sparse matrix column.  XOR is
 addition, so subgroup enumeration walks a Gray code and touches one
 generator per step, and one elimination that records which inputs make up
 each reduced vector gives a basis, a particular solution and a kernel.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import _columns
 from .errors import UnsupportedError
 
 # hard cap on 2^(number of generators) in exhaustive searches
@@ -34,15 +33,18 @@ def mask_to_vector(mask, n):
     return out
 
 
-def column_masks(matrix):
-    """Columns of an integer matrix, reduced mod 2, as row-indexed masks."""
-    out = []
-    for entries in _columns(np.asarray(matrix, dtype=object)):
-        mask = 0
-        for i, v in entries:
-            if int(v) % 2:
-                mask |= 1 << i
-        out.append(mask)
+def column_masks(columns):
+    """Sparse integer columns [(row, value), ...] mod 2, as row-indexed masks."""
+    return [sum(1 << i for i, v in col if v % 2) for col in columns]
+
+
+def row_masks(columns, n_rows):
+    """The rows of the same matrix, reduced mod 2, as column-indexed masks."""
+    out = [0] * n_rows
+    for j, col in enumerate(columns):
+        for i, v in col:
+            if v % 2:
+                out[i] |= 1 << j
     return out
 
 

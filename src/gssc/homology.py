@@ -24,23 +24,9 @@ import numpy as np
 from . import gf2
 from .coefficients import (Integer, ModN, Real, _apply_boundary, norm_p,
                            resolve_weights, zero_chain)
-from .complexes import _columns, _integral
+from .complexes import _as_int, _columns, _to_dense
 from .errors import UnsupportedError
 from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
-
-
-def _obj_identity(n):
-    eye = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        eye[i, i] = 1
-    return eye
-
-
-def _int_entry(i, j, v):
-    """Entry (i, j) of an exact-API matrix as a Python int; refuses non-integers."""
-    if not _integral(v):
-        raise ValueError(f"entry ({i}, {j}) = {v!r} is not an integer")
-    return int(v)
 
 
 class SNFResult:
@@ -80,15 +66,10 @@ def smith_normal_form(matrix):
     negations, so det(U), det(V) are +-1.  Entries must be integers
     (integer-valued floats included); any other entry raises ValueError.
     """
-    A = np.asarray(matrix, dtype=object).copy()
-    if A.ndim != 2:
-        raise ValueError("need a 2-d matrix")
+    A = _to_dense(_columns(matrix), np.shape(matrix)[0])
     m, n = A.shape
-    for i in range(m):
-        for j in range(n):
-            A[i, j] = _int_entry(i, j, A[i, j])
-    U = _obj_identity(m)
-    V = _obj_identity(n)
+    U = _to_dense([((i, 1),) for i in range(m)], m)
+    V = _to_dense([((i, 1),) for i in range(n)], n)
 
     def row_add(dst, src, c):
         A[dst, :] += c * A[src, :]
@@ -161,9 +142,10 @@ def smith_normal_form(matrix):
     return SNFResult(A, U, V, rank)
 
 
-def _eliminate(matrix, p=None):
+def _eliminate(columns, p=None):
     """Sparse elimination on unit pivots: (pivot count, non-unit remainder).
 
+    `columns` holds an integer matrix as sparse columns [(row, int), ...].
     A unit is +-1 over Z (p None) and any entry nonzero mod p over Z/p.
     Each step takes the shortest column that holds a unit (columns are kept
     in buckets by length; over Z those without +-1 are passed over), pivots
@@ -176,9 +158,8 @@ def _eliminate(matrix, p=None):
     """
     cols = {}   # column -> {row: value}
     rows = {}   # row -> set of columns with a nonzero in that row
-    for j, entries in enumerate(_columns(np.asarray(matrix, dtype=object))):
+    for j, entries in enumerate(columns):
         for i, v in entries:
-            v = _int_entry(i, j, v)
             if p is not None:
                 v %= p
             if v:
@@ -232,33 +213,30 @@ def _eliminate(matrix, p=None):
         pivots += 1
     live = sorted({i for col in cols.values() for i in col})
     at = {i: a for a, i in enumerate(live)}
-    remainder = np.zeros((len(live), len(cols)), dtype=object)
-    for b, col in enumerate(cols.values()):
-        for i, v in col.items():
-            remainder[at[i], b] = v
-    return pivots, remainder
+    remainder = [[(at[i], v) for i, v in col.items()] for col in cols.values()]
+    return pivots, _to_dense(remainder, len(at))
 
 
-def _invariant_factors(matrix):
+def _invariant_factors(columns):
     """Nonzero invariant factors over Z, ascending; their count is the rank."""
-    pivots, remainder = _eliminate(matrix)
+    pivots, remainder = _eliminate(columns)
     return [1] * pivots + smith_normal_form(remainder).invariant_factors
 
 
+def _prime(p):
+    p = _as_int("modulus", p)
+    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise UnsupportedError(f"{p} is not prime")
+    return p
+
+
 def integer_rank(matrix):
-    if np.asarray(matrix, dtype=object).size == 0:
-        return 0
-    return len(_invariant_factors(matrix))
+    return len(_invariant_factors(_columns(matrix)))
 
 
 def mod_p_rank(matrix, p):
     """Rank over Z/p: the pivot count of sparse elimination mod p."""
-    if not _integral(p):
-        raise ValueError(f"modulus {p!r} is not an integer")
-    p = int(p)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise UnsupportedError(f"{p} is not prime")
-    return _eliminate(matrix, p)[0]
+    return _eliminate(_columns(matrix), _prime(p))[0]
 
 
 class HomologySummary:
@@ -291,8 +269,8 @@ def homology_Z(rep, k):
     """H_k with integer coefficients: free rank plus invariant factors > 1."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    rank_k = integer_rank(rep.boundary_matrix(k))
-    factors = _invariant_factors(rep.boundary_matrix(k + 1))
+    rank_k = len(_invariant_factors(rep.columns(k))) if k else 0  # B_0 = 0
+    factors = _invariant_factors(rep.columns(k + 1))
     betti = rep.n_cells(k) - rank_k - len(factors)
     torsion = [d for d in factors if d > 1]
     return HomologySummary(betti, torsion)
@@ -306,8 +284,9 @@ def homology_field(rep, k, field):
         r_down = numerical_rank(rep.boundary_float(k))
         r_up = numerical_rank(rep.boundary_float(k + 1))
     elif isinstance(field, ModN):
-        r_down = mod_p_rank(rep.boundary_matrix(k), field.modulus)
-        r_up = mod_p_rank(rep.boundary_matrix(k + 1), field.modulus)
+        p = _prime(field.modulus)
+        r_down = _eliminate(rep.columns(k), p)[0]
+        r_up = _eliminate(rep.columns(k + 1), p)[0]
     else:
         raise UnsupportedError(f"{field!r} is not a supported field")
     return rep.n_cells(k) - r_down - r_up
@@ -348,7 +327,7 @@ def simplicial_seminorm(x, p=2, weights=None):
     k = x.degree
     _require_kernel_chain(x)
     w = resolve_weights(weights, len(x.values))
-    B_up = rep.boundary_matrix(k + 1)
+    up = rep.columns(k + 1)
 
     if isinstance(x.system, Real):
         if p != 2:
@@ -361,7 +340,7 @@ def simplicial_seminorm(x, p=2, weights=None):
     if isinstance(x.system, ModN) and x.system.modulus == 2:
         if p not in (1, 2):
             raise UnsupportedError("only p = 1 and p = 2 are supported")
-        masks = gf2.column_masks(B_up)
+        masks = gf2.column_masks(up)
         gens = [masks[j] for j in gf2.independent_columns(masks)]
         gf2.check_enumeration_bound(len(gens), "Z/2 seminorm")
         target = gf2.vector_to_mask(x.values)
@@ -381,8 +360,8 @@ def simplicial_seminorm(x, p=2, weights=None):
     if isinstance(x.system, Integer):
         # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff
         # [B_{k+1} | x] has the same invariant factors as B_{k+1}
-        with_x = np.hstack([B_up, x.values.reshape(-1, 1)])
-        if _invariant_factors(with_x) == _invariant_factors(B_up):
+        x_col = tuple((i, v) for i, v in enumerate(x.values.tolist()) if v)
+        if _invariant_factors(up + (x_col,)) == _invariant_factors(up):
             return 0.0, zero_chain(rep, k, x.system)
         raise UnsupportedError(
             "integer seminorm of a nontrivial class (infimum over an infinite "

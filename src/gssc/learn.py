@@ -41,6 +41,7 @@ import scipy.linalg
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
+from .complexes import _as_int
 from .errors import InfeasibleError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _chain, _split, eig_sym,
                     laplacian, spectral_bases)
@@ -58,9 +59,9 @@ def _fundamental_mod2(x, p, w):
     n_k = len(x.values)
     powers = gf2.weight_powers(w, p)
 
-    down = rep.boundary_matrix(k)
+    down = rep.columns(k)
     down_cols = gf2.column_masks(down)      # B_k e_i, as C_{k-1} masks
-    neg_cols = gf2.column_masks(down.T)     # rows of B_k: B_k^T e_j spans im B_k^T
+    neg_cols = gf2.row_masks(down, rep.n_cells(k - 1))  # B_k^T e_j spans im B_k^T
     neg_idx = gf2.independent_columns(neg_cols)
     neg_gens = [neg_cols[j] for j in neg_idx]
     target = gf2.vector_to_mask(x.values)
@@ -75,7 +76,7 @@ def _fundamental_mod2(x, p, w):
             "x cannot be written as cycle + B_k^T y over Z/2 "
             "(its boundary is outside the reachable set)")
     a0, kernel = coset
-    pos_cols = gf2.column_masks(rep.boundary_matrix(k + 1))
+    pos_cols = gf2.column_masks(rep.columns(k + 1))
     pos_idx = gf2.independent_columns(pos_cols)
     gf2.check_enumeration_bound(len(pos_idx), "fundamental model",
                                 coset_bits=len(kernel))
@@ -206,9 +207,9 @@ class SynthSpec:
     """Recipe for a planted function-valued edge signal."""
 
     def __init__(self, n_irr=20, n_sol=20, time_order=3, seed=0):
-        self.n_irr = int(n_irr)
-        self.n_sol = int(n_sol)
-        self.time_order = int(time_order)
+        self.n_irr = _as_int("n_irr", n_irr)
+        self.n_sol = _as_int("n_sol", n_sol)
+        self.time_order = _as_int("time_order", time_order)
         self.seed = seed
 
     def __repr__(self):

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from gssc import gf2
 from gssc.coefficients import ChainVector, FourierFn, norm_p
+from gssc.complexes import _integral
 from gssc.errors import InfeasibleError
 from gssc.hodge import DecompositionResult, HodgeBases
 from gssc.homology import smith_normal_form
@@ -425,6 +426,41 @@ def sylvester_product(values, rep, alpha=0.05, beta=0.05):
     d[np.arange(n_t - 1), np.arange(1, n_t)] = 1.0
     A = np.eye(len(values)) + alpha * L1
     return scipy.linalg.solve_sylvester(A, beta * (d.T @ d), values)
+
+
+def dense_build_boundary(complex, k):
+    """B_k of a simplicial complex, written entry by entry into a dense
+    object array: column j gets the alternating face signs of simplex j."""
+    mat = np.zeros((complex.n_simplexes(k - 1), complex.n_simplexes(k)), dtype=object)
+    if k < 1 or k > complex.dim:
+        return mat
+    face_index = {s: i for i, s in enumerate(complex.simplexes(k - 1))}
+    for col, simplex in enumerate(complex.simplexes(k)):
+        sign = 1
+        for j in range(len(simplex)):
+            mat[face_index[simplex[:j] + simplex[j + 1:]], col] = sign
+            sign = -sign
+    return mat
+
+
+def dense_exact_boundary(k, mat):
+    """B_k as Python ints by converting every entry of the dense array;
+    refuses any non-integral entry, first in row-major order."""
+    mat = np.asarray(mat, dtype=object)
+    try:
+        exact = np.frompyfunc(int, 1, 1)(mat)
+        if not (exact != mat).any():
+            return exact
+    except (TypeError, ValueError, OverflowError):
+        pass
+    (i, j), v = next((ij, v) for ij, v in np.ndenumerate(mat) if not _integral(v))
+    raise ValueError(f"B_{k} entry ({i}, {j}) = {v!r} is not an integer")
+
+
+def dense_nonzero_columns(mat):
+    """Per column, the (row, value) pairs of its nonzeros, by a dense scan."""
+    return [[(i, mat[i, j]) for i in np.flatnonzero(mat[:, j]).tolist()]
+            for j in range(mat.shape[1])]
 
 
 def _dense_column_masks(matrix):

@@ -172,13 +172,28 @@ def test_rep_refuses_non_integral_boundary_entries():
     cases = [((2, 1), [[[0.5], [-1.0]]], "B_1 entry (0, 0)"),
              ((2, 1), [[[1.0], [np.inf]]], "B_1 entry (1, 0)"),
              ((2, 1), [[[np.nan], [1]]], "B_1 entry (0, 0)"),
-             ((1, 2, 1), [[[0, 0]], [[1], [1e-9 + 1]]], "B_2 entry (1, 0)")]
+             ((1, 2, 1), [[[0, 0]], [[1], [1e-9 + 1]]], "B_2 entry (1, 0)"),
+             ((2, 1), [[[None], [1]]], "B_1 entry (0, 0) = None"),
+             ((2, 1), [[[""], [1]]], "B_1 entry (0, 0) = ''")]
     for dims, mats, where in cases:
         with pytest.raises(ValueError, match=re.escape(where)):
             ChainComplexRep(dims, [np.array(m) for m in mats])
     rep = ChainComplexRep((2, 1), [np.array([[1.0], [-1.0]])])
     assert rep.boundary_matrix(1).tolist() == [[1], [-1]]
     assert all(type(v) is int for v in rep.boundary_matrix(1).flat)
+
+
+def test_boundary_matrix_hands_out_a_fresh_copy():
+    rep = canonical_complex("cycle(3)")
+    cached = rep.boundary_float(1)
+    B = rep.boundary_matrix(1)
+    B[0, 0] = 5
+    assert rep.boundary_matrix(1).tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert rep.boundary_float(1) is cached
+    assert rep.boundary_float(1).tolist() == [[-1.0, -1.0, 0.0], [1.0, 0.0, -1.0],
+                                              [0.0, 1.0, 1.0]]
+    assert rep.columns(1)[0] == ((0, -1), (1, 1))
+    assert validate(rep).ok
 
 
 def test_canonical_rp2_matches_its_frozen_matrices():

@@ -1,6 +1,7 @@
 """Sweep configuration, the benchmark complex, and experiment outputs."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ def test_config_validation_errors():
         ExperimentConfig(eta=0.0)
     with pytest.raises(FormatError):
         ExperimentConfig(noise=-0.1)
+
+
+@pytest.mark.parametrize("bad,shown", [
+    ({"trials": 2.5}, "trials 2.5"),
+    ({"sample_counts": (5.9, 10)}, "sample count 5.9"),
+    ({"sub_size": "7"}, "sub_size '7'"),
+    ({"samples_per_edge": 20.5}, "samples_per_edge 20.5"),
+    ({"seed": "0"}, "seed '0'"),
+    ({"time_order": 2.5}, "time_order 2.5"),
+    ({"n_irr": float("inf")}, "n_irr inf"),
+    ({"n_sol": None}, "n_sol None"),
+])
+def test_config_refuses_non_integral_counts(bad, shown):
+    with pytest.raises(ValueError, match=re.escape(f"{shown} is not an integer")):
+        ExperimentConfig(**bad)
+    config = ExperimentConfig(trials=2.0, sample_counts=(np.int64(5), 10.0))
+    assert (config.trials, config.sample_counts) == (2, (5, 10))
+    assert type(config.trials) is int and all(type(m) is int for m in config.sample_counts)
 
 
 @pytest.mark.parametrize("bad", [

@@ -94,6 +94,8 @@ def test_mod_p_rank_refuses_a_non_integral_modulus(p, shown):
 @pytest.mark.parametrize("bad,entry", [
     ([[0.5, 1.0], [2.0, 2.7]], "(0, 0) = 0.5"),
     ([[1, 0], [float("nan"), 1]], "(1, 0) = nan"),
+    ([[None, 1], [1, 1]], "(0, 0) = None"),
+    ([["", 1], [1, 1]], "(0, 0) = ''"),
 ])
 def test_exact_api_refuses_non_integral_entries(bad, entry):
     for call in (smith_normal_form, integer_rank, lambda m: mod_p_rank(m, 3)):

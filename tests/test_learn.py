@@ -1,5 +1,7 @@
 """Decomposition models, synthetic signals, sampling, and reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -212,6 +214,20 @@ def test_smooth_objective_is_non_increasing_in_eta():
         solve_smooth(x, eta=0.0)
     with pytest.raises(UnsupportedError):
         solve_smooth(ChainVector(rep, 1, ModN(2), [0] * rep.n_cells(1)))
+
+
+@pytest.mark.parametrize("bad,shown", [
+    ({"n_irr": 2.7}, "n_irr 2.7"),
+    ({"n_sol": "3"}, "n_sol '3'"),
+    ({"time_order": 2.5}, "time_order 2.5"),
+    ({"time_order": float("nan")}, "time_order nan"),
+])
+def test_synth_spec_refuses_non_integral_counts(bad, shown):
+    with pytest.raises(ValueError, match=re.escape(f"{shown} is not an integer")):
+        SynthSpec(**bad)
+    spec = SynthSpec(n_irr=4.0, n_sol=np.int64(5), time_order=2)
+    assert (spec.n_irr, spec.n_sol, spec.time_order) == (4, 5, 2)
+    assert type(spec.n_irr) is int and type(spec.n_sol) is int
 
 
 def test_synthesize_is_seed_deterministic():
