@@ -5,6 +5,15 @@ OpenBLAS's thread hand-off than they gain from a second thread.  The
 libraries are found through /proc/self/maps and driven through their
 exported thread-count functions, the idiom of threadpoolctl
 (https://github.com/joblib/threadpoolctl).
+
+numpy and scipy wheels each bring their own OpenBLAS, each with its own
+thread pool, and alternating between them costs.  On a 2-vCPU Xeon
+(numpy 2.4, scipy 1.17, two threads per pool), a scipy Cholesky factor
+and solve of a 408 x 408 system took 3.5 ms alone and 7.4-8.2 ms right
+after a numpy `eigh`, while numpy's own `solve` took 4.6-4.9 ms and
+5.3 ms: the second pool contends with the first.  The spectral layer
+(`hodge`, the smooth fit in `learn`) therefore keeps its dense LAPACK
+calls on numpy.
 """
 
 from __future__ import annotations

@@ -32,11 +32,17 @@ class KrrConfig:
 
 
 def rbf_kernel(a, b, lengthscale):
-    """RBF kernel matrix; leading axes of `a` and `b` broadcast as a stack."""
+    """RBF kernel matrix; leading axes of `a` and `b` broadcast as a stack.
+
+    exp(-(a_i - b_j)^2 / (2 lengthscale^2)), evaluated in one buffer.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = a[..., :, None] - b[..., None, :]
-    return np.exp(-(diff ** 2) / (2.0 * lengthscale ** 2))
+    out = np.subtract(a[..., :, None], b[..., None, :])
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 2.0 * lengthscale ** 2, out=out)
+    return np.exp(out, out=out)
 
 
 def krr_fit_eval(t, y, config, eval_points):

@@ -303,7 +303,7 @@ def _apply_boundary(x, k, adjoint):
     if k < 1 or k > rep.dim:
         return zero_chain(rep, degree, x.system)
     if not x.system.exact:
-        B = rep.boundary_float(k)
+        B = rep._sparse_boundary(k)
         out = (B.T if adjoint else B) @ x.values
     elif adjoint:
         vals = x.values.tolist()

@@ -12,8 +12,8 @@ Conventions fixed here and relied on everywhere else:
   deletions, sum_j (-1)^j [..., v_{j-1}, v_{j+1}, ...].
 * Boundary matrices are stored once, as sparse columns of Python ints: column
   j of B_k is the tuple of its nonzeros (row, value), by row.  Exact code reads
-  them, so B_k B_{k+1} = 0 is checked with zero tolerance; dense object and
-  float arrays are built from them on request.
+  them, so B_k B_{k+1} = 0 is checked with zero tolerance; a sparse float
+  view, and dense object and float arrays, are built from them on request.
 * Out-of-range degrees denote the zero module: C_{-1} = C_{K+1} = 0, and
   boundary matrices off the end have an empty shape instead of raising.
 
@@ -30,6 +30,7 @@ import itertools
 import re
 
 import numpy as np
+import scipy.sparse
 
 from .errors import FormatError, UnsupportedError
 
@@ -228,7 +229,7 @@ class ChainComplexRep:
             self._columns[k] = _columns(mat, f"B_{k} entry")
         self.labels = labels
         self.name = name
-        self._float_cache = {}
+        self._cache = {}
 
     @classmethod
     def _from_columns(cls, dims, columns, labels=None):
@@ -259,9 +260,32 @@ class ChainComplexRep:
 
     def boundary_float(self, k):
         """Dense float B_k, built once and cached; do not modify it."""
-        if k not in self._float_cache:
-            self._float_cache[k] = _to_dense(self.columns(k), self.n_cells(k - 1), float)
-        return self._float_cache[k]
+        return self._memo(("dense", k), lambda: _to_dense(
+            self.columns(k), self.n_cells(k - 1), float))
+
+    def _sparse_boundary(self, k):
+        """B_k as a float `scipy.sparse` CSR array, built once from the
+        columns; the library's float code reads this, not `boundary_float`."""
+        def build():
+            cols = self.columns(k)
+            indptr = np.cumsum([0] + [len(col) for col in cols])
+            rows = [i for col in cols for i, _ in col]
+            vals = [v for col in cols for _, v in col]
+            return scipy.sparse.csc_array(
+                (np.array(vals, dtype=float), np.array(rows, dtype=np.int64), indptr),
+                shape=(self.n_cells(k - 1), len(cols))).tocsr()
+        return self._memo(("sparse", k), build)
+
+    def _memo(self, key, build):
+        """The value cached under `key`, from build() on first use.
+
+        One dict per rep holds every derived value (boundary views, Gram
+        eigenpairs, eliminations); the values depend on the rep alone,
+        so a concurrent first use at worst builds one twice.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

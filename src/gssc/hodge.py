@@ -8,21 +8,36 @@ and real chain space splits orthogonally as
 
     C_k = im B_k^T  (+)  ker L_k  (+)  im B_{k+1}.
 
-One scale-relative cutoff decides what is zero: an eigenvalue of an n x n
-symmetric matrix counts as zero when its magnitude is at most
-`max(n * eps, 1e-12) * lambda_max`.  Every numerical rank, kernel
-dimension, image projection and certificate preimage in the package comes
-from `eig_sym` under that cutoff; for a boundary B they come from the
+One scale-relative cutoff decides what is zero on every `eig_sym` path: an
+eigenvalue of an n x n symmetric matrix counts as zero when its magnitude
+is at most `max(n * eps, 1e-12) * lambda_max`.  Every numerical rank,
+kernel dimension, image projection and certificate preimage in the package
+comes from `eig_sym` under that cutoff; for a boundary B they come from the
 nonzero eigenpairs of its smaller Gram (`_modes`), so a singular value of
 B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
 weights of a weighted projection) by any positive constant leaves every
-rank and every projection unchanged.  The weighted normal system of
-`learn.solve_smooth` is solved from its `eig_sym` under the same cutoff.
+rank and every projection unchanged.  The weighted normal system
+(W^2 + L_k / eta) x' = W^2 x of `learn.solve_smooth` is symmetric positive
+definite when every weight is > 0 and is then solved directly; with zero
+weights it is solved from its `eig_sym` under the same cutoff, which gives
+the minimum-norm x'.
+
+The float code reads each boundary through a sparse view of the rep's
+integer columns (`scipy.sparse` CSR, built once per rep); Grams and
+Laplacians are formed sparse and then densified, bit-equal to the dense
+products because the entries are integers.  Each rep keeps a memo: every
+Gram of B_k that `_modes` factors is eigendecomposed at most once, keyed by
+which Gram it is (a square B_k factors B_k^T B_k for B_k and B_k B_k^T for
+B_k^T).  Only those small-side eigenpairs are held, read-only; the other
+side is mapped through the sparse B_k on each call.  Spectral bases, real
+ranks and unit-weight projections read the memo; weighted projections
+factor their own Gram on each call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .coefficients import ChainVector, FourierFn, Real, norm_p
 from .errors import UnsupportedError
@@ -87,6 +102,24 @@ def _signed(vec):
     return vec
 
 
+def _gram_modes(B, dual):
+    """Nonzero eigenpairs (U, lam) of B B^T (`dual`) or B^T B, ascending.
+
+    B may be dense or `scipy.sparse`; a sparse Gram is densified before
+    `eig_sym`, and for the integer boundaries it is bit-equal to the dense
+    product.
+    """
+    gram = B @ B.T if dual else B.T @ B
+    spec = eig_sym(gram.toarray() if scipy.sparse.issparse(gram) else gram)
+    keep = spec.eigenvalues > spec.zero_tol
+    return spec.eigenvectors[:, keep], spec.eigenvalues[keep]
+
+
+def _dual_side(B, dual, U, lam):
+    """`_modes` of B from the eigenpairs (U, lam) of its factored Gram."""
+    return (_signed(B.T @ U / np.sqrt(lam)) if dual else U), lam
+
+
 def _modes(B):
     """Nonzero eigenpairs (V, lam) of B^T B, eigenvalues ascending.
 
@@ -96,27 +129,54 @@ def _modes(B):
     are an orthonormal basis of im B^T, signed as `eig_sym` signs them,
     and B V (V^T t / lam) is the minimum-norm y with B^T y = V V^T t.
     """
-    B = np.asarray(B, dtype=float)
+    if not scipy.sparse.issparse(B):
+        B = np.asarray(B, dtype=float)
     dual = B.shape[0] < B.shape[1]
-    spec = eig_sym(B @ B.T if dual else B.T @ B)
-    keep = spec.eigenvalues > spec.zero_tol
-    lam = spec.eigenvalues[keep]
-    V = spec.eigenvectors[:, keep]
-    return (_signed(B.T @ V / np.sqrt(lam)) if dual else V), lam
+    return _dual_side(B, dual, *_gram_modes(B, dual))
+
+
+def _boundary(rep, k, transpose=False):
+    """The sparse float B_k, or B_k^T."""
+    B = rep._sparse_boundary(k)
+    return B.T if transpose else B
+
+
+def _factored(rep, k, transpose=False):
+    """(B, dual, U, lam): B = B_k (or B_k^T) and the eigenpairs of the Gram
+    `_modes(B)` factors, taken from the rep's memo.
+
+    The memo is keyed by the Gram: a square B_k factors B_k^T B_k and its
+    transpose B_k B_k^T.  The arrays are read-only, because every caller
+    shares them.
+    """
+    B = _boundary(rep, k, transpose)
+    dual = B.shape[0] < B.shape[1]
+
+    def build():
+        U, lam = _gram_modes(B, dual)
+        U.setflags(write=False)
+        lam.setflags(write=False)
+        return U, lam
+    return (B, dual) + rep._memo(("gram_modes", k, dual != transpose), build)
+
+
+def _boundary_modes(rep, k, transpose=False):
+    """`_modes` of B_k (or B_k^T), each Gram factored at most once per rep."""
+    return _dual_side(*_factored(rep, k, transpose))
+
+
+def _boundary_rank(rep, k):
+    """Numerical rank of B_k under the one cutoff, from the rep's memo."""
+    return len(_factored(rep, k)[3])
 
 
 def laplacian(rep, k):
     """Dense float L_k; raises for degrees outside the complex."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    n = rep.n_cells(k)
-    L = np.zeros((n, n))
-    down = rep.boundary_float(k)
-    up = rep.boundary_float(k + 1)
-    if down.size:
-        L += down.T @ down
-    if up.size:
-        L += up @ up.T
+    down = _boundary(rep, k)
+    up = _boundary(rep, k + 1)
+    L = (down.T @ down + up @ up.T).toarray()
     return (L + L.T) / 2.0
 
 
@@ -164,15 +224,22 @@ def _chain(like, degree, mat):
                        mat[:, 0] if np.ndim(like.values) == 1 else mat)
 
 
-def _weighted_projection(B, target, w):
-    """(y, B y): B y is the w-weighted least-squares projection of `target`
-    onto im B and y its minimum-norm minimizer.
+def _weighted_projection(rep, k, target, w, transpose=False):
+    """(y, B y) for B = B_k, or B_k^T with `transpose`: B y is the
+    w-weighted least-squares projection of `target` onto im B and y its
+    minimum-norm minimizer.
 
     With A = W B, y = A^T V (V^T W target / lam) for the modes (V, lam) of
-    A^T, which span im A.
+    A^T, which span im A.  With unit weights A = B and the modes come from
+    the rep's memo; other weights factor the Gram of A on each call.
     """
-    A = w[:, None] * B
-    V, lam = _modes(A.T)
+    B = _boundary(rep, k, transpose)
+    if np.all(w == 1):
+        A = B
+        V, lam = _boundary_modes(rep, k, not transpose)
+    else:
+        A = scipy.sparse.diags_array(w) @ B
+        V, lam = _modes(A.T)
     y = A.T @ (V @ ((V.T @ (w[:, None] * target)) / lam[:, None]))
     return y, B @ y
 
@@ -190,10 +257,10 @@ def _split(x, w, model):
     rep = x.complex
     k = x.degree
     mat = _as_matrix(x.values)
-    y_neg, part_neg = _weighted_projection(rep.boundary_float(k).T, mat,
-                                           np.ones(len(mat)))
+    y_neg, part_neg = _weighted_projection(rep, k, mat, np.ones(len(mat)),
+                                           transpose=True)
     in_kernel = mat - part_neg
-    y1, part_pos = _weighted_projection(rep.boundary_float(k + 1), in_kernel, w)
+    y1, part_pos = _weighted_projection(rep, k + 1, in_kernel, w)
     x0 = _chain(x, k, in_kernel - part_pos)
     return DecompositionResult(
         x0=x0, x1=_chain(x, k, part_pos), x_neg1=_chain(x, k, part_neg),
@@ -287,10 +354,13 @@ class HodgeBases:
 
 def _full_bases(rep, k):
     """Every harmonic, irrotational and solenoidal vector at degree k."""
-    U_irr, irr_vals = _modes(rep.boundary_float(k))
-    U_sol, sol_vals = _modes(rep.boundary_float(k + 1).T)
-    return HodgeBases(eig_sym(laplacian(rep, k)).zero_space(), U_irr, U_sol,
-                      irr_vals, sol_vals, len(irr_vals), len(sol_vals))
+    U_irr, irr_vals = _boundary_modes(rep, k)
+    U_sol, sol_vals = _boundary_modes(rep, k + 1, transpose=True)
+    U0 = eig_sym(laplacian(rep, k)).zero_space()
+    for arr in (U0, U_irr, U_sol):  # some are shared through the memo
+        arr.setflags(write=False)
+    return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals,
+                      len(irr_vals), len(sol_vals))
 
 
 def spectral_bases(rep, k, n_irr=20, n_sol=20):
@@ -324,9 +394,8 @@ def courant_fischer_check(rep, l):
         raise ValueError(f"l must be in 2..{len(spec)}")
     lhs = float(spec.eigenvalues[l - 1])
     e = spec.eigenvectors[:, l - 1:l]
-    B1 = rep.boundary_float(1)
-    _, u = _weighted_projection(B1, e, np.ones(len(e)))
-    v = B1.T @ u
+    _, u = _weighted_projection(rep, 1, e, np.ones(len(e)))
+    v = _boundary(rep, 1).T @ u
     rhs = float(np.sum(v * v)) / float(np.sum(u * u))
     gap = abs(lhs - rhs) / max(abs(lhs), ZERO_TOL_FLOOR)
     return lhs, rhs, gap

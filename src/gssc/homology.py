@@ -10,6 +10,8 @@ in the column lattice of B exactly when [B | x] has the factors of B
 (Newman, *Integral Matrices*, 1972, ch. II).  The public
 `smith_normal_form` keeps its unimodular certificates for checking.  All
 arithmetic uses Python ints, so entries may grow without overflow.
+`homology_Z` keeps each boundary's elimination in the rep's memo, so a loop
+over all degrees eliminates each boundary once.
 
 Field homology is a rank count: dim H_k = dim ker B_k - rank B_{k+1}.  Over
 the reals the ranks are numerical (tolerance delegated to `hodge`, the
@@ -26,7 +28,7 @@ from .coefficients import (Integer, ModN, Real, _apply_boundary, norm_p,
                            resolve_weights, zero_chain)
 from .complexes import _as_int, _columns, _to_dense
 from .errors import UnsupportedError
-from .hodge import _as_matrix, _chain, _weighted_projection, numerical_rank
+from .hodge import _as_matrix, _boundary, _boundary_rank, _chain, _weighted_projection
 
 
 class SNFResult:
@@ -217,10 +219,22 @@ def _eliminate(columns, p=None):
     return pivots, _to_dense(remainder, len(at))
 
 
+def _factors(eliminated):
+    """Invariant factors from `_eliminate`'s (pivot count, remainder)."""
+    pivots, remainder = eliminated
+    return [1] * pivots + smith_normal_form(remainder).invariant_factors
+
+
 def _invariant_factors(columns):
     """Nonzero invariant factors over Z, ascending; their count is the rank."""
-    pivots, remainder = _eliminate(columns)
-    return [1] * pivots + smith_normal_form(remainder).invariant_factors
+    return _factors(_eliminate(columns))
+
+
+def _boundary_factors(rep, k):
+    """`_invariant_factors` of B_k.  The elimination runs at most once per
+    rep; the Smith form of its non-unit remainder, which is small and most
+    often empty, runs on each call."""
+    return _factors(rep._memo(("elimination", k), lambda: _eliminate(rep.columns(k))))
 
 
 def _prime(p):
@@ -269,8 +283,8 @@ def homology_Z(rep, k):
     """H_k with integer coefficients: free rank plus invariant factors > 1."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    rank_k = len(_invariant_factors(rep.columns(k))) if k else 0  # B_0 = 0
-    factors = _invariant_factors(rep.columns(k + 1))
+    rank_k = len(_boundary_factors(rep, k)) if k else 0  # B_0 = 0
+    factors = _boundary_factors(rep, k + 1)
     betti = rep.n_cells(k) - rank_k - len(factors)
     torsion = [d for d in factors if d > 1]
     return HomologySummary(betti, torsion)
@@ -281,8 +295,8 @@ def homology_field(rep, k, field):
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
     if isinstance(field, Real):
-        r_down = numerical_rank(rep.boundary_float(k))
-        r_up = numerical_rank(rep.boundary_float(k + 1))
+        r_down = _boundary_rank(rep, k)
+        r_up = _boundary_rank(rep, k + 1)
     elif isinstance(field, ModN):
         p = _prime(field.modulus)
         r_down = _eliminate(rep.columns(k), p)[0]
@@ -304,8 +318,8 @@ def _require_kernel_chain(x):
     elif bd.size:
         resid = np.max(np.abs(bd))
         scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
-        B = rep.boundary_float(k)
-        if resid > 1e-8 * scale * max(1.0, float(np.max(np.abs(B), initial=0.0))):
+        entry = float(np.max(np.abs(_boundary(rep, k).data), initial=0.0))
+        if resid > 1e-8 * scale * max(1.0, entry):
             raise ValueError("representative is not a cycle (boundary residual "
                              f"{resid:.3e})")
 
@@ -333,7 +347,7 @@ def simplicial_seminorm(x, p=2, weights=None):
         if p != 2:
             raise UnsupportedError("Real seminorm is implemented for p = 2 only")
         mat = _as_matrix(x.values)
-        _, part_pos = _weighted_projection(rep.boundary_float(k + 1), mat, w)
+        _, part_pos = _weighted_projection(rep, k + 1, mat, w)
         mini = _chain(x, k, mat - part_pos)
         return norm_p(mini, 2, w), mini
 
@@ -361,7 +375,7 @@ def simplicial_seminorm(x, p=2, weights=None):
         # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff
         # [B_{k+1} | x] has the same invariant factors as B_{k+1}
         x_col = tuple((i, v) for i, v in enumerate(x.values.tolist()) if v)
-        if _invariant_factors(up + (x_col,)) == _invariant_factors(up):
+        if _invariant_factors(up + (x_col,)) == _boundary_factors(rep, k + 1):
             return 0.0, zero_chain(rep, k, x.system)
         raise UnsupportedError(
             "integer seminorm of a nontrivial class (infimum over an infinite "

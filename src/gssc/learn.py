@@ -43,8 +43,8 @@ from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
 from .complexes import _as_int
 from .errors import InfeasibleError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _chain, _split, eig_sym,
-                    laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _split,
+                    eig_sym, laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -139,9 +139,8 @@ def solve_fundamental(x, p=2, weights=None):
         if p != 2:
             raise UnsupportedError("the closed-form path needs p = 2")
         result = _split(x, w, "fundamental")
-        down = x.complex.boundary_float(x.degree)
-        result.residuals["kernel"] = (float(np.linalg.norm(
-            down @ _as_matrix(result.x0.values))) if down.size else 0.0)
+        result.residuals["kernel"] = float(np.linalg.norm(
+            _boundary(x.complex, x.degree) @ _as_matrix(result.x0.values)))
         return result
     if isinstance(x.system, ModN) and x.system.modulus == 2:
         if p not in (1, 2):
@@ -159,13 +158,17 @@ def solve_fundamental(x, p=2, weights=None):
 def _smooth_fit(rep, k, mat, w, eta):
     """Minimum-norm solution x' of (W^2 + L_k / eta) x' = W^2 x.
 
-    One `eig_sym` of the normal matrix; eigenvalues at or below its zero
-    cutoff are dropped, which is where zero weights leave a harmonic
-    direction unobserved.  Kept apart from `solve_smooth` so that its
-    n_k x n_k arrays are freed before the split runs.
+    With every weight > 0 the normal matrix is symmetric positive definite
+    and is solved directly (numpy's LAPACK `gesv`).  Otherwise one
+    `eig_sym` of it; eigenvalues at or below its zero cutoff are dropped,
+    which is where zero weights leave a harmonic direction unobserved.
+    Kept apart from `solve_smooth` so that its n_k x n_k arrays are freed
+    before the split runs.
     """
     normal = laplacian(rep, k) / eta
     normal[np.diag_indices_from(normal)] += w ** 2
+    if np.all(w > 0):
+        return np.linalg.solve(normal, (w ** 2)[:, None] * mat)
     spec = eig_sym(normal)
     keep = spec.eigenvalues > spec.zero_tol
     V = spec.eigenvectors[:, keep]
@@ -194,8 +197,8 @@ def solve_smooth(x, eta=1.0, weights=None):
     fitted = _smooth_fit(rep, k, mat, w, eta)
     result = _split(_chain(x, k, fitted), np.ones(len(mat)), "smooth")
     data_term = float(np.sum((w[:, None] * (fitted - mat)) ** 2))
-    rough = float(np.sum((rep.boundary_float(k) @ fitted) ** 2)
-                  + np.sum((rep.boundary_float(k + 1).T @ fitted) ** 2)) / eta
+    rough = float(np.sum((_boundary(rep, k) @ fitted) ** 2)
+                  + np.sum((_boundary(rep, k + 1, transpose=True) @ fitted) ** 2)) / eta
     result.objective = data_term + rough
     result.residuals = {"data": data_term, "roughness": rough}
     return result
@@ -384,8 +387,9 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
 
     a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
                                         bases.n_harmonic + bases.n_irr])
-    y1 = rep.boundary_float(2).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
-    y_neg1 = rep.boundary_float(1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
+    y1 = _boundary(rep, 2, transpose=True) @ (
+        bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
+    y_neg1 = _boundary(rep, 1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
     rough = float(np.sum(lam[:, None] * theta ** 2))
     part_zero, part_pos, part_neg = bases.U0 @ a0, bases.U_sol @ a_sol, bases.U_irr @ a_irr
     coeffs = part_zero + part_neg + part_pos

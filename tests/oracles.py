@@ -17,7 +17,7 @@ from gssc import gf2
 from gssc.coefficients import ChainVector, FourierFn, norm_p
 from gssc.complexes import _integral
 from gssc.errors import InfeasibleError
-from gssc.hodge import DecompositionResult, HodgeBases
+from gssc.hodge import DecompositionResult, HodgeBases, _signed, eig_sym
 from gssc.homology import smith_normal_form
 from gssc.learn import ConditioningWarning
 
@@ -574,3 +574,62 @@ def dense_fundamental_mod2(x, p, w):
         model="fundamental",
         residuals={"kernel": 0.0, "x1_certificate": 0.0, "x_neg1_certificate": 0.0},
     )
+
+
+# -- dense per-call spectral paths ---------------------------------------------
+#
+# The library's float layer reads a sparse view of each boundary and factors
+# each boundary Gram once per complex.  These are the per-call dense paths it
+# replaced, kept as references.
+
+def dense_modes(B):
+    """Nonzero eigenpairs (V, lam) of B^T B from a dense B, factoring the
+    smaller Gram on every call (the library's `_modes` before the memo)."""
+    B = np.asarray(B, dtype=float)
+    dual = B.shape[0] < B.shape[1]
+    spec = eig_sym(B @ B.T if dual else B.T @ B)
+    keep = spec.eigenvalues > spec.zero_tol
+    lam = spec.eigenvalues[keep]
+    V = spec.eigenvectors[:, keep]
+    return (_signed(B.T @ V / np.sqrt(lam)) if dual else V), lam
+
+
+def dense_laplacian(rep, k):
+    """L_k from the dense float boundaries."""
+    n = rep.n_cells(k)
+    L = np.zeros((n, n))
+    down = rep.boundary_float(k)
+    up = rep.boundary_float(k + 1)
+    if down.size:
+        L += down.T @ down
+    if up.size:
+        L += up @ up.T
+    return (L + L.T) / 2.0
+
+
+def dense_weighted_projection(B, target, w):
+    """(y, B y) of the w-weighted least-squares projection onto im B, from a
+    dense B and `dense_modes`."""
+    A = w[:, None] * B
+    V, lam = dense_modes(A.T)
+    y = A.T @ (V @ ((V.T @ (w[:, None] * target)) / lam[:, None]))
+    return y, B @ y
+
+
+def eig_smooth_fit(rep, k, mat, w, eta):
+    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by one `eig_sym`,
+    whatever the weights (the library solves positive weights directly)."""
+    normal = dense_laplacian(rep, k) / eta
+    normal[np.diag_indices_from(normal)] += w ** 2
+    spec = eig_sym(normal)
+    keep = spec.eigenvalues > spec.zero_tol
+    V = spec.eigenvectors[:, keep]
+    return V @ ((V.T @ ((w ** 2)[:, None] * mat)) / spec.eigenvalues[keep][:, None])
+
+
+def expression_rbf_kernel(a, b, lengthscale):
+    """The RBF kernel as one expression, with its five temporaries."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = a[..., :, None] - b[..., None, :]
+    return np.exp(-(diff ** 2) / (2.0 * lengthscale ** 2))
