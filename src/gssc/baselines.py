@@ -9,10 +9,12 @@ uses, which is the point of comparing against them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericalError
-from .hodge import laplacian
+from .hodge import _full_bases, eig_sym
 from .learn import evaluation_grid
 
 
@@ -91,22 +93,16 @@ def krr_grid(samples, config, grid=None):
     return GridEstimate(krr_fit_eval(samples.t, samples.y, config, grid), grid)
 
 
-def _time_second_difference(n):
-    # free boundary: D^T D for the (n-1) x n first-difference matrix
-    d = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return d.T @ d
+@functools.lru_cache(maxsize=None)
+def _time_eigenpairs(n_grid):
+    """Eigenpairs (b, Q) of the n_grid-point L_t = D^T D, D the free-boundary
+    first difference; cached per grid length and read only by `sc_product`."""
+    d = np.diff(np.eye(n_grid), axis=0)
+    spec = eig_sym(d.T @ d)
+    return spec.eigenvalues, spec.eigenvectors
 
 
-def _product_eigenpairs(rep, n_grid):
-    """Eigenpairs (a, P) of L_1 and (b, Q) of the n_grid-point L_t."""
-    return (np.linalg.eigh(laplacian(rep, 1)),
-            np.linalg.eigh(_time_second_difference(n_grid)))
-
-
-def sc_product(grid0, rep, alpha=0.05, beta=0.05, eigenpairs=None):
+def sc_product(grid0, rep, alpha=0.05, beta=0.05):
     """Joint space-time smoothing of a grid estimate.
 
     Returns the minimizer of |Z - grid0|_F^2 + alpha tr(Z^T L_1 Z)
@@ -114,20 +110,17 @@ def sc_product(grid0, rep, alpha=0.05, beta=0.05, eigenpairs=None):
     = grid0.  Both operators are symmetric, so with L_1 = P diag(a) P^T and
     L_t = Q diag(b) Q^T the solve is the product filter
     Z = P [(P^T grid0 Q) / (1 + alpha a_i + beta b_j)] Q^T.  With
-    alpha = beta = 0 this is the identity.  `eigenpairs`, the
-    `_product_eigenpairs` of rep and the grid length, lets a caller that
-    smooths many estimates decompose both operators once.
+    alpha = beta = 0 this is the identity.  P and a are the rep's degree-1
+    Hodge eigenbasis (`hodge._full_bases`, built once per rep), and Q and b
+    are computed once per grid length.
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0 <= value < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if grid0.n_edges != rep.n_cells(1):
         raise ValueError(f"{grid0.n_edges} grid rows for {rep.n_cells(1)} edges")
-    if eigenpairs is None:
-        eigenpairs = _product_eigenpairs(rep, len(grid0.grid))
-    (a, P), (b, Q) = eigenpairs
-    if len(a) != grid0.n_edges or len(b) != len(grid0.grid):
-        raise ValueError(f"eigenpairs of sizes ({len(a)}, {len(b)}) for "
-                         f"{grid0.n_edges} edges and {len(grid0.grid)} grid points")
+    full = _full_bases(rep, 1)
+    P, a = full.stacked(), full.eigenvalues()
+    b, Q = _time_eigenpairs(len(grid0.grid))
     Z = P @ ((P.T @ grid0.values @ Q) / (1.0 + alpha * a[:, None] + beta * b)) @ Q.T
     return GridEstimate(Z, grid0.grid)

@@ -228,9 +228,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_experiment(args):
     config = parse_config(args.config)
-    paths = run_experiment(config, out_dir=args.out or "results",
-                           jobs=args.jobs, log=print)
-    del paths
+    run_experiment(config, out_dir=args.out or "results", jobs=args.jobs, log=print)
     return 0
 
 

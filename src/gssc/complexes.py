@@ -259,9 +259,8 @@ class ChainComplexRep:
         return _to_dense(self.columns(k), self.n_cells(k - 1))
 
     def boundary_float(self, k):
-        """Dense float B_k, built once and cached; do not modify it."""
-        return self._memo(("dense", k), lambda: _to_dense(
-            self.columns(k), self.n_cells(k - 1), float))
+        """A fresh dense float array of B_k."""
+        return _to_dense(self.columns(k), self.n_cells(k - 1), float)
 
     def _sparse_boundary(self, k):
         """B_k as a float `scipy.sparse` CSR array, built once from the
@@ -279,9 +278,9 @@ class ChainComplexRep:
     def _memo(self, key, build):
         """The value cached under `key`, from build() on first use.
 
-        One dict per rep holds every derived value (boundary views, Gram
-        eigenpairs, eliminations); the values depend on the rep alone,
-        so a concurrent first use at worst builds one twice.
+        One dict per rep holds every derived value (sparse boundaries, Gram
+        eigenpairs, Hodge bases, eliminations); the values depend on the
+        rep alone, so a concurrent first use at worst builds one twice.
         """
         if key not in self._cache:
             self._cache[key] = build()

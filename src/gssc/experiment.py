@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ._blas import one_blas_thread
-from .baselines import KrrConfig, _product_eigenpairs, krr_grid, sc_product
+from .baselines import KrrConfig, krr_grid, sc_product
 from .complexes import _as_int, resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
@@ -162,12 +162,10 @@ def _hyperparams(config, method, bases, sub):
     return f"{krr};alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}"
 
 
-def _run_cell(config, rep, bases, sub, grid, eigenpairs, signal, truth,
-              sigma, m, trial):
+def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
     """All requested methods on one (sweep point, trial) cell, shared data."""
-    row_seed = config.seed + trial
     samples = sample_async(signal, m, sigma,
-                           seed=[row_seed, _noise_key(sigma), m])
+                           seed=[config.seed + trial, _noise_key(sigma), m])
     krr_est = None
     rmses = {}
     seconds = {}
@@ -184,8 +182,7 @@ def _run_cell(config, rep, bases, sub, grid, eigenpairs, signal, truth,
                 krr_est = krr_grid(samples, KrrConfig(config.lengthscale,
                                                       config.ridge), grid)
             est = (krr_est if method == "krr"
-                   else sc_product(krr_est, rep, config.alpha, config.beta,
-                                   eigenpairs))
+                   else sc_product(krr_est, rep, config.alpha, config.beta))
             value = rmse_ratio(est.values, truth, grid)
         rmses[method] = value
         seconds[method] = time.perf_counter() - start
@@ -197,10 +194,10 @@ def run_experiment(config, out_dir, jobs=1, log=None):
 
     Returns the three file paths.  Output rows appear in deterministic
     order (sweep point, then trial, then method) regardless of `jobs`.
-    The bases, signals and product-filter eigenpairs are built once; the
-    cells then run on one BLAS thread, because their matrices are small
-    enough that BLAS threading costs more than it saves, and `jobs` >= 1
-    cells run at a time in parallel threads.
+    The bases (which `sc_product` reads from the rep's memo) and signals
+    are built once; the cells then run on one BLAS thread, because their
+    matrices are small enough that BLAS threading costs more than it saves,
+    and `jobs` >= 1 cells run at a time in parallel threads.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -209,7 +206,6 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     bases = spectral_bases(rep, 1, config.n_irr, config.n_sol)
     sub = bases.sub(config.sub_size, config.sub_size)
     grid = evaluation_grid()
-    eigenpairs = _product_eigenpairs(rep, len(grid))
     points = config.points()
 
     signals = [synthesize(rep, SynthSpec(config.n_irr, config.n_sol,
@@ -224,8 +220,8 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     def work(cell):
         pi, trial = cell
         sigma, m = points[pi]
-        return _run_cell(config, rep, bases, sub, grid, eigenpairs,
-                         signals[trial], truths[trial], sigma, m, trial)
+        return _run_cell(config, rep, bases, sub, grid, signals[trial],
+                         truths[trial], sigma, m, trial)
 
     with one_blas_thread():
         if jobs > 1:

@@ -32,6 +32,11 @@ B_k^T).  Only those small-side eigenpairs are held, read-only; the other
 side is mapped through the sparse B_k on each call.  Spectral bases, real
 ranks and unit-weight projections read the memo; weighted projections
 factor their own Gram on each call.
+
+As the three parts are orthogonal, [U0 | U_irr | U_sol] with eigenvalues
+[0 | lambda(B_k^T B_k) | lambda(B_{k+1} B_{k+1}^T)] is an eigenbasis of L_k.
+`_full_bases` memoizes it per rep and degree, and `spectral_bases`,
+`courant_fischer_check` and `baselines.sc_product` read it.
 """
 
 from __future__ import annotations
@@ -40,13 +45,10 @@ import numpy as np
 import scipy.sparse
 
 from .coefficients import ChainVector, FourierFn, Real, norm_p
+from .complexes import _as_int
 from .errors import UnsupportedError
 
 ZERO_TOL_FLOOR = 1e-12
-
-
-def spectral_zero_tol(n, lam_max):
-    return max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * abs(lam_max)
 
 
 class Spectrum:
@@ -63,9 +65,6 @@ class Spectrum:
 
     def zero_space(self):
         return self.eigenvectors[:, np.abs(self.eigenvalues) <= self.zero_tol]
-
-    def __len__(self):
-        return len(self.eigenvalues)
 
 
 def eig_sym(matrix):
@@ -85,7 +84,7 @@ def eig_sym(matrix):
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     lam, vec = np.linalg.eigh((M + M.T) / 2.0)
-    tol = spectral_zero_tol(n, float(np.max(np.abs(lam))))
+    tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.abs(lam)))
     return Spectrum(lam, _signed(vec), tol)
 
 
@@ -292,16 +291,19 @@ def hodge_decompose(x):
 
 
 def _check_counts(n_irr, n_sol):
+    n_irr, n_sol = _as_int("n_irr", n_irr), _as_int("n_sol", n_sol)
     if n_irr < 0 or n_sol < 0:
         raise ValueError(f"n_irr and n_sol must be >= 0, got {n_irr} and {n_sol}")
+    return n_irr, n_sol
 
 
 class HodgeBases:
     """Orthonormal harmonic / irrotational / solenoidal bases at one degree.
 
-    U0 spans ker L_k.  U_irr holds eigenvectors of B_k^T B_k and U_sol
-    eigenvectors of B_{k+1} B_{k+1}^T, each restricted to nonzero
-    eigenvalues and sorted ascending, truncated to the requested counts.
+    U0 spans ker L_k, beta_k columns.  U_irr holds eigenvectors of B_k^T B_k
+    and U_sol eigenvectors of B_{k+1} B_{k+1}^T, each restricted to nonzero
+    eigenvalues and sorted ascending, truncated to the requested counts;
+    untruncated, `stacked()` and `eigenvalues()` are an eigenbasis of L_k.
     Invariant, kept by `spectral_bases` and `sub` and relied on by
     `reconstruct_gssc`: column i of U_irr (U_sol) is a
     unit eigenvector with the positive eigenvalue irr_eigenvalues[i]
@@ -344,36 +346,46 @@ class HodgeBases:
 
     def sub(self, n_irr, n_sol):
         """Leading-columns sub-bases (smallest nonzero eigenvalues first)."""
-        _check_counts(n_irr, n_sol)
-        n_irr = min(n_irr, self.n_irr)
-        n_sol = min(n_sol, self.n_sol)
+        n_irr, n_sol = _check_counts(n_irr, n_sol)
+        return self._leading(min(n_irr, self.n_irr), min(n_sol, self.n_sol))
+
+    def _leading(self, n_irr, n_sol):
+        """The first n_irr/n_sol columns, n_irr/n_sol recorded as requested."""
         return HodgeBases(self.U0, self.U_irr[:, :n_irr], self.U_sol[:, :n_sol],
                           self.irr_eigenvalues[:n_irr], self.sol_eigenvalues[:n_sol],
                           n_irr, n_sol)
 
 
 def _full_bases(rep, k):
-    """Every harmonic, irrotational and solenoidal vector at degree k."""
-    U_irr, irr_vals = _boundary_modes(rep, k)
-    U_sol, sol_vals = _boundary_modes(rep, k + 1, transpose=True)
-    U0 = eig_sym(laplacian(rep, k)).zero_space()
-    for arr in (U0, U_irr, U_sol):  # some are shared through the memo
-        arr.setflags(write=False)
-    return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals,
-                      len(irr_vals), len(sol_vals))
+    """The eigenbasis of L_k, memoized per rep and degree, read-only.
+
+    U_irr and U_sol are the Gram modes of B_k and B_{k+1}^T.  U0 has the
+    other beta_k = n_k - n_irr - n_sol columns, the first beta_k
+    eigenvectors of L_k; no eigendecomposition runs when beta_k = 0.
+    """
+    if not 0 <= k <= rep.dim:
+        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
+
+    def build():
+        U_irr, irr_vals = _boundary_modes(rep, k)
+        U_sol, sol_vals = _boundary_modes(rep, k + 1, transpose=True)
+        beta = rep.n_cells(k) - len(irr_vals) - len(sol_vals)
+        U0 = (eig_sym(laplacian(rep, k)).eigenvectors[:, :beta].copy() if beta
+              else np.zeros((rep.n_cells(k), 0)))
+        for arr in (U0, U_irr, U_sol):  # some are shared through the memo
+            arr.setflags(write=False)
+        return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals,
+                          len(irr_vals), len(sol_vals))
+    return rep._memo(("bases", k), build)
 
 
 def spectral_bases(rep, k, n_irr=20, n_sol=20):
     """Harmonic basis plus the first n_irr/n_sol nonzero-frequency vectors.
 
     Asking for more vectors than exist truncates and flags the result
-    rather than failing; negative counts are rejected.
+    rather than failing; negative or non-integral counts are rejected.
     """
-    _check_counts(n_irr, n_sol)
-    full = _full_bases(rep, k)
-    return HodgeBases(full.U0, full.U_irr[:, :n_irr], full.U_sol[:, :n_sol],
-                      full.irr_eigenvalues[:n_irr], full.sol_eigenvalues[:n_sol],
-                      n_irr, n_sol)
+    return _full_bases(rep, k)._leading(*_check_counts(n_irr, n_sol))
 
 
 def courant_fischer_check(rep, l):
@@ -386,14 +398,14 @@ def courant_fischer_check(rep, l):
     """
     if rep.dim < 1:
         raise UnsupportedError("need at least edges to check the identity")
-    spec = eig_sym(laplacian(rep, 0))
-    if spec.n_zero != 1:
+    full = _full_bases(rep, 0)
+    if full.n_harmonic != 1:
         raise UnsupportedError("the identity is checked on connected graphs only "
-                               f"(kernel dimension {spec.n_zero})")
-    if not 2 <= l <= len(spec):
-        raise ValueError(f"l must be in 2..{len(spec)}")
-    lhs = float(spec.eigenvalues[l - 1])
-    e = spec.eigenvectors[:, l - 1:l]
+                               f"(kernel dimension {full.n_harmonic})")
+    if not 2 <= l <= rep.n_cells(0):
+        raise ValueError(f"l must be in 2..{rep.n_cells(0)}")
+    lhs = float(full.sol_eigenvalues[l - 2])  # U0 is the first column
+    e = full.U_sol[:, l - 2:l - 1]
     _, u = _weighted_projection(rep, 1, e, np.ones(len(e)))
     v = _boundary(rep, 1).T @ u
     rhs = float(np.sum(v * v)) / float(np.sum(u * u))

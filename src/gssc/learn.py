@@ -275,6 +275,7 @@ def sample_async(f, samples_per_edge, sigma, seed):
     """Uniform instants on [-pi, pi] per edge, Gaussian observation noise."""
     if not isinstance(f.system, FourierFn):
         raise UnsupportedError("sampling needs a function-valued chain")
+    samples_per_edge = _as_int("samples_per_edge", samples_per_edge)
     if samples_per_edge < 1:
         raise ValueError("need at least one sample per edge")
     if not 0 <= sigma < np.inf:
@@ -414,7 +415,7 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
 
 def evaluation_grid(n_points=100):
     """Equispaced instants on [-pi, pi], both endpoints included."""
-    return np.linspace(-np.pi, np.pi, n_points)
+    return np.linspace(-np.pi, np.pi, _as_int("n_points", n_points))
 
 
 def eval_chain_on_grid(chain, grid=None):

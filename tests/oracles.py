@@ -428,6 +428,26 @@ def sylvester_product(values, rep, alpha=0.05, beta=0.05):
     return scipy.linalg.solve_sylvester(A, beta * (d.T @ d), values)
 
 
+def dense_sc_product(values, rep, alpha=0.05, beta=0.05):
+    """Product smoother from raw `np.linalg.eigh` of the dense operators.
+
+    The reference for `gssc.sc_product`, which filters in the rep's Hodge
+    eigenbasis: here L_1 = P diag(a) P^T is assembled from the dense
+    boundaries and L_t = Q diag(b) Q^T is the free-boundary second
+    difference on the grid, each eigendecomposed on every call.  Takes and
+    returns plain (n_edges, n_grid) arrays.
+    """
+    down = rep.boundary_float(1)
+    up = rep.boundary_float(2)
+    n_t = values.shape[1]
+    d = np.zeros((n_t - 1, n_t))
+    d[np.arange(n_t - 1), np.arange(n_t - 1)] = -1.0
+    d[np.arange(n_t - 1), np.arange(1, n_t)] = 1.0
+    a, P = np.linalg.eigh(down.T @ down + up @ up.T)
+    b, Q = np.linalg.eigh(d.T @ d)
+    return P @ ((P.T @ values @ Q) / (1.0 + alpha * a[:, None] + beta * b)) @ Q.T
+
+
 def dense_build_boundary(complex, k):
     """B_k of a simplicial complex, written entry by entry into a dense
     object array: column j gets the alternating face signs of simplex j."""

@@ -6,8 +6,10 @@ import pytest
 from gssc import (GridEstimate, KrrConfig, NumericalError,
                   SynthSpec, canonical_complex, evaluation_grid,
                   krr_fit_eval, krr_grid, laplacian, rbf_kernel,
-                  sample_async, sc_product, synthesize)
-from gssc.baselines import _product_eigenpairs
+                  resolve_complex, sample_async, sc_product, synthesize)
+
+from oracles import dense_sc_product
+from test_acceptance import two_complex_corpus
 
 
 def test_config_validation():
@@ -131,18 +133,42 @@ def test_product_smoother_matches_a_kron_solve():
     assert np.allclose(out.values, z.reshape((3, n_t), order="F"), atol=1e-10)
 
 
-def test_product_smoother_reuses_prebuilt_eigenpairs_exactly():
+def test_product_smoother_repeats_bit_for_bit_without_another_eigh(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     rep = canonical_complex("cycle(4)")
     rng = np.random.default_rng(6)
     grid0 = GridEstimate(rng.standard_normal((4, 7)), np.linspace(-1, 1, 7))
-    eigenpairs = _product_eigenpairs(rep, 7)
-    fresh = sc_product(grid0, rep, 0.3, 0.7)
-    reused = sc_product(grid0, rep, 0.3, 0.7, eigenpairs)
-    assert np.array_equal(fresh.values, reused.values)
-    for wrong in (_product_eigenpairs(canonical_complex("cycle(5)"), 7),
-                  _product_eigenpairs(rep, 8)):
-        with pytest.raises(ValueError, match="eigenpairs"):
-            sc_product(grid0, rep, 0.3, 0.7, wrong)
+    first = sc_product(grid0, rep, 0.3, 0.7)
+    assert calls  # the first call factors the Grams of cycle(4)
+    calls.clear()
+    again = sc_product(grid0, rep, 0.3, 0.7)
+    sc_product(GridEstimate(rng.standard_normal((4, 7)), grid0.grid), rep, 0.1, 0.2)
+    assert calls == []
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+def product_cases():
+    for spec in ("default", "cycle(3)", "cycle(4)", "path(5)"):
+        yield pytest.param(resolve_complex(spec), id=spec)
+    for i, rep in enumerate(two_complex_corpus()):
+        yield pytest.param(rep, id=f"corpus{i}")
+
+
+@pytest.mark.parametrize("rep", product_cases())
+def test_product_smoother_matches_the_dense_eigh_oracle(rep):
+    grid = evaluation_grid(30)
+    rng = np.random.default_rng(rep.dims)
+    values = rng.standard_normal((rep.n_cells(1), len(grid)))
+    for alpha, beta in ((0.05, 0.05), (1.0, 0.0), (0.0, 2.0), (0.7, 1.3)):
+        got = sc_product(GridEstimate(values, grid), rep, alpha, beta).values
+        want = dense_sc_product(values, rep, alpha, beta)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_product_smoother_lowers_its_own_objective():

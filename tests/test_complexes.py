@@ -185,11 +185,11 @@ def test_rep_refuses_non_integral_boundary_entries():
 
 def test_boundary_matrix_hands_out_a_fresh_copy():
     rep = canonical_complex("cycle(3)")
-    cached = rep.boundary_float(1)
     B = rep.boundary_matrix(1)
     B[0, 0] = 5
     assert rep.boundary_matrix(1).tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-    assert rep.boundary_float(1) is cached
+    F = rep.boundary_float(1)
+    F[0, 0] = 5.0
     assert rep.boundary_float(1).tolist() == [[-1.0, -1.0, 0.0], [1.0, 0.0, -1.0],
                                               [0.0, 1.0, 1.0]]
     assert rep.columns(1)[0] == ((0, -1), (1, 1))

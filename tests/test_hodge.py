@@ -1,15 +1,17 @@
 """Laplacian spectra, the three-part decomposition, and spectral bases."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   UnsupportedError, canonical_complex, courant_fischer_check,
-                  eig_sym, hodge_decompose, laplacian, numerical_rank,
-                  random_chain, random_complex, resolve_complex,
-                  simplicial_seminorm, solve_fundamental, spectral_bases,
-                  to_chain_complex)
+                  eig_sym, evaluation_grid, hodge_decompose, laplacian,
+                  numerical_rank, random_chain, random_complex, resolve_complex,
+                  sample_async, simplicial_seminorm, solve_fundamental,
+                  spectral_bases, to_chain_complex)
 from gssc.hodge import _signed
 
 from oracles import loop_signed
@@ -384,6 +386,27 @@ def test_negative_basis_counts_are_rejected():
         spectral_bases(rep, 1, n_irr=20, n_sol=-1)
     with pytest.raises(ValueError, match=">= 0"):
         spectral_bases(rep, 1, 5, 5).sub(-1, 0)
+
+
+@pytest.mark.parametrize("call,shown", [
+    (lambda rep, f: spectral_bases(rep, 1, 2.5, 3), "n_irr 2.5"),
+    (lambda rep, f: spectral_bases(rep, 1, "3", 3), "n_irr '3'"),
+    (lambda rep, f: spectral_bases(rep, 1, 3, 0.5), "n_sol 0.5"),
+    (lambda rep, f: spectral_bases(rep, 1, 5, 5).sub(2.5, 3), "n_irr 2.5"),
+    (lambda rep, f: sample_async(f, 2.5, 0.0, seed=0), "samples_per_edge 2.5"),
+    (lambda rep, f: evaluation_grid(2.5), "n_points 2.5"),
+], ids=["bases-float", "bases-str", "bases-n_sol", "sub", "sample_async",
+        "evaluation_grid"])
+def test_non_integral_counts_raise_a_value_error_naming_them(call, shown):
+    rep = canonical_complex("cycle(6)")
+    f = random_chain(rep, 1, FourierFn(2), 0)
+    with pytest.raises(ValueError, match=re.escape(f"{shown} is not an integer")):
+        call(rep, f)
+    bases = spectral_bases(rep, 1, np.int64(3), 2.0)
+    assert (bases.requested_irr, bases.requested_sol) == (3, 2)
+    assert bases.sub(1.0, np.int64(1)).n_irr == 1
+    assert sample_async(f, 2.0, 0.0, seed=0).samples_per_edge == 2
+    assert len(evaluation_grid(np.int64(7))) == 7
 
 
 def test_frequency_identity_on_small_graphs():

@@ -136,9 +136,9 @@ def test_one_gram_eigendecomposition_per_boundary_per_complex(monkeypatch):
         solve_fundamental(x)
         solve_smooth(x, eta=30.0)
     n0, n1, n2 = rep.dims
-    # the smaller Gram of B_1 and of B_2 once each, L_1 once per bases call
+    # the smaller Gram of B_1 and of B_2 once each; beta_1 = 0, so no L_1
     grams = [(min(n0, n1),) * 2, (min(n1, n2),) * 2]
-    assert sorted(calls) == sorted(grams + [(n1, n1), (n1, n1)])
+    assert sorted(calls) == sorted(grams)
 
 
 def test_bases_arrays_cannot_change_a_later_call():
@@ -217,6 +217,19 @@ def test_no_library_path_reads_the_dense_float_boundary(monkeypatch):
     apply_boundary(random_chain(rep, 2, Real(), 4))
     apply_boundary(x)
     gssc.apply_coboundary(x)
+
+
+def test_bases_run_no_laplacian_eigendecomposition_when_beta_is_zero(monkeypatch):
+    rep = resolve_complex("random(40,0.5,1.0,11)")
+    # the real Betti number factors both Grams; beta_1 = 0 here
+    assert homology_field(rep, 1, Real()) == 0
+
+    def refuse(*args):
+        raise AssertionError("a Laplacian was built or eigendecomposed")
+    monkeypatch.setattr(hodge, "laplacian", refuse)
+    monkeypatch.setattr(hodge, "eig_sym", refuse)
+    bases = spectral_bases(rep, 1, 20, 20)
+    assert (bases.n_harmonic, bases.n_irr, bases.n_sol) == (0, 20, 20)
 
 
 def count_eliminations(monkeypatch):
