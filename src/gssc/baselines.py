@@ -42,8 +42,7 @@ def rbf_kernel(a, b, lengthscale):
     b = np.asarray(b, dtype=float)
     out = np.subtract(a[..., :, None], b[..., None, :])
     np.square(out, out=out)
-    np.negative(out, out=out)
-    np.divide(out, 2.0 * lengthscale ** 2, out=out)
+    np.divide(out, -2.0 * lengthscale ** 2, out=out)
     return np.exp(out, out=out)
 
 
@@ -60,8 +59,10 @@ def krr_fit_eval(t, y, config, eval_points):
     if t.size == 0:
         raise ValueError("need at least one sample")
     K = rbf_kernel(t, t, config.lengthscale)
+    diag = np.arange(t.shape[-1])
+    K[..., diag, diag] += config.ridge
     try:
-        alpha = np.linalg.solve(K + config.ridge * np.eye(t.shape[-1]), y[..., None])
+        alpha = np.linalg.solve(K, y[..., None])
     except np.linalg.LinAlgError:
         raise NumericalError(
             "kernel system is singular (duplicated sample instants with "

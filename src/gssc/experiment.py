@@ -210,7 +210,7 @@ def run_experiment(config, out_dir, jobs=1, log=None):
 
     signals = [synthesize(rep, SynthSpec(config.n_irr, config.n_sol,
                                          config.time_order,
-                                         seed=[config.seed + trial]), bases)
+                                         seed=[config.seed + trial]))
                for trial in range(config.trials)]
     truths = [eval_chain_on_grid(f, grid) for f in signals]
 

@@ -220,23 +220,14 @@ class SynthSpec:
                 f"time_order={self.time_order}, seed={self.seed!r})")
 
 
-def synthesize(rep, spec, bases=None):
+def synthesize(rep, spec):
     """Draw a random edge signal with the documented spectral variance law.
 
     Harmonic coefficients are N(0, 1); the i-th irrotational and solenoidal
     rows are N(0, 1/i).  Draw order is harmonic, irrotational, solenoidal,
-    so results are reproducible from the seed alone.  `bases`, if given,
-    must be `spectral_bases(rep, 1, spec.n_irr, spec.n_sol)`, built once by
-    a caller that draws many signals.
+    so results are reproducible from the seed alone.
     """
-    if bases is None:
-        bases = spectral_bases(rep, 1, spec.n_irr, spec.n_sol)
-    elif (len(bases.U0) != rep.n_cells(1)
-          or (bases.requested_irr, bases.requested_sol) != (spec.n_irr, spec.n_sol)):
-        raise ValueError(
-            f"bases for {len(bases.U0)} edges with n_irr={bases.requested_irr}, "
-            f"n_sol={bases.requested_sol} do not match {rep.n_cells(1)} edges "
-            f"with n_irr={spec.n_irr}, n_sol={spec.n_sol}")
+    bases = spectral_bases(rep, 1, spec.n_irr, spec.n_sol)
     system = FourierFn(spec.time_order)
     T = system.n_coeffs
     rng = np.random.default_rng(spec.seed)
@@ -250,17 +241,38 @@ def synthesize(rep, spec, bases=None):
 
 
 class SampleSet:
-    """Asynchronous samples: per edge, M instants and noisy values."""
+    """Asynchronous samples: per edge, M instants and noisy values.
+
+    `t` and `y` are read-only copies of the arrays passed in, so neither the
+    caller nor a fit can change them in place.  Fits of one SampleSet share
+    work held on it: the (n, M, T) Fourier design at the instants (filled by
+    `sample_async`, which computes it anyway) and the last normal system
+    `reconstruct_gssc` assembled.  What is held is tied to the current `t`
+    and `y` objects: reassigning either drops it, and a fit with another
+    eta or time order assembles afresh.
+    """
 
     def __init__(self, t, y, sigma=None, seed=None):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
+        t = np.array(t, dtype=float)
+        y = np.array(y, dtype=float)
         if t.shape != y.shape or t.ndim != 2:
             raise ValueError("t and y must be matching (n_edges, M) arrays")
+        t.setflags(write=False)
+        y.setflags(write=False)
         self.t = t
         self.y = y
         self.sigma = sigma
         self.seed = seed
+        self._slot = (None, None, {})
+
+    def _held(self):
+        """The dict of work shared by fits of these samples, emptied when
+        `t` or `y` has been reassigned since it was filled."""
+        t, y, held = self._slot
+        if t is not self.t or y is not self.y:
+            held = {}
+            self._slot = (self.t, self.y, held)
+        return held
 
     @property
     def n_edges(self):
@@ -281,12 +293,20 @@ def sample_async(f, samples_per_edge, sigma, seed):
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
-    n = len(f.values)
-    t = rng.uniform(-np.pi, np.pi, size=(n, samples_per_edge))
-    design = f.system.design_matrix(t.ravel()).reshape(n, samples_per_edge, -1)
+    t = rng.uniform(-np.pi, np.pi, size=(len(f.values), samples_per_edge))
+    design = _design(f.system, t)
     y = np.einsum("et,emt->em", f.values, design)
-    y = y + sigma * rng.standard_normal((n, samples_per_edge))
-    return SampleSet(t, y, sigma=sigma, seed=seed)
+    y = y + sigma * rng.standard_normal(t.shape)
+    samples = SampleSet(t, y, sigma=sigma, seed=seed)
+    samples._held()[("design", f.system.n_coeffs)] = design
+    return samples
+
+
+def _design(system, t):
+    """(n, M, T) read-only Fourier design of `system` at the (n, M) instants t."""
+    design = system.design_matrix(t.ravel()).reshape(*t.shape, system.n_coeffs)
+    design.setflags(write=False)
+    return design
 
 
 def save_samples(samples, path):
@@ -336,6 +356,50 @@ def load_samples(path, n_edges):
 
 # -- sampled reconstruction ----------------------------------------------------
 
+def _leading_columns(bases, U, lam, held):
+    """Indices of the held basis's columns that `bases` (stacked as U, with
+    eigenvalues lam) equals, when it is a leading sub-basis of it; else None.
+    """
+    U_held, lam_held, n_harmonic, n_irr = held
+    n_sol = U_held.shape[1] - n_harmonic - n_irr
+    if bases.n_harmonic != n_harmonic or bases.n_irr > n_irr or bases.n_sol > n_sol:
+        return None
+    start = n_harmonic + n_irr
+    idx = np.r_[:n_harmonic + bases.n_irr, start:start + bases.n_sol]
+    if np.array_equal(U, U_held[:, idx]) and np.array_equal(lam, lam_held[idx]):
+        return idx
+    return None
+
+
+def _normal_system(held, psi, y, bases, lam, eta):
+    """Regularized Gram and rhs of the fit of y through design psi in `bases`
+    (eigenvalues lam).
+
+    When `held` has the system of the same eta and time order for a basis
+    of which `bases` is a leading sub-basis, the answer is its principal
+    block; otherwise the system is assembled and held for later fits.
+    """
+    T = psi.shape[2]
+    U = bases.stacked()
+    key, basis, gram, rhs = held.get("normal", (None,) * 4)
+    idx = _leading_columns(bases, U, lam, basis) if key == (T, eta) else None
+    if idx is not None:
+        idx = (idx[:, None] * T + np.arange(T)).ravel()
+        return gram[np.ix_(idx, idx)], rhs[idx]
+
+    n, K = U.shape
+    outer = (U[:, :, None] * U[:, None, :]).reshape(n, K * K)
+    local = np.einsum("emt,emu->etu", psi, psi).reshape(n, T * T)
+    gram = (outer.T @ local).reshape(K, K, T, T).transpose(0, 2, 1, 3)
+    gram = gram.reshape(K * T, K * T)
+    gram[np.diag_indices(K * T)] += np.repeat(lam / eta, T)
+    rhs = (U.T @ np.einsum("emt,em->et", psi, y)).ravel()
+    for arr in (gram, rhs):  # held, and handed to the caller
+        arr.setflags(write=False)
+    held["normal"] = ((T, eta), (U, lam, bases.n_harmonic, bases.n_irr), gram, rhs)
+    return gram, rhs
+
+
 def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     """Least-squares fit of spectral/time coefficients to scattered samples.
 
@@ -357,6 +421,13 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     minimum-norm preimages y1 = B_2^T U_sol (theta_sol / lambda_sol) and
     y_neg1 = B_1 U_irr (theta_irr / lambda_irr).
 
+    The design and the last assembled system are held on `samples`.  Both
+    depend on U and lambda only through the entries above, so a later fit
+    with the same eta and time order whose U0 equals the held one, and
+    whose U_irr, U_sol and eigenvalues equal the held basis's leading
+    columns (as `HodgeBases.sub` gives), takes the principal block of the
+    held Gram and the matching rhs rows and runs only its own Cholesky.
+
     Returns (estimate chain, DecompositionResult with the three parts).
     """
     if not eta > 0:
@@ -366,18 +437,15 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     n = rep.n_cells(1)
     if samples.n_edges != n:
         raise ValueError(f"{samples.n_edges} sample rows for {n} edges")
-    U = bases.stacked()
-    K = U.shape[1]
+    if bases.U0.shape[0] != n:
+        raise ValueError(f"basis with {bases.U0.shape[0]} rows for {n} edges")
+    held = samples._held()
+    psi = held.get(("design", T))
+    if psi is None:
+        psi = held[("design", T)] = _design(system, samples.t)
     lam = bases.eigenvalues()
-    psi = system.design_matrix(samples.t.ravel()).reshape(
-        n, samples.samples_per_edge, T)
-
-    outer = (U[:, :, None] * U[:, None, :]).reshape(n, K * K)
-    local = np.einsum("emt,emu->etu", psi, psi).reshape(n, T * T)
-    gram = (outer.T @ local).reshape(K, K, T, T).transpose(0, 2, 1, 3)
-    gram = gram.reshape(K * T, K * T)
-    gram[np.diag_indices(K * T)] += np.repeat(lam / eta, T)
-    rhs = (U.T @ np.einsum("emt,em->et", psi, samples.y)).ravel()
+    gram, rhs = _normal_system(held, psi, samples.y, bases, lam, eta)
+    K = len(lam)
     try:
         factor = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError:

@@ -653,3 +653,12 @@ def expression_rbf_kernel(a, b, lengthscale):
     b = np.asarray(b, dtype=float)
     diff = a[..., :, None] - b[..., None, :]
     return np.exp(-(diff ** 2) / (2.0 * lengthscale ** 2))
+
+
+def expression_krr_fit_eval(t, y, config, eval_points):
+    """The kernel ridge predictor with the ridge added as `ridge * eye`."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    K = expression_rbf_kernel(t, t, config.lengthscale)
+    alpha = np.linalg.solve(K + config.ridge * np.eye(t.shape[-1]), y[..., None])
+    return (expression_rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]

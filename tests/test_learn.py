@@ -240,18 +240,6 @@ def test_synthesize_is_seed_deterministic():
     assert np.max(np.abs(np.asarray(a.values) - np.asarray(c.values))) > 1e-3
 
 
-def test_synthesize_with_prebuilt_bases_draws_the_same_signal():
-    rep = resolve_complex("default")
-    spec = SynthSpec(n_irr=20, n_sol=20, time_order=3, seed=[7])
-    bases = spectral_bases(rep, 1, 20, 20)
-    assert np.array_equal(synthesize(rep, spec, bases).values,
-                          synthesize(rep, spec).values)
-    for wrong in (spectral_bases(canonical_complex("cycle(5)"), 1, 20, 20),
-                  spectral_bases(rep, 1, 19, 20)):
-        with pytest.raises(ValueError, match="do not match"):
-            synthesize(rep, spec, wrong)
-
-
 def test_synthesize_spectral_variance_law():
     # harmonic rows have unit variance, the i-th nonzero-frequency row 1/i
     rep = canonical_complex("cycle(3)")
@@ -357,6 +345,26 @@ def test_reconstruction_of_silence_is_silent():
     estimate, _ = reconstruct_gssc(samples, rep, full_bases(rep),
                                    time_order=2, eta=1.0)
     assert np.max(np.abs(np.asarray(estimate.values, dtype=float))) <= 1e-8
+
+
+@pytest.mark.parametrize("case,message", [
+    ("eta", "eta must be positive"),
+    ("sample rows", "4 sample rows for 110 edges"),
+    ("basis rows", "basis with 26 rows for 110 edges"),
+])
+def test_reconstruction_refuses_mismatched_input(case, message):
+    from gssc import SampleSet
+    rep = resolve_complex("default")
+    bases = spectral_bases(rep, 1, 20, 20)
+    samples = sample_async(synthesize(rep, SynthSpec(20, 20, 3, seed=0)), 5, 0.01, 1)
+    if case == "eta":
+        args = (samples, rep, bases, 3, 0.0)
+    elif case == "sample rows":
+        args = (SampleSet(samples.t[:4], samples.y[:4]), rep, bases)
+    else:
+        args = (samples, rep, spectral_bases(rep, 0, 20, 20))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reconstruct_gssc(*args)
 
 
 def test_reconstruction_warns_when_underdetermined():

@@ -24,7 +24,8 @@ from gssc.hodge import _boundary_modes, _weighted_projection
 from gssc.learn import _smooth_fit
 
 from oracles import (dense_laplacian, dense_modes, dense_weighted_projection,
-                     eig_smooth_fit, expression_rbf_kernel)
+                     eig_smooth_fit, expression_krr_fit_eval,
+                     expression_rbf_kernel)
 from test_acceptance import two_complex_corpus
 
 # cycle(7) has a square B_1, so both of its Grams are 7 x 7
@@ -209,7 +210,7 @@ def test_no_library_path_reads_the_dense_float_boundary(monkeypatch):
     solve_smooth(x, eta=30.0, weights=np.linspace(0.0, 1.0, len(x.values)))
     solve_fundamental(x)
     solve_fundamental(x, weights=np.linspace(0.5, 1.5, len(x.values)))
-    truth = synthesize(rep, SynthSpec(20, 20, 3, seed=0), bases)
+    truth = synthesize(rep, SynthSpec(20, 20, 3, seed=0))
     reconstruct_gssc(sample_async(truth, 5, 0.01, 0), rep, bases, eta=30.0)
     assert homology_field(rep, 1, Real()) == homology_Z(rep, 1).betti
     cycle = hodge_decompose(random_chain(rep, 2, Real(), 3)).x0
@@ -281,3 +282,16 @@ def test_rbf_kernel_is_byte_equal_to_the_expression_at_sweep_shapes():
         for lengthscale in (0.3, 2.5):
             assert (gssc.rbf_kernel(grid, t, lengthscale).tobytes()
                     == expression_rbf_kernel(grid, t, lengthscale).tobytes())
+
+
+def test_krr_fit_eval_is_byte_equal_to_the_expression_at_sweep_shapes():
+    n = resolve_complex("default").n_cells(1)
+    grid = gssc.evaluation_grid()
+    rng = np.random.default_rng(1)
+    for m in (5, 10, 15, 20, 30, 40):
+        t = rng.uniform(-np.pi, np.pi, (n, m))
+        y = rng.standard_normal((n, m))
+        for config in (gssc.KrrConfig(1.0, 1e-2), gssc.KrrConfig(0.3, 0.5)):
+            got = gssc.krr_fit_eval(t, y, config, grid)
+            want = expression_krr_fit_eval(t, y, config, grid)
+            assert got.tobytes() == want.tobytes()
