@@ -26,8 +26,8 @@ from .baselines import KrrConfig, krr_grid, sc_product
 from .complexes import _as_int, resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
-from .learn import (SynthSpec, eval_chain_on_grid, evaluation_grid,
-                    reconstruct_gssc, rmse_ratio, sample_async, synthesize)
+from .learn import (SynthSpec, evaluation_grid, reconstruct_gssc, rmse_ratio,
+                    sample_async, synthesize)
 
 KNOWN_METHODS = ("gssc", "gssc_sub", "krr", "sc_product")
 DEFAULT_NOISE_LEVELS = (0.001, 0.005, 0.01, 0.05, 0.1)
@@ -162,7 +162,8 @@ def _hyperparams(config, method, bases, sub):
     return f"{krr};alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}"
 
 
-def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
+def _run_cell(config, rep, bases, sub, grid, design, signal, truth, sigma, m,
+              trial):
     """All requested methods on one (sweep point, trial) cell, shared data."""
     samples = sample_async(signal, m, sigma,
                            seed=[config.seed + trial, _noise_key(sigma), m])
@@ -175,7 +176,7 @@ def _run_cell(config, rep, bases, sub, grid, signal, truth, sigma, m, trial):
             est, _ = reconstruct_gssc(samples, rep,
                                       bases if method == "gssc" else sub,
                                       config.time_order, config.eta)
-            value = rmse_ratio(est, truth, grid)
+            value = rmse_ratio(est.values @ design.T, truth, grid)
         else:
             # sc_product smooths the KRR estimate, so one fit serves both
             if krr_est is None:
@@ -194,10 +195,10 @@ def run_experiment(config, out_dir, jobs=1, log=None):
 
     Returns the three file paths.  Output rows appear in deterministic
     order (sweep point, then trial, then method) regardless of `jobs`.
-    The bases (which `sc_product` reads from the rep's memo) and signals
-    are built once; the cells then run on one BLAS thread, because their
-    matrices are small enough that BLAS threading costs more than it saves,
-    and `jobs` >= 1 cells run at a time in parallel threads.
+    The bases (which `sc_product` reads from the rep's memo), signals and
+    grid design are built once; the cells then run on one BLAS thread, as
+    their matrices are small enough that BLAS threading costs more than it
+    saves, and `jobs` >= 1 cells run at a time in parallel threads.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -212,7 +213,8 @@ def run_experiment(config, out_dir, jobs=1, log=None):
                                          config.time_order,
                                          seed=[config.seed + trial]))
                for trial in range(config.trials)]
-    truths = [eval_chain_on_grid(f, grid) for f in signals]
+    design = signals[0].system.design_matrix(grid)
+    truths = [f.values @ design.T for f in signals]
 
     cells = [(pi, trial) for pi in range(len(points))
              for trial in range(config.trials)]
@@ -220,7 +222,7 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     def work(cell):
         pi, trial = cell
         sigma, m = points[pi]
-        return _run_cell(config, rep, bases, sub, grid, signals[trial],
+        return _run_cell(config, rep, bases, sub, grid, design, signals[trial],
                          truths[trial], sigma, m, trial)
 
     with one_blas_thread():

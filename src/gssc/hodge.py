@@ -13,8 +13,8 @@ eigenvalue of an n x n symmetric matrix counts as zero when its magnitude
 is at most `max(n * eps, 1e-12) * lambda_max`.  Every numerical rank,
 kernel dimension, image projection and certificate preimage in the package
 comes from `eig_sym` under that cutoff; for a boundary B they come from the
-nonzero eigenpairs of its smaller Gram (`_modes`), so a singular value of
-B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
+nonzero eigenpairs of its smaller Gram (`_gram_modes`), so a singular value
+of B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
 weights of a weighted projection) by any positive constant leaves every
 rank and every projection unchanged.  The weighted normal system
 (W^2 + L_k / eta) x' = W^2 x of `learn.solve_smooth` is symmetric positive
@@ -26,12 +26,13 @@ The float code reads each boundary through a sparse view of the rep's
 integer columns (`scipy.sparse` CSR, built once per rep); Grams and
 Laplacians are formed sparse and then densified, bit-equal to the dense
 products because the entries are integers.  Each rep keeps a memo: every
-Gram of B_k that `_modes` factors is eigendecomposed at most once, keyed by
+Gram of B_k that is factored is eigendecomposed at most once, keyed by
 which Gram it is (a square B_k factors B_k^T B_k for B_k and B_k B_k^T for
-B_k^T).  Only those small-side eigenpairs are held, read-only; the other
-side is mapped through the sparse B_k on each call.  Spectral bases, real
-ranks and unit-weight projections read the memo; weighted projections
-factor their own Gram on each call.
+B_k^T).  Only those small-side eigenpairs are held, read-only.
+Projections apply the pseudoinverse straight from them through sparse
+products by B_k; only the spectral bases map eigenvectors through B_k.
+Spectral bases, real ranks and unit-weight projections read the memo;
+weighted projections factor their own Gram on each call.
 
 As the three parts are orthogonal, [U0 | U_irr | U_sol] with eigenvalues
 [0 | lambda(B_k^T B_k) | lambda(B_{k+1} B_{k+1}^T)] is an eigenbasis of L_k.
@@ -101,37 +102,21 @@ def _signed(vec):
     return vec
 
 
-def _gram_modes(B, dual):
-    """Nonzero eigenpairs (U, lam) of B B^T (`dual`) or B^T B, ascending.
+def _gram_modes(A):
+    """(U, lam, dual): the nonzero eigenpairs of the smaller Gram of A,
+    ascending, and whether that Gram is A A^T (`dual`) or A^T A.
 
-    B may be dense or `scipy.sparse`; a sparse Gram is densified before
+    A may be dense or `scipy.sparse`; a sparse Gram is densified before
     `eig_sym`, and for the integer boundaries it is bit-equal to the dense
     product.
     """
-    gram = B @ B.T if dual else B.T @ B
+    if not scipy.sparse.issparse(A):
+        A = np.asarray(A, dtype=float)
+    dual = A.shape[0] < A.shape[1]
+    gram = A @ A.T if dual else A.T @ A
     spec = eig_sym(gram.toarray() if scipy.sparse.issparse(gram) else gram)
     keep = spec.eigenvalues > spec.zero_tol
-    return spec.eigenvectors[:, keep], spec.eigenvalues[keep]
-
-
-def _dual_side(B, dual, U, lam):
-    """`_modes` of B from the eigenpairs (U, lam) of its factored Gram."""
-    return (_signed(B.T @ U / np.sqrt(lam)) if dual else U), lam
-
-
-def _modes(B):
-    """Nonzero eigenpairs (V, lam) of B^T B, eigenvalues ascending.
-
-    Only the smaller of B B^T and B^T B is factored.  When that is B B^T,
-    each unit eigenvector u with eigenvalue lam maps to the unit
-    eigenvector B^T u / sqrt(lam) of B^T B (SVD duality).  The columns of V
-    are an orthonormal basis of im B^T, signed as `eig_sym` signs them,
-    and B V (V^T t / lam) is the minimum-norm y with B^T y = V V^T t.
-    """
-    if not scipy.sparse.issparse(B):
-        B = np.asarray(B, dtype=float)
-    dual = B.shape[0] < B.shape[1]
-    return _dual_side(B, dual, *_gram_modes(B, dual))
+    return spec.eigenvectors[:, keep], spec.eigenvalues[keep], dual
 
 
 def _boundary(rep, k, transpose=False):
@@ -141,8 +126,8 @@ def _boundary(rep, k, transpose=False):
 
 
 def _factored(rep, k, transpose=False):
-    """(B, dual, U, lam): B = B_k (or B_k^T) and the eigenpairs of the Gram
-    `_modes(B)` factors, taken from the rep's memo.
+    """(B, dual, U, lam): B = B_k (or B_k^T) and `_gram_modes(B)`, taken
+    from the rep's memo.
 
     The memo is keyed by the Gram: a square B_k factors B_k^T B_k and its
     transpose B_k B_k^T.  The arrays are read-only, because every caller
@@ -152,7 +137,7 @@ def _factored(rep, k, transpose=False):
     dual = B.shape[0] < B.shape[1]
 
     def build():
-        U, lam = _gram_modes(B, dual)
+        U, lam, _ = _gram_modes(B)
         U.setflags(write=False)
         lam.setflags(write=False)
         return U, lam
@@ -160,8 +145,14 @@ def _factored(rep, k, transpose=False):
 
 
 def _boundary_modes(rep, k, transpose=False):
-    """`_modes` of B_k (or B_k^T), each Gram factored at most once per rep."""
-    return _dual_side(*_factored(rep, k, transpose))
+    """Nonzero eigenpairs (V, lam) of B^T B for B = B_k (or B_k^T), ascending.
+
+    When the memo holds B B^T, each unit eigenvector u maps to the unit
+    eigenvector B^T u / sqrt(lam) of B^T B (SVD duality).  The columns of V
+    are an orthonormal basis of im B^T, signed as `eig_sym` signs them.
+    """
+    B, dual, U, lam = _factored(rep, k, transpose)
+    return (_signed(B.T @ U / np.sqrt(lam)) if dual else U), lam
 
 
 def _boundary_rank(rep, k):
@@ -175,8 +166,8 @@ def laplacian(rep, k):
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
     down = _boundary(rep, k)
     up = _boundary(rep, k + 1)
-    L = (down.T @ down + up @ up.T).toarray()
-    return (L + L.T) / 2.0
+    # integer products sum exactly, so L is exactly symmetric
+    return (down.T @ down + up @ up.T).toarray()
 
 
 def numerical_rank(matrix):
@@ -187,7 +178,7 @@ def numerical_rank(matrix):
     about 1e-6 * sigma_max; the count is the same for any positive
     multiple of the matrix.
     """
-    return len(_modes(matrix)[1])
+    return len(_gram_modes(matrix)[1])
 
 
 class DecompositionResult:
@@ -228,18 +219,24 @@ def _weighted_projection(rep, k, target, w, transpose=False):
     w-weighted least-squares projection of `target` onto im B and y its
     minimum-norm minimizer.
 
-    With A = W B, y = A^T V (V^T W target / lam) for the modes (V, lam) of
-    A^T, which span im A.  With unit weights A = B and the modes come from
-    the rep's memo; other weights factor the Gram of A on each call.
+    With A = W B, y = A^+ W target is applied straight from the nonzero
+    eigenpairs (U, lam) of the Gram `_gram_modes(A^T)` factors, the smaller
+    one: U (U^T A^T W target / lam) when that is A^T A (`dual`), and
+    A^T U (U^T W target / lam) when it is A A^T.  With unit weights A = B
+    and the eigenpairs come from the rep's memo; other weights factor the
+    Gram of A on each call.
     """
     B = _boundary(rep, k, transpose)
+    wt = w[:, None] * target
     if np.all(w == 1):
-        A = B
-        V, lam = _boundary_modes(rep, k, not transpose)
+        A, (_, dual, U, lam) = B, _factored(rep, k, not transpose)
     else:
         A = scipy.sparse.diags_array(w) @ B
-        V, lam = _modes(A.T)
-    y = A.T @ (V @ ((V.T @ (w[:, None] * target)) / lam[:, None]))
+        U, lam, dual = _gram_modes(A.T)
+    if dual:
+        y = U @ ((U.T @ (A.T @ wt)) / lam[:, None])
+    else:
+        y = A.T @ (U @ ((U.T @ wt) / lam[:, None]))
     return y, B @ y
 
 

@@ -9,13 +9,15 @@ must be equal byte for byte; where a sparse product sums in another order
 they must agree to 1e-12 relative.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gssc
 from gssc import (FourierFn, Real, apply_boundary, hodge_decompose,
-                  homology_field, homology_Z, laplacian,
-                  random_chain, reconstruct_gssc, resolve_complex, sample_async,
+                  homology_field, homology_Z, laplacian, random_chain,
+                  random_complex, reconstruct_gssc, resolve_complex, sample_async,
                   simplicial_seminorm, solve_fundamental, solve_smooth,
                   spectral_bases, synthesize, SynthSpec)
 from gssc import hodge, homology, learn
@@ -32,6 +34,9 @@ from test_acceptance import two_complex_corpus
 NAMED = ("rp2", "torus", "filled_triangle", "cycle(7)", "path(5)", "default",
          "random(30,0.5,1.0,11)")
 REL = 1e-12
+# two_complex_corpus(50) as specs: seeds whose complex has an edge
+CORPUS = tuple(f"random({4 + seed % 9},0.5,0.6,{seed})" for seed in range(100)
+               if random_complex(4 + seed % 9, 0.5, 0.6, seed=seed).n_simplexes(1))[:50]
 
 
 def assert_modes_match(got, ref, exact):
@@ -89,14 +94,15 @@ def test_empty_and_off_range_boundaries():
             assert np.array_equal(laplacian(rep, k), dense_laplacian(rep, k))
 
 
-@pytest.mark.parametrize("spec", NAMED)
+@pytest.mark.parametrize("spec", NAMED + CORPUS)
 def test_laplacian_is_bit_equal_to_the_dense_one(spec):
     rep = resolve_complex(spec)
     for k in range(rep.dim + 1):
         assert laplacian(rep, k).tobytes() == dense_laplacian(rep, k).tobytes()
 
 
-@pytest.mark.parametrize("spec", ("rp2", "cycle(7)", "default"))
+@pytest.mark.parametrize("spec", ("rp2", "cycle(7)", "default", "torus",
+                                  "random(40,0.5,1.0,11)"))
 def test_weighted_projection_matches_the_dense_oracle(spec):
     rep = resolve_complex(spec)
     rng = np.random.default_rng(5)
@@ -113,6 +119,28 @@ def test_weighted_projection_matches_the_dense_oracle(spec):
                     assert a.shape == b.shape
                     assert np.max(np.abs(a - b), initial=0.0) <= 1e-10 * max(
                         1.0, float(np.max(np.abs(b), initial=0.0)))
+
+
+def test_corpus_specs_are_the_two_complex_corpus():
+    for spec, rep in zip(CORPUS, two_complex_corpus(50), strict=True):
+        got = resolve_complex(spec)
+        assert got.dims == rep.dims
+        assert all(got.columns(k) == rep.columns(k) for k in range(1, rep.dim + 1))
+
+
+def test_warm_split_forms_no_large_side_basis():
+    # the mapped basis of im B_2^T at degree 2 of random(40,...) is
+    # 1386 x rank floats, about 4 MB
+    rep = resolve_complex("random(40,0.5,1.0,11)")
+    x = random_chain(rep, 2, FourierFn(3), 0)
+    hodge_decompose(x)  # fills the Gram memo
+    tracemalloc.start()
+    try:
+        hodge_decompose(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def count_eig_calls(monkeypatch):
