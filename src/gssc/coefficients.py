@@ -385,6 +385,9 @@ def load_chain(path, rep, degree, system):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise FormatError(f"row has {len(row)} fields, header has "
+                                  f"{len(header)}", lineno)
             try:
                 idx = int(row[0])
             except ValueError:
@@ -401,7 +404,7 @@ def load_chain(path, rep, degree, system):
                     values[idx] = float(row[1])
                 else:
                     values[idx] = int(row[1])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise FormatError(f"bad value row {row}", lineno)
             if not system.exact and not np.all(np.isfinite(values[idx])):
                 raise FormatError(f"non-finite value in row {row}", lineno)

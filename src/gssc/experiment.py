@@ -97,6 +97,13 @@ class ExperimentConfig:
                 raise FormatError(f"{key} must be finite and >= 0")
         if self.seed < 0:
             raise FormatError("seed must be >= 0")
+        # rows are keyed by method and by the printed sweep value
+        swept = self.noise_levels if self.sweep == "noise" else self.sample_counts
+        for what, printed in (("method", self.methods),
+                              ("sweep value", [_fmt(v) for v in swept])):
+            for i, v in enumerate(printed):
+                if v in printed[:i]:
+                    raise FormatError(f"repeated {what} {v!r}")
 
     def points(self):
         """The (noise, samples_per_edge) pairs of the sweep, in sweep order."""
@@ -123,6 +130,8 @@ def parse_config(path):
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in values:
+                raise FormatError(f"repeated config key {key!r}", lineno)
             try:
                 if key == "complex" or key == "sweep":
                     values[key] = value
@@ -202,8 +211,8 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    os.makedirs(out_dir, exist_ok=True)
     rep = resolve_complex(config.complex)
+    os.makedirs(out_dir, exist_ok=True)
     bases = spectral_bases(rep, 1, config.n_irr, config.n_sol)
     sub = bases.sub(config.sub_size, config.sub_size)
     grid = evaluation_grid()

@@ -128,17 +128,15 @@ def mask_norm_power(mask, powers=None):
     return total
 
 
-def gray_iter(payloads, width=None):
+def gray_iter(payloads, width):
     """Yield (subset_mask, combined_payload) over all subsets of generators.
 
     `payloads` is a list of tuples of ints; combination is componentwise XOR.
     The walk is a Gray code (one XOR per step); subset masks appear in Gray
     order, so callers that care about ties must compare keys explicitly.
-    `width` fixes the payload tuple length when the list may be empty.
+    `width` is the payload tuple length, needed when the list is empty.
     """
     r = len(payloads)
-    if width is None:
-        width = len(payloads[0]) if payloads else 1
     acc = [0] * width
     yield 0, tuple(acc)
     for g in range(1, 1 << r):
@@ -161,3 +159,14 @@ def check_enumeration_bound(n_generators, what, coset_bits=None):
         raise UnsupportedError(
             f"{what}: exhaustive search over {size} elements exceeds "
             f"the 2^{ENUMERATION_BITS} bound")
+
+
+def _least_in_span(target, gens, powers):
+    """(power, subset, target ^ boundary, boundary), boundary = combine(gens,
+    subset), of least (mask_norm_power(target ^ boundary, powers), subset)."""
+    best = None
+    for subset, (b,) in gray_iter([(g,) for g in gens], 1):
+        key = (mask_norm_power(target ^ b, powers), subset)
+        if best is None or key < best:
+            best, boundary = key, b
+    return (*best, target ^ boundary, boundary)

@@ -330,7 +330,9 @@ def simplicial_seminorm(x, p=2, weights=None):
     Returns (value, minimizing representative).  Real chains use p = 2 and
     the Hodge split's weighted least-squares projection onto im B_{k+1};
     Z/2 chains are solved by exhaustive enumeration of the image subgroup
-    (2^rank elements, rank capped at 24).  Integer chains are answered only
+    (2^rank elements, rank capped at 24), keeping among tied minimizers the
+    one reached by the smallest subset of the greedy independent generators
+    of im B_{k+1}.  Integer chains are answered only
     when the class is trivial, that is when x is in the column lattice of
     B_{k+1}: appending x as one more column leaves the invariant factors of
     the sparse elimination unchanged.  A nonzero class, including any
@@ -357,19 +359,11 @@ def simplicial_seminorm(x, p=2, weights=None):
         masks = gf2.column_masks(up)
         gens = [masks[j] for j in gf2.independent_columns(masks)]
         gf2.check_enumeration_bound(len(gens), "Z/2 seminorm")
-        target = gf2.vector_to_mask(x.values)
-        powers = gf2.weight_powers(None if weights is None else w, p)
-        best_power = None
-        best_mask = None
-        for _, (elem,) in gf2.gray_iter([(g,) for g in gens]):
-            cand = target ^ elem
-            power = gf2.mask_norm_power(cand, powers)
-            if best_power is None or power < best_power or (power == best_power
-                                                         and cand < best_mask):
-                best_power = power
-                best_mask = cand
-        mini = x.with_values(gf2.mask_to_vector(best_mask, len(x.values)))
-        return float(best_power) if p == 1 else float(np.sqrt(best_power)), mini
+        power, _, best, _ = gf2._least_in_span(
+            gf2.vector_to_mask(x.values), gens,
+            gf2.weight_powers(None if weights is None else w, p))
+        mini = x.with_values(gf2.mask_to_vector(best, len(x.values)))
+        return float(power) if p == 1 else float(np.sqrt(power)), mini
 
     if isinstance(x.system, Integer):
         # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff

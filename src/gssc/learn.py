@@ -83,7 +83,7 @@ def _fundamental_mod2(x, p, w):
 
     c0 = gf2.combine(neg_gens, a0)
     coset_payloads = [(z, gf2.combine(neg_gens, z)) for z in kernel]
-    pos_payloads = [(pos_cols[j],) for j in pos_idx]
+    pos_gens = [pos_cols[j] for j in pos_idx]
 
     # walk the feasible corrections, and under each one im B_{k+1}; the key
     # (correction power, cycle-part power, y1 mask, y_neg1 mask) puts the
@@ -95,13 +95,11 @@ def _fundamental_mod2(x, p, w):
         neg_power = gf2.mask_norm_power(c_elem, powers)
         if best is not None and neg_power > best[0][0]:
             continue
-        base = target ^ c_elem
-        for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
-            x0_mask = base ^ s_elem
-            key = (neg_power, gf2.mask_norm_power(x0_mask, powers),
-                   pos_mask, neg_mask)
-            if best is None or key < best[0]:
-                best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
+        power, pos_mask, x0_mask, s_elem = gf2._least_in_span(
+            target ^ c_elem, pos_gens, powers)
+        key = (neg_power, power, pos_mask, neg_mask)
+        if best is None or key < best[0]:
+            best = (key, x0_mask, s_elem, c_elem, pos_mask, neg_mask)
 
     _, x0_mask, s_elem, c_elem, pos_mask, neg_mask = best
     y1_vals = gf2.mask_to_vector(
@@ -131,7 +129,9 @@ def solve_fundamental(x, p=2, weights=None):
     B_k c = B_k x over c in im B_k^T gives the feasible coset of corrections
     (or InfeasibleError), and a walk of that coset, then the exhaustive
     boundary walk of im B_{k+1} under each correction, finds the minimum;
-    UnsupportedError if the two walks together exceed 2^24 elements.
+    UnsupportedError if the two walks together exceed 2^24 elements.  Ties
+    go to the smallest subset of the greedy independent generators of
+    im B_{k+1}, then of im B_k^T.
     Integer chains are rejected: their search space is infinite.
     """
     w = resolve_weights(weights, len(x.values))
@@ -333,10 +333,13 @@ def load_samples(path, n_edges):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise FormatError(f"row has {len(row)} fields, header has "
+                                  f"{len(header)}", lineno)
             try:
                 e = int(row[0])
                 sample = (float(row[1]), float(row[2]))
-            except (ValueError, IndexError):
+            except ValueError:
                 raise FormatError(f"bad sample row {row}", lineno)
             if not np.all(np.isfinite(sample)):
                 raise FormatError(f"non-finite sample row {row}", lineno)

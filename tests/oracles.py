@@ -596,6 +596,32 @@ def dense_fundamental_mod2(x, p, w):
     )
 
 
+def reference_seminorm_mod2(x, p, weights=None):
+    """Z/2 seminorm of a cycle x by one walk of im B_{k+1}, as (value, mask).
+
+    The reference for the Z/2 branch of `homology.simplicial_seminorm`: the
+    same walk over x + im B_{k+1} for the least weighted power, but among
+    tied minimizers it keeps the least representative mask, where the
+    library keeps the least generator subset, so the two representatives
+    agree only where the minimizer is unique.  `weights` is None for unit
+    weights.
+    """
+    masks = gf2.column_masks(x.complex.columns(x.degree + 1))
+    gens = [masks[j] for j in gf2.independent_columns(masks)]
+    target = gf2.vector_to_mask(x.values)
+    powers = gf2.weight_powers(weights, p)
+    best_power = None
+    best_mask = None
+    for _, (elem,) in gf2.gray_iter([(g,) for g in gens], width=1):
+        cand = target ^ elem
+        power = gf2.mask_norm_power(cand, powers)
+        if best_power is None or power < best_power or (power == best_power
+                                                     and cand < best_mask):
+            best_power = power
+            best_mask = cand
+    return float(best_power) if p == 1 else float(np.sqrt(best_power)), best_mask
+
+
 # -- dense per-call spectral paths ---------------------------------------------
 #
 # The library's float layer reads a sparse view of each boundary and factors

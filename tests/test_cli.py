@@ -256,6 +256,10 @@ def _bad_input_files(tmp_path):
     chain = tmp_path / "x.csv"
     chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
     (tmp_path / "x_nan.csv").write_text(chain.read_text().replace("-0.5", "nan"))
+    (tmp_path / "x_extra.csv").write_text(chain.read_text().replace("0,1.0", "0,1.0,7"))
+    (tmp_path / "s_extra.csv").write_text(
+        samples.read_text().replace("\n0,-1.0,1.0", "\n0,-1.0,1.0,junk"))
+    (tmp_path / "bad_complex.cfg").write_text("complex = nonsense\ntrials = 1\n")
     for name, line in (("order0.cfg", "time_order = 0"),
                        ("nan.cfg", "noise_levels = 0.01, nan"),
                        ("inf.cfg", "sweep = samples\nnoise = inf"),
@@ -263,6 +267,10 @@ def _bad_input_files(tmp_path):
                        ("ridge_nan.cfg", "ridge = nan"),
                        ("lengthscale0.cfg", "lengthscale = 0"),
                        ("seed_neg.cfg", "seed = -1"),
+                       ("repeated_key.cfg", "trials = 2"),
+                       ("repeated_method.cfg", "methods = gssc, gssc"),
+                       ("repeated_noise.cfg", "noise_levels = 0.1, 0.10"),
+                       ("repeated_count.cfg", "sweep = samples\nsample_counts = 5, 5"),
                        ("ok.cfg", "sample_counts = 5")):
         (tmp_path / name).write_text(f"complex = cycle(4)\ntrials = 1\n{line}\n")
     return tmp_path
@@ -287,6 +295,10 @@ BAD_INPUT = [
     ("smooth-eta", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
                     "smooth", "--eta", "0"], "eta"),
     ("decompose-nan-chain", ["decompose", "cycle(4)", "{d}/x_nan.csv", "-k", "1"], "line 3"),
+    ("decompose-extra-field", ["decompose", "cycle(4)", "{d}/x_extra.csv", "-k", "1"],
+     "line 2: row has 3 fields"),
+    ("reconstruct-extra-field", ["reconstruct", "cycle(4)", "{d}/s_extra.csv"],
+     "line 2: row has 4 fields"),
     ("config-time-order", ["experiment", "{d}/order0.cfg"], "time_order"),
     ("config-nan", ["experiment", "{d}/nan.cfg"], "noise"),
     ("config-inf", ["experiment", "{d}/inf.cfg"], "noise"),
@@ -294,6 +306,15 @@ BAD_INPUT = [
     ("config-ridge-nan", ["experiment", "{d}/ridge_nan.cfg"], "ridge"),
     ("config-lengthscale-0", ["experiment", "{d}/lengthscale0.cfg"], "lengthscale"),
     ("config-seed-negative", ["experiment", "{d}/seed_neg.cfg"], "seed"),
+    ("config-repeated-key", ["experiment", "{d}/repeated_key.cfg"],
+     "line 3: repeated config key 'trials'"),
+    ("config-repeated-method", ["experiment", "{d}/repeated_method.cfg"],
+     "repeated method 'gssc'"),
+    ("config-repeated-noise", ["experiment", "{d}/repeated_noise.cfg"],
+     "repeated sweep value '0.1'"),
+    ("config-repeated-count", ["experiment", "{d}/repeated_count.cfg"],
+     "repeated sweep value '5'"),
+    ("config-bad-complex", ["experiment", "{d}/bad_complex.cfg"], "nonsense"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

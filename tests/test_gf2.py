@@ -7,8 +7,8 @@ import pytest
 
 from gssc import UnsupportedError
 from gssc.complexes import _columns
-from gssc.gf2 import (check_enumeration_bound, column_masks, combine,
-                      gray_iter, independent_columns, mask_norm_power,
+from gssc.gf2 import (_least_in_span, check_enumeration_bound, column_masks,
+                      combine, gray_iter, independent_columns, mask_norm_power,
                       mask_to_vector, solution_coset, vector_to_mask,
                       weight_powers)
 
@@ -125,3 +125,35 @@ def test_enumeration_bound_names_coset_and_boundary_bits():
     with pytest.raises(UnsupportedError,
                        match="2\\^3 coset x 2\\^22 boundary = 2\\^25"):
         check_enumeration_bound(22, "test", coset_bits=3)
+
+
+def test_least_in_span_with_no_generators_is_the_target():
+    assert _least_in_span(0b1011, [], None) == (3, 0, 0b1011, 0)
+    powers = weight_powers([0.5, 2.0, 1.0, 3.0], 2)
+    assert _least_in_span(0b1011, [], powers) == (13.25, 0, 0b1011, 0)
+
+
+def test_least_in_span_breaks_ties_by_the_smallest_subset():
+    # subsets 0b11 and 0b10 both leave one bit; the Gray walk meets 0b11 first
+    gens = [0b1001, 0b0111]
+    assert _least_in_span(0b1111, gens, None) == (1, 0b10, 0b1000, 0b0111)
+    # weights that favour bit 0 make subset 0b11 the unique minimum
+    powers = weight_powers([0.5, 1.0, 1.0, 2.0], 1)
+    assert _least_in_span(0b1111, gens, powers) == (0.5, 0b11, 0b0001, 0b1110)
+
+
+def test_least_in_span_is_the_least_key_over_every_subset():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        gens = [vector_to_mask(rng.integers(0, 2, size=n))
+                for _ in range(int(rng.integers(0, 6)))]
+        target = vector_to_mask(rng.integers(0, 2, size=n))
+        powers = weight_powers(rng.choice([0.5, 1.0, 2.0], size=n), 1)
+        for pw in (None, powers):
+            want = min((mask_norm_power(target ^ combine(gens, subset), pw), subset)
+                       for subset in range(1 << len(gens)))
+            power, subset, element, boundary = _least_in_span(target, gens, pw)
+            assert (power, subset) == want
+            assert boundary == combine(gens, subset)
+            assert element == target ^ boundary
