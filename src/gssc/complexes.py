@@ -350,6 +350,7 @@ _SPEC = re.compile(
     r"|(?P<graph>cycle|path)\((?P<n>\d+)\)"
     r"|random\(\s*(?P<vertices>\d+)\s*,\s*(?P<edge_prob>[0-9.eE+-]+)\s*,"
     r"\s*(?P<fill_prob>[0-9.eE+-]+)\s*,\s*(?P<seed>\d+)\s*\)")
+_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def canonical_complex(name):
@@ -446,6 +447,8 @@ def resolve_complex(spec):
         return default_experiment_complex()
     m = _SPEC.fullmatch(spec)
     if m and m["vertices"]:
+        if bad := [f for f in ("edge_prob", "fill_prob") if not _FLOAT.fullmatch(m[f])]:
+            raise FormatError(f"complex {spec!r}: {bad[0]} {m[bad[0]]!r} is not a number")
         return to_chain_complex(random_complex(
             int(m["vertices"]), float(m["edge_prob"]), float(m["fill_prob"]),
             int(m["seed"])))

@@ -267,7 +267,7 @@ def run_experiment(config, out_dir, jobs=1, log=None):
                 printed = [float(f"{results[(pi, trial)][0][method]:.12g}")
                            for trial in range(config.trials)]
                 writer.writerow([method, _fmt(sigma), m,
-                                 f"{sum(printed) / len(printed):.12g}",
+                                 f"{math.fsum(printed) / len(printed):.12g}",
                                  config.trials])
 
     timings_path = os.path.join(out_dir, "timings.csv")

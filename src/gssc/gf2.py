@@ -2,9 +2,9 @@
 
 A vector over Z/2 with n entries is stored as one int whose bit i is the
 entry at index i, built from the nonzeros of a sparse matrix column.  XOR is
-addition, so subgroup enumeration walks a Gray code and touches one
-generator per step, and one elimination that records which inputs make up
-each reduced vector gives a basis, a particular solution and a kernel.
+addition, so subgroup enumeration walks a Gray code that XORs one int per
+step, and one elimination that records which inputs make up each reduced
+vector gives a basis, a particular solution and a kernel.
 """
 
 from __future__ import annotations
@@ -128,22 +128,18 @@ def mask_norm_power(mask, powers=None):
     return total
 
 
-def gray_iter(payloads, width):
-    """Yield (subset_mask, combined_payload) over all subsets of generators.
+def gray_iter(gens):
+    """Yield (subset_mask, xor) over all subsets of the int generators `gens`.
 
-    `payloads` is a list of tuples of ints; combination is componentwise XOR.
-    The walk is a Gray code (one XOR per step); subset masks appear in Gray
-    order, so callers that care about ties must compare keys explicitly.
-    `width` is the payload tuple length, needed when the list is empty.
+    A Gray code: each step XORs one generator into the running sum (a caller
+    tracking two sums packs them into one int), so subset masks come in Gray
+    order and callers that care about ties must compare keys explicitly.
     """
-    r = len(payloads)
-    acc = [0] * width
-    yield 0, tuple(acc)
-    for g in range(1, 1 << r):
-        flip = (g & -g).bit_length() - 1
-        for c in range(width):
-            acc[c] ^= payloads[flip][c]
-        yield g ^ (g >> 1), tuple(acc)
+    acc = 0
+    yield 0, 0
+    for g in range(1, 1 << len(gens)):
+        acc ^= gens[(g & -g).bit_length() - 1]
+        yield g ^ (g >> 1), acc
 
 
 def check_enumeration_bound(n_generators, what, coset_bits=None):
@@ -165,7 +161,7 @@ def _least_in_span(target, gens, powers):
     """(power, subset, target ^ boundary, boundary), boundary = combine(gens,
     subset), of least (mask_norm_power(target ^ boundary, powers), subset)."""
     best = None
-    for subset, (b,) in gray_iter([(g,) for g in gens], 1):
+    for subset, b in gray_iter(gens):
         key = (mask_norm_power(target ^ b, powers), subset)
         if best is None or key < best:
             best, boundary = key, b

@@ -82,7 +82,9 @@ def _fundamental_mod2(x, p, w):
                                 coset_bits=len(kernel))
 
     c0 = gf2.combine(neg_gens, a0)
-    coset_payloads = [(z, gf2.combine(neg_gens, z)) for z in kernel]
+    shift = len(neg_gens)
+    low = (1 << shift) - 1
+    packed = [z | gf2.combine(neg_gens, z) << shift for z in kernel]  # (z, c)
     pos_gens = [pos_cols[j] for j in pos_idx]
 
     # walk the feasible corrections, and under each one im B_{k+1}; the key
@@ -90,8 +92,8 @@ def _fundamental_mod2(x, p, w):
     # smallest correction first, then the smallest cycle part, then the
     # smallest generator encodings
     best = None
-    for _, (dz, dc) in gf2.gray_iter(coset_payloads, width=2):
-        neg_mask, c_elem = a0 ^ dz, c0 ^ dc
+    for _, dzc in gf2.gray_iter(packed):
+        neg_mask, c_elem = a0 ^ (dzc & low), c0 ^ (dzc >> shift)
         neg_power = gf2.mask_norm_power(c_elem, powers)
         if best is not None and neg_power > best[0][0]:
             continue
@@ -108,7 +110,7 @@ def _fundamental_mod2(x, p, w):
         gf2.combine([1 << j for j in neg_idx], neg_mask), rep.n_cells(k - 1))
 
     x0 = ChainVector(rep, k, x.system, gf2.mask_to_vector(x0_mask, n_k))
-    result = DecompositionResult(
+    return DecompositionResult(
         x0=x0,
         x1=ChainVector(rep, k, x.system, gf2.mask_to_vector(s_elem, n_k)),
         x_neg1=ChainVector(rep, k, x.system, gf2.mask_to_vector(c_elem, n_k)),
@@ -118,7 +120,6 @@ def _fundamental_mod2(x, p, w):
         model="fundamental",
         residuals={"kernel": 0.0, "x1_certificate": 0.0, "x_neg1_certificate": 0.0},
     )
-    return result
 
 
 def solve_fundamental(x, p=2, weights=None):

@@ -507,6 +507,26 @@ def _greedy_independent(masks):
     return keep
 
 
+def _gray_walk(payloads, width):
+    """Yield (subset_mask, combined_payload) over all subsets of generators.
+
+    `payloads` is a list of tuples of ints; combination is componentwise XOR.
+    The walk is a Gray code (one XOR per step); subset masks appear in Gray
+    order, so callers that care about ties must compare keys explicitly.
+    `width` is the payload tuple length, needed when the list is empty.
+    Kept here so that the Z/2 references below do not call the library
+    walk they check.
+    """
+    r = len(payloads)
+    acc = [0] * width
+    yield 0, tuple(acc)
+    for g in range(1, 1 << r):
+        flip = (g & -g).bit_length() - 1
+        for c in range(width):
+            acc[c] ^= payloads[flip][c]
+        yield g ^ (g >> 1), tuple(acc)
+
+
 def _dense_mask_norm_power(mask, p, weights=None):
     """sum of w_i^p over the set bits of `mask`, each power taken per bit."""
     if weights is None:
@@ -555,14 +575,14 @@ def dense_fundamental_mod2(x, p, w):
     pos_payloads = [(pos_cols[j],) for j in pos_idx]
 
     best = None
-    for neg_mask, (c_elem, bd) in gf2.gray_iter(neg_payloads, width=2):
+    for neg_mask, (c_elem, bd) in _gray_walk(neg_payloads, width=2):
         if bd != target_bd:
             continue
         neg_power = _dense_mask_norm_power(c_elem, p, weights)
         if best is not None and neg_power > best[0][0]:
             continue
         base = target ^ c_elem
-        for pos_mask, (s_elem,) in gf2.gray_iter(pos_payloads, width=1):
+        for pos_mask, (s_elem,) in _gray_walk(pos_payloads, width=1):
             x0_mask = base ^ s_elem
             key = (neg_power, _dense_mask_norm_power(x0_mask, p, weights),
                    pos_mask, neg_mask)
@@ -612,7 +632,7 @@ def reference_seminorm_mod2(x, p, weights=None):
     powers = gf2.weight_powers(weights, p)
     best_power = None
     best_mask = None
-    for _, (elem,) in gf2.gray_iter([(g,) for g in gens], width=1):
+    for _, (elem,) in _gray_walk([(g,) for g in gens], width=1):
         cand = target ^ elem
         power = gf2.mask_norm_power(cand, powers)
         if best_power is None or power < best_power or (power == best_power

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,30 @@ def test_homology_all_degrees_on_one_line(capsys):
     assert code == 0
     assert out.strip() == "H_0 = Z, H_1 = Z/2, H_2 = 0"
     assert err == ""
+
+
+def readme_commands():
+    """(command, expected stdout or None) per `gssc` line of README's
+    "Command line" example block; a `# ...` line right after a command is
+    its output."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [(line, nxt[2:] if nxt.startswith("# ") else None)
+            for line, nxt in zip(lines, lines[1:] + [""])
+            if line.startswith("gssc ")]
+
+
+def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 5
+    shutil.copytree(Path(__file__).parents[1] / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line, want in commands:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        if want is not None:
+            assert out.strip() == want, line
 
 
 def test_homology_single_degree(capsys):
@@ -315,6 +342,8 @@ BAD_INPUT = [
     ("config-repeated-count", ["experiment", "{d}/repeated_count.cfg"],
      "repeated sweep value '5'"),
     ("config-bad-complex", ["experiment", "{d}/bad_complex.cfg"], "nonsense"),
+    ("random-spec-field", ["homology", "random(5,.,1,3)"],
+     "complex 'random(5,.,1,3)': edge_prob '.' is not a number"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

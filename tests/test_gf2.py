@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import dense_fundamental_mod2, reference_seminorm_mod2
 
-from gssc import UnsupportedError
+from gssc import (ChainVector, InfeasibleError, ModN, UnsupportedError,
+                  resolve_complex, simplicial_seminorm, solve_fundamental)
 from gssc.complexes import _columns
 from gssc.gf2 import (_least_in_span, check_enumeration_bound, column_masks,
                       combine, gray_iter, independent_columns, mask_norm_power,
@@ -33,27 +35,23 @@ def test_column_masks_reduce_mod_2():
 
 def test_gray_iter_visits_every_subset_once():
     rng = np.random.default_rng(1)
-    payloads = [(int(rng.integers(0, 256)), int(rng.integers(0, 256)))
-                for _ in range(5)]
+    gens = [int(rng.integers(0, 1 << 16)) for _ in range(5)]
     seen = {}
-    for subset, combo in gray_iter(payloads, width=2):
+    for subset, combo in gray_iter(gens):
         assert subset not in seen
         seen[subset] = combo
     assert len(seen) == 32
     for bits in itertools.product((0, 1), repeat=5):
         subset = sum(b << i for i, b in enumerate(bits))
-        want0 = 0
-        want1 = 0
+        want = 0
         for i, b in enumerate(bits):
             if b:
-                want0 ^= payloads[i][0]
-                want1 ^= payloads[i][1]
-        assert seen[subset] == (want0, want1)
+                want ^= gens[i]
+        assert seen[subset] == want
 
 
 def test_gray_iter_with_no_generators():
-    assert list(gray_iter([], width=2)) == [(0, (0, 0))]
-    assert list(gray_iter([], width=1)) == [(0, (0,))]
+    assert list(gray_iter([])) == [(0, 0)]
 
 
 def test_independent_columns_span_everything():
@@ -115,7 +113,7 @@ def test_solution_coset_is_every_subset_hitting_the_target():
             assert got is None
             continue
         a0, kernel = got
-        coset = {a0 ^ dz for _, (dz,) in gray_iter([(z,) for z in kernel], width=1)}
+        coset = {a0 ^ dz for _, dz in gray_iter(kernel)}
         assert coset == want
         assert len(coset) == 1 << len(kernel)
 
@@ -157,3 +155,27 @@ def test_least_in_span_is_the_least_key_over_every_subset():
             assert (power, subset) == want
             assert boundary == combine(gens, subset)
             assert element == target ^ boundary
+
+
+@pytest.mark.parametrize("spec", ["rp2", "torus", "cycle(7)"])
+def test_z2_references_do_not_call_the_library_walk(monkeypatch, spec):
+    rep = resolve_complex(spec)
+    want = []
+    for k in range(rep.dim + 1):
+        x = ChainVector(rep, k, ModN(2), np.ones(rep.n_cells(k), dtype=object))
+        try:
+            res = solve_fundamental(x, p=1)
+        except InfeasibleError:
+            continue
+        want.append((x, res, simplicial_seminorm(res.x0, p=1)))
+    assert want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gf2.gray_iter called by a reference")
+    monkeypatch.setattr("gssc.gf2.gray_iter", refuse)
+    for x, res, (value, _) in want:
+        ref = dense_fundamental_mod2(x, 1, None)
+        for got, lib in zip((ref.x0, ref.x1, ref.x_neg1, ref.y1, ref.y_neg1),
+                            (res.x0, res.x1, res.x_neg1, res.y1, res.y_neg1)):
+            assert [int(v) for v in got.values] == [int(v) for v in lib.values]
+        assert reference_seminorm_mod2(ref.x0, 1)[0] == value
