@@ -9,15 +9,14 @@ methods plus a reproducible experiment harness for comparing them.
 from .baselines import (GridEstimate, KrrConfig, krr_fit_eval, krr_grid,
                         rbf_kernel, sc_product)
 from .coefficients import (ChainVector, CoefficientSystem, FourierFn, Integer,
-                           ModN, Real, add, allclose, apply_boundary,
-                           apply_coboundary, eval_fn, load_chain, negate,
-                           norm_p, random_chain, resolve_weights, save_chain,
-                           scale, zero_chain)
+                           ModN, Real, add, apply_boundary, apply_coboundary,
+                           eval_fn, load_chain, negate, norm_p, random_chain,
+                           resolve_weights, save_chain, scale, zero_chain)
 from .complexes import (ChainComplexRep, SimplicialComplex, ValidationReport,
-                        build_boundary, canonical_complex,
-                        default_experiment_complex, load_complex, load_delta,
-                        random_complex, resolve_complex, save_complex,
-                        save_delta, to_chain_complex, validate)
+                        canonical_complex, default_experiment_complex,
+                        load_complex, load_delta, random_complex,
+                        resolve_complex, save_complex, save_delta,
+                        to_chain_complex, validate)
 from .errors import (FormatError, InfeasibleError, NumericalError,
                      UnsupportedError)
 from .experiment import ExperimentConfig, parse_config, run_experiment
@@ -41,9 +40,9 @@ __all__ = [
     "HomologySummary", "InfeasibleError", "Integer", "KrrConfig", "ModN",
     "NumericalError", "Real", "SNFResult", "SampleSet", "SimplicialComplex",
     "Spectrum", "SynthSpec", "UnsupportedError", "ValidationReport",
-    "add", "allclose", "apply_boundary", "apply_coboundary",
-    "build_boundary", "canonical_complex", "courant_fischer_check",
-    "default_experiment_complex", "eig_sym", "eval_chain_on_grid", "eval_fn",
+    "add", "apply_boundary", "apply_coboundary", "canonical_complex",
+    "courant_fischer_check", "default_experiment_complex", "eig_sym",
+    "eval_chain_on_grid", "eval_fn",
     "evaluation_grid", "hodge_decompose", "homology_Z", "homology_field",
     "integer_rank", "krr_fit_eval", "krr_grid", "laplacian", "load_chain",
     "load_complex", "load_delta", "load_samples", "mod_p_rank",

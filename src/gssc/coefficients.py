@@ -25,7 +25,7 @@ import csv
 
 import numpy as np
 
-from .complexes import _as_int, _integral
+from .complexes import _as_int, _csv_rows, _integral
 from .errors import FormatError, UnsupportedError
 
 
@@ -336,15 +336,6 @@ def norm_p(x, p=2, weights=None):
     return total if p == 1 else float(np.sqrt(total))
 
 
-def allclose(x, y, tol=1e-10):
-    _check_compatible(x, y)
-    if x.system.exact:
-        return bool(np.all(x.values == y.values))
-    diff = np.asarray(x.values - y.values, dtype=float)
-    scale_ = max(1.0, float(np.max(np.abs(np.asarray(x.values, dtype=float)))))
-    return bool(np.max(np.abs(diff), initial=0.0) <= tol * scale_)
-
-
 # -- CSV interchange ----------------------------------------------------------
 
 def save_chain(x, path):
@@ -365,49 +356,31 @@ def load_chain(path, rep, degree, system):
     """Inverse of save_chain; rows may appear in any order but must cover
     every cell index exactly once."""
     n = rep.n_cells(degree)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    if isinstance(system, FourierFn):
+        header = ["edge"] + [f"c{j}" for j in range(system.n_coeffs)]
+        values = np.zeros((n, system.n_coeffs))
+    else:
+        header = ["cell", "value"]
+        values = system.zeros(n)
+    parse = int if system.exact else float
+    seen = set()
+    for lineno, row in _csv_rows(path, header):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty chain file")
-        if isinstance(system, FourierFn):
-            expected = ["edge"] + [f"c{j}" for j in range(system.n_coeffs)]
-            if header != expected:
-                raise FormatError(
-                    f"{path}: header {header} does not match {expected}")
-            values = np.zeros((n, system.n_coeffs))
-        else:
-            if header != ["cell", "value"]:
-                raise FormatError(f"{path}: header {header} is not cell,value")
-            values = system.zeros(n)
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"row has {len(row)} fields, header has "
-                                  f"{len(header)}", lineno)
-            try:
-                idx = int(row[0])
-            except ValueError:
-                raise FormatError(f"bad cell index {row[0]!r}", lineno)
-            if not 0 <= idx < n:
-                raise FormatError(f"cell index {idx} out of range 0..{n - 1}", lineno)
-            if idx in seen:
-                raise FormatError(f"duplicate cell index {idx}", lineno)
-            seen.add(idx)
-            try:
-                if isinstance(system, FourierFn):
-                    values[idx] = [float(v) for v in row[1:]]
-                elif isinstance(system, Real):
-                    values[idx] = float(row[1])
-                else:
-                    values[idx] = int(row[1])
-            except ValueError:
-                raise FormatError(f"bad value row {row}", lineno)
-            if not system.exact and not np.all(np.isfinite(values[idx])):
-                raise FormatError(f"non-finite value in row {row}", lineno)
+            idx = int(row[0])
+        except ValueError:
+            raise FormatError(f"bad cell index {row[0]!r}", lineno)
+        if not 0 <= idx < n:
+            raise FormatError(f"cell index {idx} out of range 0..{n - 1}", lineno)
+        if idx in seen:
+            raise FormatError(f"duplicate cell index {idx}", lineno)
+        seen.add(idx)
+        try:
+            parsed = [parse(v) for v in row[1:]]
+        except ValueError:
+            raise FormatError(f"bad value row {row}", lineno)
+        values[idx] = parsed if isinstance(system, FourierFn) else parsed[0]
+        if not system.exact and not np.all(np.isfinite(values[idx])):
+            raise FormatError(f"non-finite value in row {row}", lineno)
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)[:5]
         raise FormatError(f"{path}: missing rows for cells {missing}")

@@ -26,6 +26,8 @@ boundary-matrix presentation shared by both kinds of complex.
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import itertools
 import re
 
@@ -47,6 +49,45 @@ def _as_int(what, v):
     if not _integral(v):
         raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
+
+
+def _read_text(path, newline):
+    """The text of a UTF-8 file, as a stream with `open`'s newline handling;
+    a byte that is not UTF-8 is refused naming the path and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8",
+                          data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _text_lines(path):
+    """(line number, text) of each line of a text file that keeps some text
+    once its '#' comment and surrounding blanks are stripped."""
+    return [(lineno, text)
+            for lineno, raw in enumerate(_read_text(path, None), start=1)
+            if (text := raw.split("#", 1)[0].strip())]
+
+
+def _csv_rows(path, header):
+    """(line number, row) of each non-empty row of a CSV file after its
+    first row, which must equal `header`; every row has as many fields."""
+    reader = csv.reader(_read_text(path, ""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise FormatError(f"{path}: empty file")
+        if first != header:
+            raise FormatError(f"{path}: header {first} is not {','.join(header)}")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise FormatError(f"row has {len(row)} fields, header has "
+                                  f"{len(header)}", reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}", reader.line_num) from None
 
 
 def _columns(mat, what="entry"):
@@ -194,15 +235,6 @@ def _face_columns(complex, k):
         tuple((face_index[s[:j] + s[j + 1:]], -1 if j % 2 else 1)
               for j in range(k, -1, -1))
         for s in complex.simplexes(k))
-
-
-def build_boundary(complex, k):
-    """Integer matrix of the boundary map C_k -> C_{k-1}.
-
-    Column j holds the alternating face signs of the j-th k-simplex; an
-    out-of-range k gives the empty matrix of the documented shape.
-    """
-    return _to_dense(_face_columns(complex, k), complex.n_simplexes(k - 1))
 
 
 class ChainComplexRep:
@@ -447,11 +479,13 @@ def resolve_complex(spec):
         return default_experiment_complex()
     m = _SPEC.fullmatch(spec)
     if m and m["vertices"]:
-        if bad := [f for f in ("edge_prob", "fill_prob") if not _FLOAT.fullmatch(m[f])]:
+        fields = ("edge_prob", "fill_prob")
+        if bad := [f for f in fields if not _FLOAT.fullmatch(m[f])]:
             raise FormatError(f"complex {spec!r}: {bad[0]} {m[bad[0]]!r} is not a number")
-        return to_chain_complex(random_complex(
-            int(m["vertices"]), float(m["edge_prob"]), float(m["fill_prob"]),
-            int(m["seed"])))
+        probs = [float(m[f]) for f in fields]
+        if bad := [(f, v) for f, v in zip(fields, probs) if not 0 <= v <= 1]:
+            raise FormatError(f"complex {spec!r}: {bad[0][0]} {bad[0][1]} is not in [0, 1]")
+        return to_chain_complex(random_complex(int(m["vertices"]), *probs, int(m["seed"])))
     if m:
         return canonical_complex(spec)
     if spec.endswith(".scx"):
@@ -481,20 +515,16 @@ def load_complex(path):
     skipped by every line still exist as isolated vertices.
     """
     maximal = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                vertices = [int(tok) for tok in text.split()]
-            except ValueError:
-                raise FormatError(f"expected vertex indices, got {text!r}", lineno)
-            if any(v < 0 for v in vertices):
-                raise FormatError("negative vertex index", lineno)
-            if len(set(vertices)) != len(vertices):
-                raise FormatError(f"repeated vertex in simplex {vertices}", lineno)
-            maximal.append(tuple(vertices))
+    for lineno, text in _text_lines(path):
+        try:
+            vertices = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise FormatError(f"expected vertex indices, got {text!r}", lineno)
+        if any(v < 0 for v in vertices):
+            raise FormatError("negative vertex index", lineno)
+        if len(set(vertices)) != len(vertices):
+            raise FormatError(f"repeated vertex in simplex {vertices}", lineno)
+        maximal.append(tuple(vertices))
     if not maximal:
         raise FormatError(f"{path}: no simplexes found")
     return SimplicialComplex.from_maximal(maximal)
@@ -519,16 +549,14 @@ def load_delta(path):
     followed by n_{k-1} rows of n_k integers (rows are omitted when the block
     is empty).  Blank lines and '#' comments are ignored.
     """
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                lines.append((lineno, text))
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    pos = 0
-    lineno, header = lines[pos]
+    lines = iter(_text_lines(path))
+
+    def take(missing):
+        if (line := next(lines, None)) is None:
+            raise FormatError(f"{path}: {missing}")
+        return line
+
+    lineno, header = take("empty file")
     if not header.startswith("dims"):
         raise FormatError("expected 'dims n_0 ... n_K' header", lineno)
     try:
@@ -537,35 +565,26 @@ def load_delta(path):
         raise FormatError("dims header must list integers", lineno)
     if not dims or any(n < 0 for n in dims):
         raise FormatError("dims must be non-negative and non-empty", lineno)
-    pos += 1
     boundaries = []
     for k in range(1, len(dims)):
-        if pos >= len(lines):
-            raise FormatError(f"{path}: missing block B{k}")
-        lineno, text = lines[pos]
+        lineno, text = take(f"missing block B{k}")
         if text != f"B{k}":
             raise FormatError(f"expected block header 'B{k}', got {text!r}", lineno)
-        pos += 1
         rows, cols = dims[k - 1], dims[k]
         block = []
-        if rows * cols > 0:
-            for i in range(rows):
-                if pos >= len(lines):
-                    raise FormatError(f"{path}: block B{k} ends after {i} of {rows} rows")
-                lineno, text = lines[pos]
-                try:
-                    row = [int(tok) for tok in text.split()]
-                except ValueError:
-                    raise FormatError(f"non-integer entry in block B{k}", lineno)
-                if len(row) != cols:
-                    raise FormatError(
-                        f"block B{k} row has {len(row)} entries, expected {cols}", lineno)
-                block.append(row)
-                pos += 1
+        for i in range(rows if cols else 0):
+            lineno, text = take(f"block B{k} ends after {i} of {rows} rows")
+            try:
+                row = [int(tok) for tok in text.split()]
+            except ValueError:
+                raise FormatError(f"non-integer entry in block B{k}", lineno)
+            if len(row) != cols:
+                raise FormatError(
+                    f"block B{k} row has {len(row)} entries, expected {cols}", lineno)
+            block.append(row)
         boundaries.append(np.array(block, dtype=object).reshape(rows, cols))
-    if pos < len(lines):
-        lineno, text = lines[pos]
-        raise FormatError(f"unexpected trailing content {text!r}", lineno)
+    if (extra := next(lines, None)) is not None:
+        raise FormatError(f"unexpected trailing content {extra[1]!r}", extra[0])
     rep = ChainComplexRep(dims, boundaries)
     report = validate(rep)
     if not report.ok:

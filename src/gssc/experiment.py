@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ._blas import one_blas_thread
 from .baselines import KrrConfig, krr_grid, sc_product
-from .complexes import _as_int, resolve_complex
+from .complexes import _as_int, _text_lines, resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
 from .learn import (SynthSpec, evaluation_grid, reconstruct_gssc, rmse_ratio,
@@ -112,43 +112,33 @@ class ExperimentConfig:
         return [(self.noise, m) for m in self.sample_counts]
 
 
-_INT_KEYS = {"samples_per_edge", "trials", "seed", "time_order", "n_irr",
-             "n_sol", "sub_size"}
-_FLOAT_KEYS = {"noise", "eta", "lengthscale", "ridge", "alpha", "beta"}
+# config key -> parser of its value text
+_PARSERS = {
+    "complex": str, "sweep": str,
+    "methods": lambda v: tuple(m.strip() for m in v.split(",") if m.strip()),
+    "noise_levels": lambda v: tuple(float(s) for s in v.split(",")),
+    "sample_counts": lambda v: tuple(int(s) for s in v.split(",")),
+    **dict.fromkeys(("samples_per_edge", "trials", "seed", "time_order", "n_irr",
+                     "n_sol", "sub_size"), int),
+    **dict.fromkeys(("noise", "eta", "lengthscale", "ridge", "alpha", "beta"), float),
+}
 
 
 def parse_config(path):
     """Read a `key = value` config file (# comments, blank lines ignored)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"expected 'key = value', got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in values:
-                raise FormatError(f"repeated config key {key!r}", lineno)
-            try:
-                if key == "complex" or key == "sweep":
-                    values[key] = value
-                elif key == "methods":
-                    values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-                elif key == "noise_levels":
-                    values[key] = tuple(float(v) for v in value.split(","))
-                elif key == "sample_counts":
-                    values[key] = tuple(int(v) for v in value.split(","))
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
-                    raise FormatError(f"unknown config key {key!r}", lineno)
-            except ValueError:
-                raise FormatError(f"bad value for {key}: {value!r}", lineno)
+    for lineno, line in _text_lines(path):
+        if "=" not in line:
+            raise FormatError(f"expected 'key = value', got {line!r}", lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise FormatError(f"repeated config key {key!r}", lineno)
+        if key not in _PARSERS:
+            raise FormatError(f"unknown config key {key!r}", lineno)
+        try:
+            values[key] = _PARSERS[key](value)
+        except ValueError:
+            raise FormatError(f"bad value for {key}: {value!r}", lineno)
     return ExperimentConfig(**values)
 
 

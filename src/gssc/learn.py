@@ -41,8 +41,8 @@ import scipy.linalg
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
-from .complexes import _as_int
-from .errors import InfeasibleError, UnsupportedError
+from .complexes import _as_int, _csv_rows
+from .errors import FormatError, InfeasibleError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _split,
                     eig_sym, laplacian, spectral_bases)
 
@@ -322,31 +322,18 @@ def save_samples(samples, path):
 
 
 def load_samples(path, n_edges):
-    import csv
-
-    from .errors import FormatError
     rows = [[] for _ in range(n_edges)]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["edge", "t", "y"]:
-            raise FormatError(f"{path}: header {header} is not edge,t,y")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"row has {len(row)} fields, header has "
-                                  f"{len(header)}", lineno)
-            try:
-                e = int(row[0])
-                sample = (float(row[1]), float(row[2]))
-            except ValueError:
-                raise FormatError(f"bad sample row {row}", lineno)
-            if not np.all(np.isfinite(sample)):
-                raise FormatError(f"non-finite sample row {row}", lineno)
-            if not 0 <= e < n_edges:
-                raise FormatError(f"edge {e} outside 0..{n_edges - 1}", lineno)
-            rows[e].append(sample)
+    for lineno, row in _csv_rows(path, ["edge", "t", "y"]):
+        try:
+            e = int(row[0])
+            sample = (float(row[1]), float(row[2]))
+        except ValueError:
+            raise FormatError(f"bad sample row {row}", lineno)
+        if not np.all(np.isfinite(sample)):
+            raise FormatError(f"non-finite sample row {row}", lineno)
+        if not 0 <= e < n_edges:
+            raise FormatError(f"edge {e} outside 0..{n_edges - 1}", lineno)
+        rows[e].append(sample)
     counts = {len(r) for r in rows}
     if len(counts) != 1:
         raise FormatError(f"{path}: unequal sample counts per edge {sorted(counts)}")

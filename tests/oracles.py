@@ -626,15 +626,14 @@ def reference_seminorm_mod2(x, p, weights=None):
     agree only where the minimizer is unique.  `weights` is None for unit
     weights.
     """
-    masks = gf2.column_masks(x.complex.columns(x.degree + 1))
-    gens = [masks[j] for j in gf2.independent_columns(masks)]
+    masks = _dense_column_masks(x.complex.boundary_matrix(x.degree + 1))
+    gens = [masks[j] for j in _greedy_independent(masks)]
     target = gf2.vector_to_mask(x.values)
-    powers = gf2.weight_powers(weights, p)
     best_power = None
     best_mask = None
     for _, (elem,) in _gray_walk([(g,) for g in gens], width=1):
         cand = target ^ elem
-        power = gf2.mask_norm_power(cand, powers)
+        power = _dense_mask_norm_power(cand, p, weights)
         if best_power is None or power < best_power or (power == best_power
                                                      and cand < best_mask):
             best_power = power

@@ -287,6 +287,8 @@ def _bad_input_files(tmp_path):
     (tmp_path / "s_extra.csv").write_text(
         samples.read_text().replace("\n0,-1.0,1.0", "\n0,-1.0,1.0,junk"))
     (tmp_path / "bad_complex.cfg").write_text("complex = nonsense\ntrials = 1\n")
+    (tmp_path / "unknown_key.cfg").write_text("trials = 1\nwavelets = 9\n")
+    (tmp_path / "latin1.cfg").write_bytes("trials = 1\n# r\u00e9sum\u00e9\n".encode("latin-1"))
     for name, line in (("order0.cfg", "time_order = 0"),
                        ("nan.cfg", "noise_levels = 0.01, nan"),
                        ("inf.cfg", "sweep = samples\nnoise = inf"),
@@ -342,8 +344,17 @@ BAD_INPUT = [
     ("config-repeated-count", ["experiment", "{d}/repeated_count.cfg"],
      "repeated sweep value '5'"),
     ("config-bad-complex", ["experiment", "{d}/bad_complex.cfg"], "nonsense"),
+    ("config-unknown-key", ["experiment", "{d}/unknown_key.cfg"],
+     "line 2: unknown config key 'wavelets'"),
+    ("config-not-utf8", ["experiment", "{d}/latin1.cfg"], "latin1.cfg: byte 14 is not UTF-8"),
     ("random-spec-field", ["homology", "random(5,.,1,3)"],
      "complex 'random(5,.,1,3)': edge_prob '.' is not a number"),
+    ("random-spec-negative", ["homology", "random(5,-.5,1,3)"],
+     "complex 'random(5,-.5,1,3)': edge_prob -0.5 is not in [0, 1]"),
+    ("random-spec-overflow", ["homology", "random(5,1e400,1,3)"],
+     "complex 'random(5,1e400,1,3)': edge_prob inf is not in [0, 1]"),
+    ("random-spec-fill", ["homology", "random(5,1,1.5,3)"],
+     "complex 'random(5,1,1.5,3)': fill_prob 1.5 is not in [0, 1]"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gssc import (ChainComplexRep, FormatError, SimplicialComplex,
-                  UnsupportedError, build_boundary, canonical_complex,
-                  load_complex, load_delta, random_complex, save_complex,
-                  save_delta, to_chain_complex, validate)
+                  UnsupportedError, canonical_complex, load_complex, load_delta,
+                  random_complex, save_complex, save_delta, to_chain_complex,
+                  validate)
 
 
 def boundary_terms(simplex):
@@ -57,7 +57,7 @@ def test_vertex_tuples_must_increase():
 
 def test_edge_boundary_is_signed_endpoints():
     sc = SimplicialComplex.from_maximal([(0, 1)])
-    B1 = build_boundary(sc, 1)
+    B1 = to_chain_complex(sc).boundary_matrix(1)
     assert B1.tolist() == [[-1], [1]]
 
 
@@ -70,7 +70,7 @@ def test_boundary_matches_definition_on_random_complexes():
     for seed in range(8):
         sc = random_complex(7, 0.6, 0.7, seed=seed)
         for k in range(1, sc.dim + 1):
-            B = build_boundary(sc, k)
+            B = to_chain_complex(sc).boundary_matrix(k)
             expected = np.zeros_like(B)
             for col, simplex in enumerate(sc.simplexes(k)):
                 for sign, face in boundary_terms(simplex):
@@ -81,7 +81,7 @@ def test_boundary_matches_definition_on_random_complexes():
 def test_boundary_columns_have_k_plus_1_unit_entries():
     sc = random_complex(8, 0.7, 0.8, seed=2)
     for k in range(1, sc.dim + 1):
-        B = build_boundary(sc, k)
+        B = to_chain_complex(sc).boundary_matrix(k)
         for col in range(B.shape[1]):
             entries = [int(v) for v in B[:, col] if v != 0]
             assert len(entries) == k + 1
@@ -92,7 +92,7 @@ def test_odd_vertex_permutation_negates_the_boundary():
     # expanding the defining formula on a reordered tuple gives the
     # permutation sign times the sorted simplex's column
     sc = SimplicialComplex.from_maximal([(0, 1, 2, 3)])
-    B = build_boundary(sc, 2)
+    B = to_chain_complex(sc).boundary_matrix(2)
     simplex = (0, 2, 3)
     col = sc.index_of(simplex)
     for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):

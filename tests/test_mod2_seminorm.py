@@ -14,7 +14,7 @@ import pytest
 from oracles import gf2_nullspace, reference_seminorm_mod2
 from test_acceptance import two_complex_corpus
 
-from gssc import ChainVector, ModN, resolve_complex, simplicial_seminorm
+from gssc import ChainVector, ModN, gf2, resolve_complex, simplicial_seminorm
 from gssc.gf2 import mask_norm_power, vector_to_mask, weight_powers
 
 SPECS = ("rp2", "torus", "cycle(7)", "path(5)", "filled_triangle")
@@ -69,3 +69,20 @@ def test_seminorm_matches_the_reference_walk(index):
                         assert got == ref_mask
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("spec", ("rp2", "torus", "cycle(7)"))
+def test_reference_walk_uses_none_of_the_library_search_helpers(spec, monkeypatch):
+    rep = resolve_complex(spec)
+    x = ChainVector(rep, 1, ModN(2), np.ones(rep.n_cells(1), dtype=object))
+    w = np.linspace(0.5, 2.0, rep.n_cells(1))
+    cases = [(p, weights) for p in (1, 2) for weights in (None, w)]
+    want = [simplicial_seminorm(x, p=p, weights=weights)[0] for p, weights in cases]
+
+    def refuse(*args):
+        raise AssertionError("the reference called the library helper it checks")
+
+    for name in ("column_masks", "independent_columns", "weight_powers",
+                 "mask_norm_power"):
+        monkeypatch.setattr(gf2, name, refuse)
+    assert [reference_seminorm_mod2(x, p, weights)[0] for p, weights in cases] == want

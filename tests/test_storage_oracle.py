@@ -14,9 +14,9 @@ from oracles import (dense_build_boundary, dense_exact_boundary,
                      dense_nonzero_columns)
 from test_acceptance import two_complex_corpus
 
-from gssc import (ChainComplexRep, SimplicialComplex, build_boundary,
-                  canonical_complex, load_complex, load_delta, random_complex,
-                  resolve_complex, save_complex, save_delta, to_chain_complex)
+from gssc import (ChainComplexRep, SimplicialComplex, canonical_complex,
+                  load_complex, load_delta, random_complex, resolve_complex,
+                  save_complex, save_delta, to_chain_complex)
 
 SIMPLICIAL = ("filled_triangle", "cycle(7)", "path(5)", "default",
               "random(30,0.5,1.0,11)")
@@ -52,8 +52,9 @@ def check_simplicial(rep):
     sc = simplicial_of(rep)
     dense = [dense_build_boundary(sc, k) for k in range(1, sc.dim + 1)]
     check_against_dense(rep, dense)
+    rebuilt = to_chain_complex(sc)
     for k in range(-1, sc.dim + 3):
-        built = build_boundary(sc, k)
+        built = rebuilt.boundary_matrix(k)
         assert built.shape == dense_build_boundary(sc, k).shape
         assert built.tolist() == dense_build_boundary(sc, k).tolist()
     # the public constructor, reading the dense matrices, stores the same columns
