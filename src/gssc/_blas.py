@@ -1,25 +1,20 @@
 """A scope in which every OpenBLAS loaded in the process runs on one thread.
 
-Loops of small dense solves (matrices of a few hundred rows) lose more to
-OpenBLAS's thread hand-off than they gain from a second thread.  The
-libraries are found through /proc/self/maps and driven through their
-exported thread-count functions, the idiom of threadpoolctl
-(https://github.com/joblib/threadpoolctl).
-
-numpy and scipy wheels each bring their own OpenBLAS, each with its own
-thread pool, and alternating between them costs.  On a 2-vCPU Xeon
-(numpy 2.4, scipy 1.17, two threads per pool), a scipy Cholesky factor
-and solve of a 408 x 408 system took 3.5 ms alone and 7.4-8.2 ms right
-after a numpy `eigh`, while numpy's own `solve` took 4.6-4.9 ms and
-5.3 ms: the second pool contends with the first.  The spectral layer
-(`hodge`, the smooth fit in `learn`) therefore keeps its dense LAPACK
-calls on numpy.
+numpy and scipy wheels each bring an OpenBLAS with its own thread pool.  A
+small dense solve loses more to the hand-off and to the pools contending
+than a second thread gains: on a 2-vCPU Xeon (numpy 2.4, scipy 1.17) the
+benchmark ladder's pass took 0.41-0.48 s with `hodge._spd_solve`'s scipy
+Cholesky on two threads, 0.23-0.25 s in this scope.  Libraries are driven
+through their thread-count functions, the idiom of threadpoolctl.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
+
+_lock, _depth, _restore = threading.Lock(), 0, []  # open scopes; what the first saved
 
 
 def _openblas_controls():
@@ -50,16 +45,22 @@ def _openblas_controls():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the body on one OpenBLAS thread; restore each old count on exit.
-
-    Does nothing when no OpenBLAS is loaded.
+    """Run the body on one OpenBLAS thread.  Scopes may nest and be open in
+    several threads at once: the first to enter saves each library's count,
+    the last to leave restores it.  Does nothing when no OpenBLAS is loaded.
     """
-    controls = _openblas_controls()
-    saved = [get() for get, _ in controls]
+    global _depth
+    with _lock:
+        if not _depth:
+            _restore[:] = [(put, get()) for get, put in _openblas_controls()]
+            for put, _ in _restore:
+                put(1)
+        _depth += 1
     try:
-        for _, put in controls:
-            put(1)
         yield
     finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
+        with _lock:
+            _depth -= 1
+            if not _depth:
+                for put, count in _restore:
+                    put(count)

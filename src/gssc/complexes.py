@@ -25,7 +25,6 @@ boundary-matrix presentation shared by both kinds of complex.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -193,14 +192,6 @@ class SimplicialComplex:
 
     def n_simplexes(self, k):
         return len(self.simplexes(k))
-
-    def index_of(self, simplex):
-        s = tuple(simplex)
-        level = self.simplexes(len(s) - 1)
-        lo = bisect.bisect_left(level, s)
-        if lo < len(level) and level[lo] == s:
-            return lo
-        raise KeyError(f"simplex {s} not in complex")
 
     def maximal_simplexes(self):
         """Simplexes that are not a face of any other stored simplex."""
@@ -485,7 +476,9 @@ def resolve_complex(spec):
         probs = [float(m[f]) for f in fields]
         if bad := [(f, v) for f, v in zip(fields, probs) if not 0 <= v <= 1]:
             raise FormatError(f"complex {spec!r}: {bad[0][0]} {bad[0][1]} is not in [0, 1]")
-        return to_chain_complex(random_complex(int(m["vertices"]), *probs, int(m["seed"])))
+        if (n_vertices := int(m["vertices"])) < 1:
+            raise FormatError(f"complex {spec!r}: n_vertices {n_vertices} is below 1")
+        return to_chain_complex(random_complex(n_vertices, *probs, int(m["seed"])))
     if m:
         return canonical_complex(spec)
     if spec.endswith(".scx"):

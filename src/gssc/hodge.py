@@ -16,22 +16,18 @@ comes from `eig_sym` under that cutoff; for a boundary B they come from the
 nonzero eigenpairs of its smaller Gram (`_gram_modes`), so a singular value
 of B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
 weights of a weighted projection) by any positive constant leaves every
-rank and every projection unchanged.  The weighted normal system
-(W^2 + L_k / eta) x' = W^2 x of `learn.solve_smooth` is symmetric positive
-definite when every weight is > 0 and is then solved directly; with zero
-weights it is solved from its `eig_sym` under the same cutoff, which gives
-the minimum-norm x'.
+rank and every projection unchanged.  Both dense normal systems
+(`learn.solve_smooth`'s fit and `learn.reconstruct_gssc`'s Gram) go
+through `_spd_solve`, whose rank test uses the same relative cutoff.
 
-The float code reads each boundary through a sparse view of the rep's
-integer columns (`scipy.sparse` CSR, built once per rep); Grams and
-Laplacians are formed sparse and then densified, bit-equal to the dense
-products because the entries are integers.  Each rep keeps a memo: every
-Gram of B_k that is factored is eigendecomposed at most once, keyed by
-which Gram it is (a square B_k factors B_k^T B_k for B_k and B_k B_k^T for
-B_k^T).  Only those small-side eigenpairs are held, read-only.
-Projections apply the pseudoinverse straight from them through sparse
-products by B_k; only the spectral bases map eigenvectors through B_k.
-Spectral bases, real ranks and unit-weight projections read the memo;
+The float code reads each boundary through a sparse CSR view of the rep's
+integer columns, built once per rep; Grams and Laplacians are formed sparse
+and densified, bit-equal to the dense products as the entries are integers.
+Each rep memoizes, read-only, the small-side eigenpairs of every Gram of
+B_k it factors (a square B_k has two: B_k^T B_k for B_k, B_k B_k^T for
+B_k^T).  Projections apply the pseudoinverse straight from them through
+sparse products by B_k; only the spectral bases map eigenvectors through
+B_k.  Spectral bases, real ranks and unit-weight projections read the memo;
 weighted projections factor their own Gram on each call.
 
 As the three parts are orthogonal, [U0 | U_irr | U_sol] with eigenvalues
@@ -43,8 +39,10 @@ As the three parts are orthogonal, [U0 | U_irr | U_sol] with eigenvalues
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
+from ._blas import one_blas_thread
 from .coefficients import ChainVector, FourierFn, Real, norm_p
 from .complexes import _as_int
 from .errors import UnsupportedError
@@ -87,6 +85,29 @@ def eig_sym(matrix):
     lam, vec = np.linalg.eigh((M + M.T) / 2.0)
     tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.abs(lam)))
     return Spectrum(lam, _signed(vec), tol)
+
+
+def _spd_solve(A, B):
+    """(X, rank): the minimum-norm X with A X = B (B 1-d or 2-d) and the rank
+    of a symmetric positive semidefinite A.  Rank n, X from `cho_solve`, when
+    `cho_factor` succeeds with every squared pivot above `max(n * eps, 1e-12)
+    * max(diag A)`; otherwise both from the eigenpairs of `eig_sym(A)` above
+    its zero cutoff, X = V diag(1 / lambda) V^T B.
+    """
+    n = len(A)
+    if n:
+        tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.diag(A)))
+        with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
+            try:
+                factor = scipy.linalg.cho_factor(A)
+                if np.min(np.diag(factor[0]) ** 2) > tol:
+                    return scipy.linalg.cho_solve(factor, B), n
+            except scipy.linalg.LinAlgError:
+                pass
+    spec = eig_sym(A)
+    keep = spec.eigenvalues > spec.zero_tol
+    V, lam = spec.eigenvectors[:, keep], spec.eigenvalues[keep]
+    return V @ ((V.T @ B).T / lam).T, len(lam)
 
 
 def _signed(vec):

@@ -36,7 +36,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from . import gf2
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
@@ -44,11 +43,11 @@ from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
 from .complexes import _as_int, _csv_rows
 from .errors import FormatError, InfeasibleError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _split,
-                    eig_sym, laplacian, spectral_bases)
+                    _spd_solve, laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
-    """Raised (as a warning) when a normal system needed a ridge fallback."""
+    """Warned when a fit's normal system is rank-deficient (minimum-norm fit)."""
 
 
 # -- fundamental model ---------------------------------------------------------
@@ -157,23 +156,13 @@ def solve_fundamental(x, p=2, weights=None):
 # -- smoothness model ----------------------------------------------------------
 
 def _smooth_fit(rep, k, mat, w, eta):
-    """Minimum-norm solution x' of (W^2 + L_k / eta) x' = W^2 x.
-
-    With every weight > 0 the normal matrix is symmetric positive definite
-    and is solved directly (numpy's LAPACK `gesv`).  Otherwise one
-    `eig_sym` of it; eigenvalues at or below its zero cutoff are dropped,
-    which is where zero weights leave a harmonic direction unobserved.
-    Kept apart from `solve_smooth` so that its n_k x n_k arrays are freed
-    before the split runs.
+    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by `hodge._spd_solve`,
+    whose cutoff drops the harmonic directions zero weights leave unobserved;
+    apart from `solve_smooth` so its n_k x n_k arrays are freed before the split.
     """
     normal = laplacian(rep, k) / eta
     normal[np.diag_indices_from(normal)] += w ** 2
-    if np.all(w > 0):
-        return np.linalg.solve(normal, (w ** 2)[:, None] * mat)
-    spec = eig_sym(normal)
-    keep = spec.eigenvalues > spec.zero_tol
-    V = spec.eigenvectors[:, keep]
-    return V @ ((V.T @ ((w ** 2)[:, None] * mat)) / spec.eigenvalues[keep][:, None])
+    return _spd_solve(normal, (w ** 2)[:, None] * mat)[0]
 
 
 def solve_smooth(x, eta=1.0, weights=None):
@@ -407,17 +396,17 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         Gram = sum_e (u_e u_e^T) kron (Psi_e^T Psi_e) + diag(lambda / eta) kron I_T
         rhs  = U^T [Psi_e^T y_e]_e
 
-    are solved by Cholesky; a singular system falls back to a 1e-10 ridge
-    and emits a ConditioningWarning.  The certificates are the closed-form
-    minimum-norm preimages y1 = B_2^T U_sol (theta_sol / lambda_sol) and
-    y_neg1 = B_1 U_irr (theta_irr / lambda_irr).
+    are solved by `hodge._spd_solve`.  A rank-deficient Gram (say, a
+    harmonic block with fewer samples than time coefficients) gives the
+    minimum-norm theta and a ConditioningWarning.  The certificates are the
+    closed-form minimum-norm preimages y1 = B_2^T U_sol (theta_sol /
+    lambda_sol) and y_neg1 = B_1 U_irr (theta_irr / lambda_irr).
 
-    The design and the last assembled system are held on `samples`.  Both
-    depend on U and lambda only through the entries above, so a later fit
-    with the same eta and time order whose U0 equals the held one, and
-    whose U_irr, U_sol and eigenvalues equal the held basis's leading
-    columns (as `HodgeBases.sub` gives), takes the principal block of the
-    held Gram and the matching rhs rows and runs only its own Cholesky.
+    The design and the last assembled system are held on `samples`.  A
+    later fit with the same eta and time order in a leading sub-basis of the
+    held basis (equal U0, and U_irr, U_sol and eigenvalues equal to its
+    leading columns, as `HodgeBases.sub` gives) solves the principal block
+    of the held Gram and the matching rhs rows.
 
     Returns (estimate chain, DecompositionResult with the three parts).
     """
@@ -436,14 +425,10 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         psi = held[("design", T)] = _design(system, samples.t)
     lam = bases.eigenvalues()
     gram, rhs = _normal_system(held, psi, samples.y, bases, lam, eta)
-    K = len(lam)
-    try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError:
-        warnings.warn("normal system is singular; adding 1e-10 ridge",
-                      ConditioningWarning)
-        factor = scipy.linalg.cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
-    theta = scipy.linalg.cho_solve(factor, rhs).reshape(K, T)
+    theta, rank = _spd_solve(gram, rhs)
+    if rank < len(rhs):
+        warnings.warn(f"normal system has rank {rank} < {len(rhs)}", ConditioningWarning)
+    theta = theta.reshape(-1, T)
 
     a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
                                         bases.n_harmonic + bases.n_irr])

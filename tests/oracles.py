@@ -253,8 +253,10 @@ def dense_reconstruct(samples, rep, bases, time_order=3, eta=1.0):
     The reference for `gssc.reconstruct_gssc`: it builds the (n M) x (K T)
     design explicitly, appends the roughness penalty as Kronecker rows of
     B_1 U_irr and B_2^T U_sol, forms `A.T @ A`, and recovers the
-    certificates y1, y_neg1 by least-squares preimages.  Same arguments,
-    returns and ConditioningWarning fallback as the library function.
+    certificates y1, y_neg1 by least-squares preimages.  Same arguments
+    and returns as the library function; a Cholesky breakdown falls back to
+    a 1e-10 ridge with a ConditioningWarning (the library instead returns
+    the minimum-norm fit whenever the system is rank-deficient).
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -681,15 +683,33 @@ def dense_weighted_projection(B, target, w):
     return y, B @ y
 
 
+def eig_min_norm_solve(A, B):
+    """(X, rank): the minimum-norm solution of A X = B for a symmetric
+    positive semidefinite A, from one `np.linalg.eigh` of its symmetric part
+    whatever its rank.  Eigenvalues at or below
+    max(n * eps, 1e-12) * max |lambda| count as zero; rank is the number
+    above.  The reference for `gssc.hodge._spd_solve`.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(B.shape), 0
+    lam, V = np.linalg.eigh((A + A.T) / 2.0)
+    keep = lam > max(n * np.finfo(float).eps, 1e-12) * np.max(np.abs(lam))
+    V, lam = V[:, keep], lam[keep]
+    coef = V.T @ B
+    coef = coef / lam[:, None] if coef.ndim == 2 else coef / lam
+    return V @ coef, int(np.sum(keep))
+
+
 def eig_smooth_fit(rep, k, mat, w, eta):
-    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by one `eig_sym`,
-    whatever the weights (the library solves positive weights directly)."""
+    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by one
+    eigendecomposition, whatever the weights (the library tries Cholesky
+    first)."""
     normal = dense_laplacian(rep, k) / eta
     normal[np.diag_indices_from(normal)] += w ** 2
-    spec = eig_sym(normal)
-    keep = spec.eigenvalues > spec.zero_tol
-    V = spec.eigenvectors[:, keep]
-    return V @ ((V.T @ ((w ** 2)[:, None] * mat)) / spec.eigenvalues[keep][:, None])
+    return eig_min_norm_solve(normal, (w ** 2)[:, None] * mat)[0]
 
 
 def expression_rbf_kernel(a, b, lengthscale):

@@ -355,6 +355,8 @@ BAD_INPUT = [
      "complex 'random(5,1e400,1,3)': edge_prob inf is not in [0, 1]"),
     ("random-spec-fill", ["homology", "random(5,1,1.5,3)"],
      "complex 'random(5,1,1.5,3)': fill_prob 1.5 is not in [0, 1]"),
+    ("random-spec-no-vertex", ["homology", "random(0,0.5,0.5,1)"],
+     "complex 'random(0,0.5,0.5,1)': n_vertices 0 is below 1"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

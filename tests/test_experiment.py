@@ -2,6 +2,7 @@
 
 import csv
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +266,31 @@ def test_cells_run_on_one_blas_thread_and_counts_are_restored(
     monkeypatch.setattr(experiment, "reconstruct_gssc", fail)
     with pytest.raises(RuntimeError, match="cell failed"):
         run_experiment(tiny_config(), tmp_path / "fail", jobs=jobs)
+    assert blas_threads() == before
+
+
+def test_nested_and_concurrent_scopes_restore_once(blas_threads):
+    before = blas_threads()
+    one = [1] * len(before)
+    with _blas.one_blas_thread():
+        with _blas.one_blas_thread():
+            assert blas_threads() == one
+        assert blas_threads() == one  # the inner scope restored nothing
+
+    entered, release = threading.Event(), threading.Event()
+
+    def other():
+        with _blas.one_blas_thread():
+            entered.set()
+            release.wait()
+
+    thread = threading.Thread(target=other)
+    with _blas.one_blas_thread():
+        thread.start()
+        entered.wait()
+    assert blas_threads() == one  # still open in the other thread
+    release.set()
+    thread.join()
     assert blas_threads() == before
 
 

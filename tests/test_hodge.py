@@ -12,9 +12,9 @@ from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   numerical_rank, random_chain, random_complex, resolve_complex,
                   sample_async, simplicial_seminorm, solve_fundamental,
                   spectral_bases, to_chain_complex)
-from gssc.hodge import _signed
+from gssc.hodge import _signed, _spd_solve
 
-from oracles import loop_signed
+from oracles import eig_min_norm_solve, loop_signed
 
 
 def random_reps(count, n_vertices=8, seed0=0):
@@ -53,6 +53,55 @@ def test_eig_sym_is_deterministic_and_orthonormal():
     assert np.allclose(a.eigenvectors.T @ a.eigenvectors, np.eye(7), atol=1e-12)
     assert np.allclose(M @ a.eigenvectors,
                        a.eigenvectors * a.eigenvalues, atol=1e-10)
+
+
+# exactly singular (X X^T for an integer 3 x 2 X of rank 2): Cholesky runs
+# through, its last squared pivot 1.4e-14 is roundoff of a zero
+SINGULAR_FACTORS = np.array([[2.0, 3.0, 3.0], [3.0, 5.0, 3.0], [3.0, 3.0, 9.0]])
+# the Laplacian of cycle(3): its last pivot is exactly 0, so Cholesky raises
+SINGULAR_RAISES = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+
+
+def test_spd_solve_of_a_full_rank_matrix_is_its_cholesky_bit_for_bit():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((9, 6))
+    A = X.T @ X
+    B = rng.standard_normal((6, 3))
+    X_got, rank = _spd_solve(A, B)
+    assert rank == 6
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
+    assert X_got.tobytes() == want.tobytes()
+    x_got, rank = _spd_solve(A, B[:, 0])
+    assert rank == 6 and x_got.shape == (6,)
+    assert x_got.tobytes() == scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(A), B[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("A, factors", [(SINGULAR_FACTORS, True),
+                                        (SINGULAR_RAISES, False)])
+def test_spd_solve_of_a_singular_matrix_is_the_minimum_norm_solution(A, factors):
+    if factors:
+        scipy.linalg.cho_factor(A)
+    else:
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(A)
+    # a consistent rhs, so the minimum-norm X solves A X = B exactly
+    B = A @ np.random.default_rng(6).standard_normal((3, 2))
+    for rhs in (B, B[:, 1]):
+        X, rank = _spd_solve(A, rhs)
+        want, want_rank = eig_min_norm_solve(A, rhs)
+        assert rank == want_rank == 2
+        assert X.shape == rhs.shape
+        assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(A @ X - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+        kernel = eig_sym(A).zero_space()
+        assert np.max(np.abs(kernel.T @ X)) <= 1e-12 * np.max(np.abs(X))
+
+
+def test_spd_solve_of_an_empty_system_is_empty():
+    for rhs in (np.zeros(0), np.zeros((0, 4))):
+        X, rank = _spd_solve(np.zeros((0, 0)), rhs)
+        assert rank == 0 and X.shape == rhs.shape
 
 
 def raw_eigenvectors(M):

@@ -11,15 +11,18 @@ unattainable, in which case they agree to 10 kappa eps (measured ratio
 of difference to kappa eps: at most 1.3 over these cases).  The M = 1
 cases include rank-deficient systems (kappa ~ 1e16, harmonic block with
 fewer samples than time coefficients) whose minimizer is not unique;
-there only the objective, the penalized parts and the certificate
-identities are pinned down.
+there the oracle's ridge solution pins down only the objective, the
+penalized parts and the certificate identities.
 
-The ConditioningWarning must agree, and stay silent, on every
-nonsingular system.  On the rank-deficient ones whether Cholesky breaks
-down, and so whether the ridge fallback fires, is decided by roundoff:
-the two assemblies agree on cycle(3) (both fire) and cycle(6) (neither
-fires) but not on default (only the dense one fires), so the warning is
-not compared there.
+The ConditioningWarning is decided by rank, not by roundoff: it fires
+exactly once iff the `eig_sym` rank of the normal matrix is below its size
+N, which with M = 1 happens on default, cycle(6) and cycle(3) at every eta
+and basis size, and the fit is then the minimum-norm minimizer, pinned to
+`oracles.eig_min_norm_solve` of the library's own normal system to 1e-9.
+The same holds on every one of ten repeated fits, whether the system is
+the principal block of a held one or a fresh assembly.  The dense oracle
+keeps its Cholesky with a 1e-10 ridge fallback as the reference; it must
+stay silent on every well-conditioned system.
 """
 
 import warnings
@@ -27,13 +30,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gssc import (ConditioningWarning, FourierFn, SynthSpec, reconstruct_gssc,
-                  resolve_complex, sample_async, spectral_bases, synthesize)
+from gssc import (ConditioningWarning, FourierFn, SampleSet, SynthSpec, eig_sym,
+                  reconstruct_gssc, resolve_complex, sample_async,
+                  spectral_bases, synthesize)
 
-from oracles import dense_reconstruct
+from oracles import dense_reconstruct, eig_min_norm_solve
 
-# cycle(6) has no triangles (U_sol is empty); with M = 1, cycle(3) is the
-# rank-deficient system on which both assemblies take the ridge fallback
+# cycle(6) has no triangles (U_sol is empty); with M = 1, default, cycle(6)
+# and cycle(3) have rank-deficient normal systems
 SPECS = ("default", "random(12,0.6,0.8,4)", "cycle(6)", "filled_triangle",
          "cycle(3)")
 TIME_ORDER = 3
@@ -48,15 +52,19 @@ def bases_for(rep, which):
     return full.sub((full.n_irr + 1) // 2, (full.n_sol + 1) // 2)
 
 
-def normal_equations_condition(samples, bases, eta):
-    """2-norm condition number of the reconstruction's normal equations."""
+def normal_matrix(samples, bases, eta):
+    """The reconstruction's normal matrix from the dense Kronecker design."""
     n, m = samples.t.shape
     psi = FourierFn(TIME_ORDER).design_matrix(samples.t.ravel()).reshape(n, m, -1)
     design = np.einsum("ek,emt->emkt", bases.stacked(), psi).reshape(n * m, -1)
     lam = np.concatenate([np.zeros(bases.n_harmonic), bases.irr_eigenvalues,
                           bases.sol_eigenvalues])
-    gram = design.T @ design + np.diag(np.repeat(lam / eta, psi.shape[2]))
-    return np.linalg.cond(gram)
+    return design.T @ design + np.diag(np.repeat(lam / eta, psi.shape[2]))
+
+
+def rank_of(gram):
+    spec = eig_sym(gram)
+    return int(np.sum(spec.eigenvalues > spec.zero_tol))
 
 
 def fit(method, samples, rep, bases, eta):
@@ -83,9 +91,12 @@ def test_reconstruction_matches_dense_oracle(spec, which, m, eta):
     est, res, fired = fit(reconstruct_gssc, samples, rep, bases, eta)
     ref_est, ref, ref_fired = fit(dense_reconstruct, samples, rep, bases, eta)
 
-    kappa = normal_equations_condition(samples, bases, eta)
+    gram = normal_matrix(samples, bases, eta)
+    kappa = np.linalg.cond(gram)
+    deficient = rank_of(gram) < len(gram)
+    assert fired == deficient
     if kappa * EPS < 1e-4:
-        assert fired == ref_fired == 0
+        assert ref_fired == 0
     rtol = max(1e-9, 10 * EPS * kappa)
     scale = np.linalg.norm(values(ref_est))
     pairs = [(est, ref_est), (res.x0, ref.x0), (res.x1, ref.x1),
@@ -106,6 +117,43 @@ def test_reconstruction_matches_dense_oracle(spec, which, m, eta):
     assert np.linalg.norm(up @ values(res.y1) - values(res.x1)) <= 1e-9 * max(scale, 1.0)
     assert (np.linalg.norm(down.T @ values(res.y_neg1) - values(res.x_neg1))
             <= 1e-9 * max(scale, 1.0))
+
+    if deficient:
+        assert_minimum_norm_fit(samples, bases, est)
+
+
+def assert_minimum_norm_fit(samples, bases, est):
+    """theta and the estimate are the minimum-norm solution of the normal
+    system the fit held on `samples`."""
+    _, _, gram, rhs = samples._held()["normal"]
+    U = bases.stacked()
+    theta_ref = eig_min_norm_solve(gram, rhs)[0].reshape(U.shape[1], -1)
+    theta = U.T @ values(est)
+    assert np.linalg.norm(theta - theta_ref) <= 1e-9 * np.linalg.norm(theta_ref)
+    ref = U @ theta_ref
+    assert np.linalg.norm(values(est) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_warning_follows_the_rank_on_every_repeat(spec):
+    rep = resolve_complex(spec)
+    full, sub = bases_for(rep, "full"), bases_for(rep, "sub")
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec)]))
+    samples = sample_async(truth, 1, 0.05, seed=[1, len(spec)])
+    gram = normal_matrix(samples, sub, 30.0)
+    deficient = rank_of(gram) < len(gram)
+    for _ in range(10):
+        fit(reconstruct_gssc, samples, rep, full, 30.0)  # holds the full system
+        held = samples._held()["normal"]
+        est, _, fired = fit(reconstruct_gssc, samples, rep, sub, 30.0)
+        assert samples._held()["normal"] is held  # a principal block
+        fresh = SampleSet(samples.t, samples.y)
+        fresh_est, _, fresh_fired = fit(reconstruct_gssc, fresh, rep, sub, 30.0)
+        assert fired == fresh_fired == deficient
+        if deficient:
+            assert_minimum_norm_fit(fresh, sub, fresh_est)
+            assert (np.linalg.norm(values(est) - values(fresh_est))
+                    <= 1e-9 * np.linalg.norm(values(fresh_est)))
 
 
 def test_empty_basis_fits_nothing():

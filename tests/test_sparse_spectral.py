@@ -2,11 +2,12 @@
 
 The float code reads a sparse view of each boundary, factors each boundary
 Gram at most once per complex (keyed by the Gram, since a square B_k has two
-of the same size), and solves the positive-weight smooth fit directly.  The
-references are the dense per-call paths in `oracles.py`.  Where the
-arithmetic is unchanged (the integer Grams and their eigenpairs) results
-must be equal byte for byte; where a sparse product sums in another order
-they must agree to 1e-12 relative.
+of the same size), and solves the smooth fit by Cholesky unless its normal
+matrix is rank-deficient under the one cutoff.  The references are the
+dense per-call paths in `oracles.py`.  Where the arithmetic is unchanged
+(the integer Grams and their eigenpairs) results must be equal byte for
+byte; where a sparse product sums in another order they must agree to
+1e-12 relative.
 """
 
 import tracemalloc
@@ -20,13 +21,13 @@ from gssc import (FourierFn, Real, apply_boundary, hodge_decompose,
                   random_complex, reconstruct_gssc, resolve_complex, sample_async,
                   simplicial_seminorm, solve_fundamental, solve_smooth,
                   spectral_bases, synthesize, SynthSpec)
-from gssc import hodge, homology, learn
+from gssc import hodge, homology
 from gssc.complexes import ChainComplexRep
 from gssc.hodge import _boundary_modes, _weighted_projection
 from gssc.learn import _smooth_fit
 
 from oracles import (dense_laplacian, dense_modes, dense_weighted_projection,
-                     eig_smooth_fit, expression_krr_fit_eval,
+                     eig_min_norm_solve, eig_smooth_fit, expression_krr_fit_eval,
                      expression_rbf_kernel)
 from test_acceptance import two_complex_corpus
 
@@ -34,6 +35,7 @@ from test_acceptance import two_complex_corpus
 NAMED = ("rp2", "torus", "filled_triangle", "cycle(7)", "path(5)", "default",
          "random(30,0.5,1.0,11)")
 REL = 1e-12
+EPS = np.finfo(float).eps
 # two_complex_corpus(50) as specs: seeds whose complex has an edge
 CORPUS = tuple(f"random({4 + seed % 9},0.5,0.6,{seed})" for seed in range(100)
                if random_complex(4 + seed % 9, 0.5, 0.6, seed=seed).n_simplexes(1))[:50]
@@ -151,7 +153,6 @@ def count_eig_calls(monkeypatch):
         calls.append(np.shape(matrix))
         return real(matrix)
     monkeypatch.setattr(hodge, "eig_sym", counted)
-    monkeypatch.setattr(learn, "eig_sym", counted)
     return calls
 
 
@@ -210,20 +211,40 @@ def test_positive_weight_direct_solve_matches_the_eig_oracle(spec, monkeypatch):
                 ref = eig_smooth_fit(rep, k, mat, w, eta)
                 assert np.max(np.abs(got - ref)) <= 1e-10 * max(
                     1.0, float(np.max(np.abs(ref))))
-    assert calls == []  # the oracle's eig_sym is bound at import, unpatched
+    assert calls == []  # the oracle runs its own eigh
 
 
-def test_zero_weights_keep_the_eig_path(monkeypatch):
+def smooth_cases():
+    """(spec, weights) pairs: zero weights on every third edge of default
+    (its one harmonic direction stays observed), on the support of that
+    direction, and on every edge of cycle(6)."""
     rep = resolve_complex("default")
     n = rep.n_cells(1)
+    every_third = np.ones(n)
+    every_third[::3] = 0.0
+    h = spectral_bases(rep, 1, 0, 0).U0[:, 0]
+    unobserved = np.where(np.abs(h) > 1e-12 * np.max(np.abs(h)), 0.0, 1.0)
+    return [("default", every_third), ("default", unobserved),
+            ("cycle(6)", np.zeros(6))]
+
+
+@pytest.mark.parametrize("eta", [1.0, 30.0, 1e6])
+@pytest.mark.parametrize("case", range(3))
+def test_zero_weights_take_the_eig_path_iff_the_rank_test_fails(case, eta, monkeypatch):
+    spec, w = smooth_cases()[case]
+    rep = resolve_complex(spec)
+    n = rep.n_cells(1)
     mat = np.random.default_rng(4).standard_normal((n, 2))
-    w = np.ones(n)
-    w[::3] = 0.0
     calls = count_eig_calls(monkeypatch)
-    got = _smooth_fit(rep, 1, mat, w, 30.0)
-    assert calls == [(n, n)]
-    ref = eig_smooth_fit(rep, 1, mat, w, 30.0)
-    assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+    got = _smooth_fit(rep, 1, mat, w, eta)
+    normal = dense_laplacian(rep, 1) / eta + np.diag(w ** 2)
+    ref, rank = eig_min_norm_solve(normal, (w ** 2)[:, None] * mat)
+    assert calls == ([(n, n)] if rank < n else [])
+    assert (rank < n) == (case > 0)  # an unobserved harmonic direction
+    lam = np.linalg.eigvalsh(normal)
+    kappa = lam[-1] / lam[n - rank]  # over the kept eigenvalues
+    assert np.max(np.abs(got - ref)) <= max(1e-10, 10 * EPS * kappa) * max(
+        1.0, float(np.max(np.abs(ref))))
 
 
 def test_no_library_path_reads_the_dense_float_boundary(monkeypatch):
