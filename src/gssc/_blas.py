@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import threading
 
 _lock, _depth, _restore = threading.Lock(), 0, []  # open scopes; what the first saved
 
 
+@functools.cache
 def _openblas_controls():
-    """(get, set) thread-count functions of each OpenBLAS loaded in the process."""
+    """(get, set) thread-count functions of each OpenBLAS loaded, found once."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower()
                             and line.split()[-1].startswith("/")})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -40,7 +42,7 @@ def _openblas_controls():
                     get.restype, get.argtypes = ctypes.c_int, []
                     put.restype, put.argtypes = None, [ctypes.c_int]
                     controls.append((get, put))
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager

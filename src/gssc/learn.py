@@ -36,14 +36,16 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.linalg
 
 from . import gf2
+from ._blas import one_blas_thread
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
 from .complexes import _as_int, _csv_rows
 from .errors import FormatError, InfeasibleError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _split,
-                    _spd_solve, laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
+                    _min_norm_solve, _spd_solve, _split, laplacian, spectral_bases)
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -155,12 +157,20 @@ def solve_fundamental(x, p=2, weights=None):
 
 # -- smoothness model ----------------------------------------------------------
 
+def _checked_eta(eta, top):
+    """eta, refused before dividing when top / eta would not be positive and finite."""
+    if not top / np.finfo(float).max < eta:
+        raise ValueError(f"eta must be positive and keep {top:g} / eta finite, got {eta!r}")
+    return eta
+
+
 def _smooth_fit(rep, k, mat, w, eta):
     """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by `hodge._spd_solve`,
     whose cutoff drops the harmonic directions zero weights leave unobserved;
-    apart from `solve_smooth` so its n_k x n_k arrays are freed before the split.
+    apart from `solve_smooth` so its n_k x n_k array is freed before the split.
     """
-    normal = laplacian(rep, k) / eta
+    normal = laplacian(rep, k)
+    normal /= _checked_eta(eta, normal.diagonal().max(initial=0.0))
     normal[np.diag_indices_from(normal)] += w ** 2
     return _spd_solve(normal, (w ** 2)[:, None] * mat)[0]
 
@@ -174,12 +184,10 @@ def solve_smooth(x, eta=1.0, weights=None):
     (W^2 + L_k / eta) x' = W^2 x, one column per coefficient, and the parts
     and certificates are the orthogonal Hodge split of x'.  With unit
     weights this is the spectral filter that shrinks the L_k eigenvector
-    with eigenvalue lambda by 1 / (1 + lambda / eta).
+    with eigenvalue lambda by 1 / (1 + lambda / eta); L_k / eta must be finite.
     """
     if not isinstance(x.system, (Real, FourierFn)):
         raise UnsupportedError(f"smooth model needs Real or FourierFn, got {x.system!r}")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     rep = x.complex
     k = x.degree
     w = resolve_weights(weights, len(x.values))
@@ -236,10 +244,10 @@ class SampleSet:
     `t` and `y` are read-only copies of the arrays passed in, so neither the
     caller nor a fit can change them in place.  Fits of one SampleSet share
     work held on it: the (n, M, T) Fourier design at the instants (filled by
-    `sample_async`, which computes it anyway) and the last normal system
-    `reconstruct_gssc` assembled.  What is held is tied to the current `t`
-    and `y` objects: reassigning either drops it, and a fit with another
-    eta or time order assembles afresh.
+    `sample_async`, which computes it anyway) and the factor of the last
+    full-rank system `reconstruct_gssc` assembled.  What is held is tied to
+    the current `t` and `y` objects: reassigning either drops it, and a fit
+    with another eta or time order assembles afresh.
     """
 
     def __init__(self, t, y, sigma=None, seed=None):
@@ -336,48 +344,36 @@ def load_samples(path, n_edges):
 
 # -- sampled reconstruction ----------------------------------------------------
 
-def _leading_columns(bases, U, lam, held):
-    """Indices of the held basis's columns that `bases` (stacked as U, with
-    eigenvalues lam) equals, when it is a leading sub-basis of it; else None.
-    """
-    U_held, lam_held, n_harmonic, n_irr = held
-    n_sol = U_held.shape[1] - n_harmonic - n_irr
-    if bases.n_harmonic != n_harmonic or bases.n_irr > n_irr or bases.n_sol > n_sol:
-        return None
-    start = n_harmonic + n_irr
-    idx = np.r_[:n_harmonic + bases.n_irr, start:start + bases.n_sol]
-    if np.array_equal(U, U_held[:, idx]) and np.array_equal(lam, lam_held[idx]):
-        return idx
-    return None
-
-
-def _normal_system(held, psi, y, bases, lam, eta):
-    """Regularized Gram and rhs of the fit of y through design psi in `bases`
-    (eigenvalues lam).
-
-    When `held` has the system of the same eta and time order for a basis
-    of which `bases` is a leading sub-basis, the answer is its principal
-    block; otherwise the system is assembled and held for later fits.
-    """
+def _coefficients(held, psi, y, bases, order, eta):
+    """(theta, rank) of the fit of y through design psi in `bases`' columns in
+    `order` (theta's rows too): by the leading block of the `held` factor when
+    it passes; else by a Gram factored in place and held, or `_min_norm_solve`."""
     T = psi.shape[2]
-    U = bases.stacked()
-    key, basis, gram, rhs = held.get("normal", (None,) * 4)
-    idx = _leading_columns(bases, U, lam, basis) if key == (T, eta) else None
-    if idx is not None:
-        idx = (idx[:, None] * T + np.arange(T)).ravel()
-        return gram[np.ix_(idx, idx)], rhs[idx]
-
-    n, K = U.shape
-    outer = (U[:, :, None] * U[:, None, :]).reshape(n, K * K)
-    local = np.einsum("emt,emu->etu", psi, psi).reshape(n, T * T)
-    gram = (outer.T @ local).reshape(K, K, T, T).transpose(0, 2, 1, 3)
-    gram = gram.reshape(K * T, K * T)
-    gram[np.diag_indices(K * T)] += np.repeat(lam / eta, T)
-    rhs = (U.T @ np.einsum("emt,em->et", psi, y)).ravel()
-    for arr in (gram, rhs):  # held, and handed to the caller
-        arr.setflags(write=False)
-    held["normal"] = ((T, eta), (U, lam, bases.n_harmonic, bases.n_irr), gram, rhs)
-    return gram, rhs
+    basis = np.vstack([bases.stacked(), bases.eigenvalues()])[:, order]
+    K, N = len(order), len(order) * T
+    key, held_basis, factor, diag, rhs = held.get("normal", (None,) * 5)
+    if not (key == (T, eta) and np.array_equal(basis, held_basis[:, :K])
+            and _full_rank(factor[:N, :N], diag[:N])):
+        i, j = np.triu_indices(K)
+        local = np.matmul(psi.transpose(0, 2, 1), psi).reshape(len(psi), T * T)
+        blocks = (bases._row_products(basis[:-1]).T @ local).reshape(-1, T, T)
+        blocks[i == j] += (basis[-1] / eta)[:, None, None] * np.eye(T)
+        gram = np.zeros((N, N), order="F")
+        # upper[i, j] is block (i, j) of gram, seen through its C-ordered .T
+        upper = gram.T.reshape(K, T, K, T).transpose(2, 0, 3, 1)
+        upper[i, j] = blocks
+        rhs = (basis[:-1].T @ np.matmul(psi.transpose(0, 2, 1), y[..., None])[..., 0]).ravel()
+        with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
+            factored = _cholesky(gram)
+        if factored is None:
+            upper[j, i] = blocks.transpose(0, 2, 1)  # gram mirrored in full
+            upper[i, j] = blocks
+            return _min_norm_solve(gram, rhs)
+        factor, diag = factored
+        for arr in (basis, factor, diag, rhs):  # held, and read by later fits
+            arr.setflags(write=False)
+        held["normal"] = ((T, eta), basis, factor, diag, rhs)
+    return scipy.linalg.cho_solve((factor[:N, :N], False), rhs[:N]), N
 
 
 def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
@@ -396,22 +392,22 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         Gram = sum_e (u_e u_e^T) kron (Psi_e^T Psi_e) + diag(lambda / eta) kron I_T
         rhs  = U^T [Psi_e^T y_e]_e
 
-    are solved by `hodge._spd_solve`.  A rank-deficient Gram (say, a
-    harmonic block with fewer samples than time coefficients) gives the
-    minimum-norm theta and a ConditioningWarning.  The certificates are the
-    closed-form minimum-norm preimages y1 = B_2^T U_sol (theta_sol /
-    lambda_sol) and y_neg1 = B_1 U_irr (theta_irr / lambda_irr).
-
-    The design and the last assembled system are held on `samples`.  A
-    later fit with the same eta and time order in a leading sub-basis of the
-    held basis (equal U0, and U_irr, U_sol and eigenvalues equal to its
-    leading columns, as `HodgeBases.sub` gives) solves the principal block
-    of the held Gram and the matching rhs rows.
+    are ordered [U0 | irr_0, sol_0, irr_1, ...]; the Gram's upper block
+    triangle, one product of the row products u_{e,i} u_{e,j} (i <= j) held
+    on `bases` with the per-edge Grams, is factored in place under
+    `hodge._full_rank`.  A rank-deficient Gram (say, a harmonic block with
+    fewer samples than time coefficients) gives the minimum-norm theta of
+    `hodge._min_norm_solve` and a ConditioningWarning.  The certificates are
+    the closed-form minimum-norm preimages y1 = B_2^T U_sol (theta_sol /
+    lambda_sol) and y_neg1 = B_1 U_irr (theta_irr / lambda_irr).  The design
+    and the factor of the last full-rank system are held on `samples`; a
+    later fit with the same finite lambda / eta and time order whose columns
+    lead (as every `HodgeBases.sub(s, s)` does) solves its leading block.
 
     Returns (estimate chain, DecompositionResult with the three parts).
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    lam = bases.eigenvalues()
+    _checked_eta(eta, np.max(lam, initial=0.0))
     system = FourierFn(time_order)
     T = system.n_coeffs
     n = rep.n_cells(1)
@@ -423,12 +419,13 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
     psi = held.get(("design", T))
     if psi is None:
         psi = held[("design", T)] = _design(system, samples.t)
-    lam = bases.eigenvalues()
-    gram, rhs = _normal_system(held, psi, samples.y, bases, lam, eta)
-    theta, rank = _spd_solve(gram, rhs)
-    if rank < len(rhs):
-        warnings.warn(f"normal system has rank {rank} < {len(rhs)}", ConditioningWarning)
-    theta = theta.reshape(-1, T)
+    # [U0 | irr_0, sol_0, irr_1, sol_1, ...]: every sub(s, s) basis leads
+    order = np.argsort(np.r_[[-1] * bases.n_harmonic, 2 * np.arange(bases.n_irr),
+                             2 * np.arange(bases.n_sol) + 1], kind="stable")
+    theta, rank = _coefficients(held, psi, samples.y, bases, order, eta)
+    if rank < len(theta):
+        warnings.warn(f"normal system has rank {rank} < {len(theta)}", ConditioningWarning)
+    theta = theta.reshape(-1, T)[np.argsort(order)]
 
     a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
                                         bases.n_harmonic + bases.n_irr])

@@ -340,6 +340,59 @@ def dense_reconstruct(samples, rep, bases, time_order=3, eta=1.0):
     return estimate, result
 
 
+def stacked_normal_system(samples, bases, time_order=3, eta=1.0):
+    """(gram, rhs): `reconstruct_gssc`'s regularized normal system, both
+    triangles, in the stacked column order [U0 | U_irr | U_sol], with the
+    per-edge Grams and the rhs contracted by einsum.  The reference for the
+    library's interleaved upper-block-triangle assembly, which it replaced.
+    """
+    system = FourierFn(time_order)
+    T = system.n_coeffs
+    psi = system.design_matrix(samples.t.ravel()).reshape(*samples.t.shape, T)
+    U = bases.stacked()
+    lam = np.concatenate([np.zeros(bases.n_harmonic), bases.irr_eigenvalues,
+                          bases.sol_eigenvalues])
+    n, K = U.shape
+    outer = (U[:, :, None] * U[:, None, :]).reshape(n, K * K)
+    local = np.einsum("emt,emu->etu", psi, psi).reshape(n, T * T)
+    gram = (outer.T @ local).reshape(K, K, T, T).transpose(0, 2, 1, 3)
+    gram = gram.reshape(K * T, K * T)
+    gram[np.diag_indices(K * T)] += np.repeat(lam / eta, T)
+    rhs = (U.T @ np.einsum("emt,em->et", psi, samples.y)).ravel()
+    return gram, rhs
+
+
+def stacked_labels(bases):
+    """The columns of `bases.stacked()`, as (part, index) labels."""
+    return ([("harmonic", r) for r in range(bases.n_harmonic)]
+            + [("irr", r) for r in range(bases.n_irr)]
+            + [("sol", r) for r in range(bases.n_sol)])
+
+
+def interleaved_labels(bases):
+    """The column order [U0 | irr_0, sol_0, irr_1, sol_1, ...] of the
+    library's normal systems, as `stacked_labels` labels."""
+    labels = [("harmonic", r) for r in range(bases.n_harmonic)]
+    for r in range(max(bases.n_irr, bases.n_sol)):
+        labels += [("irr", r)] * (r < bases.n_irr) + [("sol", r)] * (r < bases.n_sol)
+    return labels
+
+
+def interleaved_rows(bases, n_coeffs):
+    """For each (column, time) unknown of the interleaved normal system of
+    `bases`, its row in the stacked one (n_coeffs time rows per column)."""
+    labels = stacked_labels(bases)
+    cols = np.array([labels.index(label) for label in interleaved_labels(bases)], dtype=int)
+    return (cols[:, None] * n_coeffs + np.arange(n_coeffs)).ravel()
+
+
+def leads(sub, bases):
+    """Whether the columns of `sub` come first in the interleaved order of
+    `bases`, so that its normal system is a leading block of theirs."""
+    mine = interleaved_labels(sub)
+    return mine == interleaved_labels(bases)[:len(mine)]
+
+
 def dense_smooth(x, eta=1.0, weights=None):
     """Smooth model by one stacked least-squares problem in boundary coordinates.
 

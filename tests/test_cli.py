@@ -321,8 +321,13 @@ BAD_INPUT = [
     ("reconstruct-sub-size", ["reconstruct", "cycle(4)", "{d}/s.csv", "--sub-size", "-3"],
      "sub-size"),
     ("reconstruct-inf-sample", ["reconstruct", "cycle(4)", "{d}/s_inf.csv"], "line 2"),
+    ("reconstruct-eta-overflow", ["reconstruct", "cycle(4)", "{d}/s.csv", "--eta", "1e-320"],
+     "eta must be positive and keep 4 / eta finite, got 1e-320"),
     ("smooth-eta", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
                     "smooth", "--eta", "0"], "eta"),
+    ("smooth-eta-overflow", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model",
+                             "smooth", "--eta", "1e-320"],
+     "eta must be positive and keep 2 / eta finite, got 1e-320"),
     ("decompose-nan-chain", ["decompose", "cycle(4)", "{d}/x_nan.csv", "-k", "1"], "line 3"),
     ("decompose-extra-field", ["decompose", "cycle(4)", "{d}/x_extra.csv", "-k", "1"],
      "line 2: row has 3 fields"),

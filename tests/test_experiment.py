@@ -1,5 +1,6 @@
 """Sweep configuration, the benchmark complex, and experiment outputs."""
 
+import builtins
 import csv
 import re
 import threading
@@ -299,8 +300,31 @@ def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
         raise OSError(f"cannot load {path}")
 
     monkeypatch.setattr(_blas.ctypes, "CDLL", no_library)
-    assert _blas._openblas_controls() == []
-    ran = False
+    _blas._openblas_controls.cache_clear()  # find the libraries again, with none
+    try:
+        assert _blas._openblas_controls() == ()
+        ran = False
+        with _blas.one_blas_thread():
+            ran = True
+        assert ran
+    finally:
+        _blas._openblas_controls.cache_clear()
+
+
+def test_a_later_scope_reads_no_maps_and_still_restores(monkeypatch, blas_threads):
+    before = blas_threads()
+    with _blas.one_blas_thread():  # the libraries are found by now
+        pass
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
     with _blas.one_blas_thread():
-        ran = True
-    assert ran
+        assert blas_threads() == [1] * len(before)
+    monkeypatch.undo()
+    assert "/proc/self/maps" not in opened
+    assert blas_threads() == before

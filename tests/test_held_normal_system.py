@@ -1,15 +1,19 @@
-"""Fits through a SampleSet's held normal system against fresh assembly.
+"""Fits through a SampleSet's held Cholesky factor against fresh assembly.
 
-`reconstruct_gssc` holds the design and the last normal system it
-assembled on the SampleSet.  A later fit with the same eta and time order
-whose basis is a leading sub-basis of the held one takes the principal
-block of the held Gram instead of assembling its own.  Each such fit must
-match the same fit of a fresh copy of the samples to 1e-12 relative (the
-objective with an absolute floor of eps |y|^2, where an interpolating fit
-reaches 0).  With M = 1 there are fewer samples than unknowns and the
-normal system is singular or nearly so, so its minimizer is not pinned
-down; there only the objective is compared.  Fits that must not reuse (a larger basis, another eta or time order, another
-complex's basis, reassigned samples) assemble afresh and match bit for bit.
+`reconstruct_gssc` holds the design and, when the last system it
+assembled had full rank, that system's Cholesky factor and rhs on the
+SampleSet, in the interleaved column order [U0 | irr_0, sol_0, irr_1,
+sol_1, ...].  A later fit with the same eta and time order whose basis
+columns come first in that order (every sub(s, s) does) solves the
+factor's leading block instead of assembling its own.  Each such fit must
+match the same fit of a fresh copy of the samples to 1e-12 relative, or to
+10 kappa eps where the block's condition number kappa makes 1e-12
+unattainable (the objective with an absolute floor of eps |y|^2, where an
+interpolating fit reaches 0).  Every other fit (a basis not leading in
+the held order, a rank-deficient held system, which holds no factor, a
+larger basis, another eta or time order, another complex's basis,
+reassigned samples) assembles afresh and matches a fresh copy bit for bit,
+M = 1 included.
 """
 
 import warnings
@@ -19,14 +23,19 @@ import numpy as np
 import pytest
 
 import gssc.experiment as experiment
-from gssc import (ConditioningWarning, SampleSet, SimplicialComplex, SynthSpec,
-                  parse_config, reconstruct_gssc, resolve_complex,
+import gssc.learn as learn
+from gssc import (ConditioningWarning, HodgeBases, SampleSet, SimplicialComplex,
+                  SynthSpec, parse_config, reconstruct_gssc, resolve_complex,
                   run_experiment, sample_async, spectral_bases, synthesize,
                   to_chain_complex)
+
+from oracles import (eig_min_norm_solve, interleaved_labels, interleaved_rows, leads,
+                     stacked_labels, stacked_normal_system)
 
 SPECS = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
 SUB_SIZES = ((15, 15), (3, 5), (0, 20))
 TIME_ORDER = 3
+N_COEFFS = 2 * TIME_ORDER + 1  # time coefficients per basis column
 EPS = np.finfo(float).eps
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,7 +51,7 @@ def fit(samples, rep, bases, time_order=TIME_ORDER, eta=1.0):
 
 
 def held_system(samples):
-    return samples._held()["normal"]
+    return samples._held().get("normal")
 
 
 def assert_bitwise_equal(got, want):
@@ -50,6 +59,11 @@ def assert_bitwise_equal(got, want):
     ref_est, ref = want
     assert est.values.tobytes() == ref_est.values.tobytes()
     assert res.objective == ref.objective
+
+
+def full_rank(samples, bases, eta):
+    gram, rhs = stacked_normal_system(samples, bases, TIME_ORDER, eta)
+    return eig_min_norm_solve(gram, rhs)[1] == len(gram), np.linalg.cond(gram)
 
 
 @pytest.mark.parametrize("sub_size", SUB_SIZES)
@@ -63,19 +77,143 @@ def test_fit_through_the_held_system_matches_a_fresh_assembly(spec, m, sub_size)
     samples = sample_async(truth, m, 0.01, seed=[m, len(spec)])
     fit(samples, rep, bases, eta=30.0)
     held = held_system(samples)
+    assert (held is not None) == full_rank(samples, bases, 30.0)[0]
 
-    est, res = fit(samples, rep, sub, eta=30.0)
-    assert held_system(samples) is held  # the block was taken, not reassembled
-    ref_est, ref = fit(fresh(samples), rep, sub, eta=30.0)
+    got = fit(samples, rep, sub, eta=30.0)
+    want = fit(fresh(samples), rep, sub, eta=30.0)
+    if held is None or not leads(sub, bases):
+        if held is not None:
+            assert held_system(samples) is not held  # assembled and held afresh
+        assert_bitwise_equal(got, want)
+        return
+
+    assert held_system(samples) is held  # the leading block was solved
+    (est, res), (ref_est, ref) = got, want
     # an interpolating fit has objective 0 up to roundoff of the data energy
     floor = EPS * float(np.sum(samples.y ** 2))
     assert abs(res.objective - ref.objective) <= 1e-12 * ref.objective + floor
-    if m == 1:
-        return
-    diff = np.linalg.norm(est.values - ref_est.values)
-    assert diff <= 1e-12 * np.linalg.norm(ref_est.values)
     for key in res.residuals:
         assert abs(res.residuals[key] - ref.residuals[key]) <= 1e-12 * ref.objective + floor
+    # M = 1 leaves some sub systems ill-conditioned: 10 kappa eps there
+    rtol = 1e-12 if m > 1 else max(1e-12, 10 * EPS * full_rank(samples, sub, 30.0)[1])
+    diff = np.linalg.norm(est.values - ref_est.values)
+    assert diff <= rtol * np.linalg.norm(ref_est.values)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_every_sub_s_s_fit_solves_a_leading_block_of_the_held_factor(spec):
+    rep = resolve_complex(spec)
+    bases = spectral_bases(rep, 1, 20, 20)
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec), 20]))
+    samples = sample_async(truth, 20, 0.01, seed=[20, len(spec)])
+    fit(samples, rep, bases, eta=30.0)
+    held = held_system(samples)
+    assert held is not None
+    for s in range(21):
+        assert leads(bases.sub(s, s), bases)
+        fit(samples, rep, bases.sub(s, s), eta=30.0)
+        assert held_system(samples) is held
+
+
+def writable_copy(bases):
+    return HodgeBases(*(np.array(getattr(bases, name)) for name in (
+        "U0", "U_irr", "U_sol", "irr_eigenvalues", "sol_eigenvalues")),
+        bases.requested_irr, bases.requested_sol)
+
+
+def interleaved_products(bases):
+    labels = stacked_labels(bases)
+    U = bases.stacked()[:, [labels.index(x) for x in interleaved_labels(bases)]]
+    i, j = np.triu_indices(U.shape[1])
+    return U, U[:, i] * U[:, j]
+
+
+def test_row_products_are_held_while_the_basis_content_stays():
+    bases = writable_copy(spectral_bases(resolve_complex("default"), 1, 20, 20))
+    U, want = interleaved_products(bases)
+    products = bases._row_products(U)
+    assert np.array_equal(products, want)
+    assert bases._row_products(U.copy()) is products
+    bases.U_sol *= -1  # in place: still an eigenbasis, with other products
+    U, want = interleaved_products(bases)
+    assert np.array_equal(bases._row_products(U), want)
+    assert not np.array_equal(want, products)
+
+
+def test_a_fit_after_an_in_place_basis_write_matches_a_fresh_basis():
+    rep = resolve_complex("default")
+    bases = writable_copy(spectral_bases(rep, 1, 20, 20))
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=9))
+    samples = sample_async(truth, 5, 0.01, seed=10)
+    fit(samples, rep, bases)  # holds the row products and the factor
+    bases.U_irr *= -1
+    bases.U_sol[:, 0] *= -1
+    copy = writable_copy(bases)
+    want = fit(fresh(samples), rep, copy)
+    assert_bitwise_equal(fit(fresh(samples), rep, bases), want)  # products rebuilt
+    assert_bitwise_equal(fit(samples, rep, bases), want)  # factor not reused
+
+
+def to_stacked(matrix, bases):
+    """A matrix over the interleaved (column, time) rows, permuted to the
+    stacked ones."""
+    rows = interleaved_rows(bases, N_COEFFS)
+    out = np.empty_like(matrix)
+    out[np.ix_(rows, rows)] = matrix
+    return out
+
+
+@pytest.mark.parametrize("which", ["full", "sub"])
+@pytest.mark.parametrize("m", [1, 3, 20])
+@pytest.mark.parametrize("spec", SPECS)
+def test_the_upper_block_triangle_is_the_stacked_oracle_gram(monkeypatch, spec, m, which):
+    rep = resolve_complex(spec)
+    bases = spectral_bases(rep, 1, 20, 20)
+    b = bases if which == "full" else bases.sub(15, 15)
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec), m]))
+    samples = sample_async(truth, m, 0.01, seed=[m, len(spec)])
+    seen = {}
+
+    def spy(name):
+        real = getattr(learn, name)
+
+        def record(A, *args):
+            seen[name] = np.array(A)
+            return real(A, *args)
+        monkeypatch.setattr(learn, name, record)
+    spy("_cholesky")
+    spy("_min_norm_solve")
+    fit(samples, rep, b, eta=30.0)
+    want, _ = stacked_normal_system(samples, b, TIME_ORDER, 30.0)
+    upper = seen["_cholesky"]
+    got = [np.triu(upper) + np.triu(upper, 1).T]  # what Cholesky reads, mirrored
+    if not full_rank(samples, b, 30.0)[0]:
+        got.append(seen["_min_norm_solve"])  # the fallback's matrix, in full
+    assert ("_min_norm_solve" in seen) == (len(got) == 2)
+    for gram in got:
+        diff = np.max(np.abs(to_stacked(gram, b) - want))
+        assert diff <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["full", "sub"])
+@pytest.mark.parametrize("m", [1, 3, 20])
+@pytest.mark.parametrize("spec", SPECS)
+def test_a_leading_block_solve_is_a_fresh_fit(spec, m, which):
+    rep = resolve_complex(spec)
+    bases = spectral_bases(rep, 1, 20, 20)
+    b = bases if which == "full" else bases.sub(15, 15)
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec), m]))
+    samples = sample_async(truth, m, 0.01, seed=[m, len(spec)])
+    fit(samples, rep, bases, eta=30.0)
+    held = held_system(samples)
+    got = fit(samples, rep, b, eta=30.0)
+    want = fit(fresh(samples), rep, b, eta=30.0)
+    if held is None:  # rank-deficient: no factor is held
+        assert_bitwise_equal(got, want)
+        return
+    assert held_system(samples) is held  # the leading block was solved
+    diff = np.linalg.norm(got[0].values - want[0].values)
+    assert diff <= 1e-12 * np.linalg.norm(want[0].values)
 
 
 def relabeled_cycle(n):

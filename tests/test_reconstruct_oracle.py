@@ -18,9 +18,10 @@ The ConditioningWarning is decided by rank, not by roundoff: it fires
 exactly once iff the `eig_sym` rank of the normal matrix is below its size
 N, which with M = 1 happens on default, cycle(6) and cycle(3) at every eta
 and basis size, and the fit is then the minimum-norm minimizer, pinned to
-`oracles.eig_min_norm_solve` of the library's own normal system to 1e-9.
-The same holds on every one of ten repeated fits, whether the system is
-the principal block of a held one or a fresh assembly.  The dense oracle
+`oracles.eig_min_norm_solve` of the normal system the library solved to
+1e-9; that system is in turn pinned to `oracles.stacked_normal_system` to
+1e-13.  The same holds on every one of ten repeated fits, whether the
+system is a leading block of a held factor or a fresh assembly.  The dense oracle
 keeps its Cholesky with a 1e-10 ridge fallback as the reference; it must
 stay silent on every well-conditioned system.
 """
@@ -30,11 +31,13 @@ import warnings
 import numpy as np
 import pytest
 
+import gssc.learn as learn
 from gssc import (ConditioningWarning, FourierFn, SampleSet, SynthSpec, eig_sym,
                   reconstruct_gssc, resolve_complex, sample_async,
                   spectral_bases, synthesize)
 
-from oracles import dense_reconstruct, eig_min_norm_solve
+from oracles import (dense_reconstruct, eig_min_norm_solve, interleaved_rows, leads,
+                     stacked_normal_system)
 
 # cycle(6) has no triangles (U_sol is empty); with M = 1, default, cycle(6)
 # and cycle(3) have rank-deficient normal systems
@@ -67,6 +70,20 @@ def rank_of(gram):
     return int(np.sum(spec.eigenvalues > spec.zero_tol))
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The (matrix, rhs) of each system `reconstruct_gssc` solved by
+    `hodge._min_norm_solve`, in call order."""
+    seen = []
+    real = learn._min_norm_solve
+
+    def record(A, B):
+        seen.append((np.array(A), np.array(B)))
+        return real(A, B)
+    monkeypatch.setattr(learn, "_min_norm_solve", record)
+    return seen
+
+
 def fit(method, samples, rep, bases, eta):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -83,12 +100,13 @@ def values(chain):
 @pytest.mark.parametrize("m", [1, 5, 40])
 @pytest.mark.parametrize("which", ["full", "sub"])
 @pytest.mark.parametrize("spec", SPECS)
-def test_reconstruction_matches_dense_oracle(spec, which, m, eta):
+def test_reconstruction_matches_dense_oracle(solved, spec, which, m, eta):
     rep = resolve_complex(spec)
     bases = bases_for(rep, which)
     truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec)]))
     samples = sample_async(truth, m, 0.05, seed=[m, len(spec)])
     est, res, fired = fit(reconstruct_gssc, samples, rep, bases, eta)
+    system = solved[-1] if solved else None
     ref_est, ref, ref_fired = fit(dense_reconstruct, samples, rep, bases, eta)
 
     gram = normal_matrix(samples, bases, eta)
@@ -118,16 +136,25 @@ def test_reconstruction_matches_dense_oracle(spec, which, m, eta):
     assert (np.linalg.norm(down.T @ values(res.y_neg1) - values(res.x_neg1))
             <= 1e-9 * max(scale, 1.0))
 
+    assert (system is not None) == deficient
     if deficient:
-        assert_minimum_norm_fit(samples, bases, est)
+        assert_minimum_norm_fit(system, samples, bases, eta, est)
 
 
-def assert_minimum_norm_fit(samples, bases, est):
-    """theta and the estimate are the minimum-norm solution of the normal
-    system the fit held on `samples`."""
-    _, _, gram, rhs = samples._held()["normal"]
+def assert_minimum_norm_fit(system, samples, bases, eta, est):
+    """theta and the estimate are the minimum-norm solution of `system`, the
+    normal system the fit solved, to 1e-9 relative, and `system` is the
+    stacked-order oracle's, permuted, to 1e-13 relative."""
+    gram, rhs = system
+    rows = interleaved_rows(bases, FourierFn(TIME_ORDER).n_coeffs)
+    want_gram, want_rhs = stacked_normal_system(samples, bases, TIME_ORDER, eta)
+    assert (np.max(np.abs(want_gram[np.ix_(rows, rows)] - gram))
+            <= 1e-13 * np.max(np.abs(want_gram)))
+    assert np.max(np.abs(want_rhs[rows] - rhs)) <= 1e-13 * np.max(np.abs(want_rhs))
     U = bases.stacked()
-    theta_ref = eig_min_norm_solve(gram, rhs)[0].reshape(U.shape[1], -1)
+    theta_ref = np.empty(len(rhs))
+    theta_ref[rows] = eig_min_norm_solve(gram, rhs)[0]
+    theta_ref = theta_ref.reshape(U.shape[1], -1)
     theta = U.T @ values(est)
     assert np.linalg.norm(theta - theta_ref) <= 1e-9 * np.linalg.norm(theta_ref)
     ref = U @ theta_ref
@@ -135,23 +162,29 @@ def assert_minimum_norm_fit(samples, bases, est):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_warning_follows_the_rank_on_every_repeat(spec):
+def test_warning_follows_the_rank_on_every_repeat(solved, spec):
     rep = resolve_complex(spec)
     full, sub = bases_for(rep, "full"), bases_for(rep, "sub")
     truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec)]))
     samples = sample_async(truth, 1, 0.05, seed=[1, len(spec)])
     gram = normal_matrix(samples, sub, 30.0)
     deficient = rank_of(gram) < len(gram)
+    full_gram = normal_matrix(samples, full, 30.0)
+    holds = rank_of(full_gram) == len(full_gram)  # only a full-rank factor is held
     for _ in range(10):
-        fit(reconstruct_gssc, samples, rep, full, 30.0)  # holds the full system
-        held = samples._held()["normal"]
+        fit(reconstruct_gssc, samples, rep, full, 30.0)
+        held = samples._held().get("normal")
+        assert (held is not None) == holds
         est, _, fired = fit(reconstruct_gssc, samples, rep, sub, 30.0)
-        assert samples._held()["normal"] is held  # a principal block
+        reused = held is not None and samples._held()["normal"] is held
+        assert reused == (holds and leads(sub, full))  # a leading block
         fresh = SampleSet(samples.t, samples.y)
+        solved.clear()
         fresh_est, _, fresh_fired = fit(reconstruct_gssc, fresh, rep, sub, 30.0)
         assert fired == fresh_fired == deficient
+        assert len(solved) == deficient
         if deficient:
-            assert_minimum_norm_fit(fresh, sub, fresh_est)
+            assert_minimum_norm_fit(solved[0], fresh, sub, 30.0, fresh_est)
             assert (np.linalg.norm(values(est) - values(fresh_est))
                     <= 1e-9 * np.linalg.norm(values(fresh_est)))
 
