@@ -46,28 +46,42 @@ def rbf_kernel(a, b, lengthscale):
     return np.exp(out, out=out)
 
 
+# Doubles in one block's (b, G, M) evaluation kernel (512 KiB); built for all
+# edges at once, it and the (n, M, M) Gram set the samples sweep's peak memory.
+_KERNEL_BUDGET = 1 << 16
+
+
 def krr_fit_eval(t, y, config, eval_points):
     """Kernel ridge predictor evaluated at given instants.
 
     `t` and `y` hold one edge's samples, shape (M,), or a stack of edges,
-    shape (n, M); each edge is fitted on its own samples, all in one
-    batched solve, and the result has shape (len(eval_points),) or
-    (n, len(eval_points)).
+    shape (n, M), each edge fitted on its own; the result has shape (G,) or
+    (n, G), G = len(eval_points).  Edges are solved in batches whose (b, G, M)
+    evaluation kernel holds at most 65,536 doubles (512 KiB; one edge at
+    least), so memory does not grow with n; each edge gets the same LAPACK
+    call on the same numbers as in one batch of all edges.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if t.shape != y.shape or t.ndim not in (1, 2):
+        raise ValueError(f"t {t.shape} and y {y.shape} must be matching (M,) or (n, M) arrays")
     if t.size == 0:
         raise ValueError("need at least one sample")
-    K = rbf_kernel(t, t, config.lengthscale)
+    ts, ys = np.atleast_2d(t, y)
+    out = np.empty((len(ts), len(eval_points)))
+    step = max(1, _KERNEL_BUDGET // max(1, out.shape[1] * t.shape[-1]))
     diag = np.arange(t.shape[-1])
-    K[..., diag, diag] += config.ridge
-    try:
-        alpha = np.linalg.solve(K, y[..., None])
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "kernel system is singular (duplicated sample instants with "
-            "ridge = 0?); use a ridge > 0")
-    return (rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]
+    for lo in range(0, len(ts), step):
+        block = ts[lo:lo + step]
+        K = rbf_kernel(block, block, config.lengthscale)
+        K[:, diag, diag] += config.ridge
+        try:
+            alpha = np.linalg.solve(K, ys[lo:lo + step, :, None])
+        except np.linalg.LinAlgError:
+            raise NumericalError("kernel system is singular (duplicated sample "
+                                 "instants with ridge = 0?); use a ridge > 0")
+        out[lo:lo + step] = (rbf_kernel(eval_points, block, config.lengthscale) @ alpha)[..., 0]
+    return out if t.ndim == 2 else out[0]
 
 
 class GridEstimate:

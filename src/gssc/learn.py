@@ -43,7 +43,7 @@ from ._blas import one_blas_thread
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
 from .complexes import _as_int, _csv_rows
-from .errors import FormatError, InfeasibleError, UnsupportedError
+from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
                     _min_norm_solve, _spd_solve, _split, laplacian, spectral_bases)
 
@@ -255,6 +255,10 @@ class SampleSet:
         y = np.array(y, dtype=float)
         if t.shape != y.shape or t.ndim != 2:
             raise ValueError("t and y must be matching (n_edges, M) arrays")
+        for name, arr in (("t", t), ("y", y)):
+            if not np.all(np.isfinite(arr)):
+                e, i = np.argwhere(~np.isfinite(arr))[0].tolist()
+                raise ValueError(f"{name} = {arr[e, i]} at edge {e}, sample {i} is not finite")
         t.setflags(write=False)
         y.setflags(write=False)
         self.t = t
@@ -363,6 +367,8 @@ def _coefficients(held, psi, y, bases, order, eta):
         upper = gram.T.reshape(K, T, K, T).transpose(2, 0, 3, 1)
         upper[i, j] = blocks
         rhs = (basis[:-1].T @ np.matmul(psi.transpose(0, 2, 1), y[..., None])[..., 0]).ravel()
+        if not np.all(np.isfinite(rhs)):  # finite y can overflow it; cho_solve skips the scan
+            raise NumericalError("the normal system's right-hand side overflows; rescale y")
         with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
             factored = _cholesky(gram)
         if factored is None:
@@ -373,7 +379,7 @@ def _coefficients(held, psi, y, bases, order, eta):
         for arr in (basis, factor, diag, rhs):  # held, and read by later fits
             arr.setflags(write=False)
         held["normal"] = ((T, eta), basis, factor, diag, rhs)
-    return scipy.linalg.cho_solve((factor[:N, :N], False), rhs[:N]), N
+    return scipy.linalg.cho_solve((factor[:N, :N], False), rhs[:N], check_finite=False), N
 
 
 def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):

@@ -14,9 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from gssc import gf2
+from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
 from gssc.complexes import _integral
-from gssc.errors import InfeasibleError
+from gssc.errors import InfeasibleError, NumericalError
 from gssc.hodge import DecompositionResult, HodgeBases, _signed, eig_sym
 from gssc.homology import smith_normal_form
 from gssc.learn import ConditioningWarning
@@ -780,3 +781,22 @@ def expression_krr_fit_eval(t, y, config, eval_points):
     K = expression_rbf_kernel(t, t, config.lengthscale)
     alpha = np.linalg.solve(K + config.ridge * np.eye(t.shape[-1]), y[..., None])
     return (expression_rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]
+
+
+def batched_krr_fit_eval(t, y, config, eval_points):
+    """The kernel ridge predictor with every edge in one batched solve: the
+    whole (n, M, M) Gram and (n, G, M) evaluation kernel held at once."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.size == 0:
+        raise ValueError("need at least one sample")
+    K = rbf_kernel(t, t, config.lengthscale)
+    diag = np.arange(t.shape[-1])
+    K[..., diag, diag] += config.ridge
+    try:
+        alpha = np.linalg.solve(K, y[..., None])
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "kernel system is singular (duplicated sample instants with "
+            "ridge = 0?); use a ridge > 0")
+    return (rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]

@@ -1,5 +1,9 @@
 """Kernel ridge regression per edge and the joint space-time smoother."""
 
+import itertools
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from gssc import (GridEstimate, KrrConfig, NumericalError,
                   krr_fit_eval, krr_grid, laplacian, rbf_kernel,
                   resolve_complex, sample_async, sc_product, synthesize)
 
-from oracles import dense_sc_product
+from oracles import batched_krr_fit_eval, dense_sc_product
 from test_acceptance import two_complex_corpus
 
 
@@ -59,6 +63,92 @@ def test_dense_samples_recover_a_smooth_curve():
 def test_duplicate_instants_without_ridge_fail_loudly():
     with pytest.raises(NumericalError, match="ridge"):
         krr_fit_eval([1.0, 1.0], [0.0, 1.0], KrrConfig(ridge=0.0), [1.0])
+
+
+def random_edges(n, m, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-np.pi, np.pi, (n, m)), rng.standard_normal((n, m))
+
+
+# every (edges, samples, evaluation points) whose one-batch oracle holds at
+# most 2^23 doubles in one kernel; at M = 700 one edge is over the budget
+KRR_SHAPES = [(n, m, g) for n, m, g in itertools.product((1, 7, 110, 333), (1, 5, 40, 700),
+                                                         (1, 100, 1000))
+              if n * m * max(m, g) <= 1 << 23]
+
+
+@pytest.mark.parametrize("n,m,g", KRR_SHAPES)
+def test_blocked_fit_is_bit_equal_to_one_batch(n, m, g):
+    t, y = random_edges(n, m)
+    points = np.linspace(-np.pi, np.pi, g)
+    for config in (KrrConfig(1.0, 1e-2), KrrConfig(0.3, 0.5)):
+        got = krr_fit_eval(t, y, config, points)
+        want = batched_krr_fit_eval(t, y, config, points)
+        assert got.shape == want.shape == (n, g)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m,g", itertools.product((1, 5, 40, 700), (1, 100, 1000)))
+def test_one_edge_fit_is_bit_equal_to_one_batch(m, g):
+    t, y = random_edges(1, m)
+    points = np.linspace(-np.pi, np.pi, g)
+    got = krr_fit_eval(t[0], y[0], KrrConfig(), points)
+    want = batched_krr_fit_eval(t[0], y[0], KrrConfig(), points)
+    assert got.shape == want.shape == (g,)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, krr_fit_eval(t, y, KrrConfig(), points)[0])
+
+
+@pytest.mark.parametrize("n,m,blocks", [(110, 5, 1), (110, 40, 7), (7, 700, 7), (333, 1, 1)])
+def test_blocks_keep_the_evaluation_kernel_within_the_budget(monkeypatch, n, m, blocks):
+    # 65,536 doubles per (b, 100, M) kernel: 16 edges at M = 40, one at M = 700
+    shapes = []
+    real = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(a.shape)
+        return real(a, b)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    t, y = random_edges(n, m)
+    krr_fit_eval(t, y, KrrConfig(), evaluation_grid())
+    assert len(shapes) == blocks
+    assert sum(s[0] for s in shapes) == n
+    assert all(s[0] * 100 * m <= 1 << 16 or s[0] == 1 for s in shapes)
+
+
+def test_a_singular_kernel_in_a_middle_block_fails_loudly():
+    # 1,000 points and M = 5 make blocks of 13 edges; edge 20 is in the second of four
+    t, y = random_edges(40, 5)
+    points = np.linspace(-np.pi, np.pi, 1000)
+    config = KrrConfig(ridge=0.0)
+    assert np.array_equal(krr_fit_eval(t, y, config, points),
+                          batched_krr_fit_eval(t, y, config, points))
+    t[20, 3] = t[20, 1]
+    with pytest.raises(NumericalError, match="ridge"):
+        krr_fit_eval(t, y, config, points)
+
+
+@pytest.mark.parametrize("t_shape,y_shape", [
+    ((4, 5), (5,)), ((5,), (4, 5)), ((4, 5), (4, 6)), ((4, 5), (5, 4)),
+    ((2, 3, 4), (2, 3, 4)), ((), ()),
+])
+def test_fit_refuses_mismatched_shapes(t_shape, y_shape):
+    with pytest.raises(ValueError, match=re.escape(f"t {t_shape} and y {y_shape}")):
+        krr_fit_eval(np.zeros(t_shape), np.ones(y_shape), KrrConfig(), [0.0, 1.0])
+
+
+def test_fit_at_sweep_size_holds_no_whole_kernel():
+    # one batch of 110 edges at M = 40 peaks at 4.86 MB, 3.5 MB of it the
+    # (110, 100, 40) evaluation kernel
+    t, y = random_edges(110, 40)
+    grid = evaluation_grid()
+    tracemalloc.start()
+    try:
+        krr_fit_eval(t, y, KrrConfig(), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_training_residual_shrinks_with_the_ridge():

@@ -347,6 +347,27 @@ def test_reconstruction_of_silence_is_silent():
     assert np.max(np.abs(np.asarray(estimate.values, dtype=float))) <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["t", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_samples_refuse_non_finite_entries(name, value):
+    from gssc import SampleSet
+    arrays = {"t": np.linspace(-3.0, 3.0, 32).reshape(4, 8), "y": np.zeros((4, 8))}
+    arrays[name][2, 3] = value
+    arrays[name][3, 0] = value
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {value} at edge 2, sample 3")):
+        SampleSet(arrays["t"], arrays["y"])
+
+
+def test_reconstruction_refuses_a_right_hand_side_that_overflows():
+    from gssc import NumericalError, SampleSet
+    rep = canonical_complex("cycle(4)")
+    t = np.linspace(-3.0, 3.0, 8).reshape(1, -1).repeat(4, axis=0)
+    with pytest.raises(NumericalError, match="overflows"), np.errstate(over="ignore",
+                                                                       invalid="ignore"):
+        reconstruct_gssc(SampleSet(t, np.full((4, 8), 1e308)), rep, full_bases(rep),
+                         time_order=2, eta=1.0)
+
+
 @pytest.mark.parametrize("case,message", [
     ("eta", "eta must be positive"),
     ("sample rows", "4 sample rows for 110 edges"),
