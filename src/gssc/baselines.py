@@ -56,10 +56,10 @@ def krr_fit_eval(t, y, config, eval_points):
 
     `t` and `y` hold one edge's samples, shape (M,), or a stack of edges,
     shape (n, M), each edge fitted on its own; the result has shape (G,) or
-    (n, G), G = len(eval_points).  Edges are solved in batches whose (b, G, M)
-    evaluation kernel holds at most 65,536 doubles (512 KiB; one edge at
-    least), so memory does not grow with n; each edge gets the same LAPACK
-    call on the same numbers as in one batch of all edges.
+    (n, G) for a finite 1-D `eval_points` of length G.  Edges are solved in
+    batches whose (b, G, M) evaluation kernel holds at most 65,536 doubles
+    (512 KiB; one edge at least), so memory does not grow with n; each edge
+    gets the same LAPACK call on the same numbers as in one batch of all edges.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -67,6 +67,12 @@ def krr_fit_eval(t, y, config, eval_points):
         raise ValueError(f"t {t.shape} and y {y.shape} must be matching (M,) or (n, M) arrays")
     if t.size == 0:
         raise ValueError("need at least one sample")
+    eval_points = np.asarray(eval_points, dtype=float)
+    if eval_points.ndim != 1:
+        raise ValueError(f"eval_points must be a 1-D array, got shape {eval_points.shape}")
+    if not np.all(np.isfinite(eval_points)):
+        g = np.flatnonzero(~np.isfinite(eval_points))[0]
+        raise ValueError(f"eval_points[{g}] = {eval_points[g]} is not finite")
     ts, ys = np.atleast_2d(t, y)
     out = np.empty((len(ts), len(eval_points)))
     step = max(1, _KERNEL_BUDGET // max(1, out.shape[1] * t.shape[-1]))

@@ -408,13 +408,12 @@ def canonical_complex(name):
     m = _SPEC.fullmatch(name)
     if m and m["graph"]:
         kind, n = m["graph"], int(m["n"])
+        least = 3 if kind == "cycle" else 1
+        if n < least:
+            raise FormatError(f"complex {name!r}: n {n} is below {least}")
         if kind == "cycle":
-            if n < 3:
-                raise UnsupportedError("cycle(n) needs n >= 3")
             edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
         else:
-            if n < 1:
-                raise UnsupportedError("path(n) needs n >= 1")
             edges = [(i, i + 1) for i in range(n - 1)]
         sc = SimplicialComplex.from_maximal(edges + [(v,) for v in range(n)])
         rep = to_chain_complex(sc)

@@ -339,7 +339,7 @@ class HodgeBases:
     Invariant, kept by `spectral_bases` and `sub` and relied on by
     `reconstruct_gssc`: column i of U_irr (U_sol) is a
     unit eigenvector with the positive eigenvalue irr_eigenvalues[i]
-    (sol_eigenvalues[i]).  `reconstruct_gssc` builds Grams from `_row_products`.
+    (sol_eigenvalues[i]).
     """
 
     def __init__(self, U0, U_irr, U_sol, irr_eigenvalues, sol_eigenvalues,
@@ -351,7 +351,6 @@ class HodgeBases:
         self.sol_eigenvalues = sol_eigenvalues
         self.requested_irr = requested_irr
         self.requested_sol = requested_sol
-        self._held = (None, None)  # (U, `_row_products(U)`)
 
     @property
     def n_harmonic(self):
@@ -371,17 +370,6 @@ class HodgeBases:
 
     def stacked(self):
         return np.hstack([self.U0, self.U_irr, self.U_sol])
-
-    def _row_products(self, U):
-        """u_{e,i} u_{e,j}, i <= j in `np.triu_indices` order, of U (the interleaved
-        `stacked()`), held while U's content stays (0.76 MB at n = 110, K = 41)."""
-        held_U, products = self._held  # one read: fits may run in threads
-        if not np.array_equal(U, held_U):
-            i, j = np.triu_indices(U.shape[1])
-            products = U[:, i]
-            products *= U[:, j]  # in place: no third n x K^2 / 2 array
-            self._held = (U.copy(), products)
-        return products
 
     def eigenvalues(self):
         """L_k eigenvalue of each column of `stacked()`: 0 on U0."""

@@ -241,13 +241,12 @@ def synthesize(rep, spec):
 class SampleSet:
     """Asynchronous samples: per edge, M instants and noisy values.
 
-    `t` and `y` are read-only copies of the arrays passed in, so neither the
-    caller nor a fit can change them in place.  Fits of one SampleSet share
-    work held on it: the (n, M, T) Fourier design at the instants (filled by
-    `sample_async`, which computes it anyway) and the factor of the last
-    full-rank system `reconstruct_gssc` assembled.  What is held is tied to
-    the current `t` and `y` objects: reassigning either drops it, and a fit
-    with another eta or time order assembles afresh.
+    `t` and `y` are read-only copies of the arrays passed in and cannot be
+    reassigned, so neither the caller nor a fit can change them.  Fits of
+    one SampleSet share work held on it: the (n, M, T) Fourier design at
+    the instants (filled by `sample_async`, which computes it anyway) and
+    the factor of the last full-rank system `reconstruct_gssc` assembled; a
+    fit with another eta or time order assembles afresh.
     """
 
     def __init__(self, t, y, sigma=None, seed=None):
@@ -261,20 +260,19 @@ class SampleSet:
                 raise ValueError(f"{name} = {arr[e, i]} at edge {e}, sample {i} is not finite")
         t.setflags(write=False)
         y.setflags(write=False)
-        self.t = t
-        self.y = y
+        self._t = t
+        self._y = y
         self.sigma = sigma
         self.seed = seed
-        self._slot = (None, None, {})
+        self._held = {}  # work shared by fits of these samples
 
-    def _held(self):
-        """The dict of work shared by fits of these samples, emptied when
-        `t` or `y` has been reassigned since it was filled."""
-        t, y, held = self._slot
-        if t is not self.t or y is not self.y:
-            held = {}
-            self._slot = (self.t, self.y, held)
-        return held
+    @property
+    def t(self):
+        return self._t
+
+    @property
+    def y(self):
+        return self._y
 
     @property
     def n_edges(self):
@@ -300,7 +298,7 @@ def sample_async(f, samples_per_edge, sigma, seed):
     y = np.einsum("et,emt->em", f.values, design)
     y = y + sigma * rng.standard_normal(t.shape)
     samples = SampleSet(t, y, sigma=sigma, seed=seed)
-    samples._held()[("design", f.system.n_coeffs)] = design
+    samples._held[("design", f.system.n_coeffs)] = design
     return samples
 
 
@@ -360,7 +358,9 @@ def _coefficients(held, psi, y, bases, order, eta):
             and _full_rank(factor[:N, :N], diag[:N])):
         i, j = np.triu_indices(K)
         local = np.matmul(psi.transpose(0, 2, 1), psi).reshape(len(psi), T * T)
-        blocks = (bases._row_products(basis[:-1]).T @ local).reshape(-1, T, T)
+        products = basis[:-1, i]
+        products *= basis[:-1, j]  # u_{e,i} u_{e,j}, i <= j, in place
+        blocks = (products.T @ local).reshape(-1, T, T)
         blocks[i == j] += (basis[-1] / eta)[:, None, None] * np.eye(T)
         gram = np.zeros((N, N), order="F")
         # upper[i, j] is block (i, j) of gram, seen through its C-ordered .T
@@ -399,8 +399,8 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         rhs  = U^T [Psi_e^T y_e]_e
 
     are ordered [U0 | irr_0, sol_0, irr_1, ...]; the Gram's upper block
-    triangle, one product of the row products u_{e,i} u_{e,j} (i <= j) held
-    on `bases` with the per-edge Grams, is factored in place under
+    triangle, one product of the row products u_{e,i} u_{e,j} (i <= j) with
+    the per-edge Grams, is factored in place under
     `hodge._full_rank`.  A rank-deficient Gram (say, a harmonic block with
     fewer samples than time coefficients) gives the minimum-norm theta of
     `hodge._min_norm_solve` and a ConditioningWarning.  The certificates are
@@ -421,7 +421,7 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
         raise ValueError(f"{samples.n_edges} sample rows for {n} edges")
     if bases.U0.shape[0] != n:
         raise ValueError(f"basis with {bases.U0.shape[0]} rows for {n} edges")
-    held = samples._held()
+    held = samples._held
     psi = held.get(("design", T))
     if psi is None:
         psi = held[("design", T)] = _design(system, samples.t)

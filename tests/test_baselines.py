@@ -128,13 +128,18 @@ def test_a_singular_kernel_in_a_middle_block_fails_loudly():
         krr_fit_eval(t, y, config, points)
 
 
-@pytest.mark.parametrize("t_shape,y_shape", [
-    ((4, 5), (5,)), ((5,), (4, 5)), ((4, 5), (4, 6)), ((4, 5), (5, 4)),
-    ((2, 3, 4), (2, 3, 4)), ((), ()),
+@pytest.mark.parametrize("t_shape,y_shape,points,message", [
+    *[(t, y, [0.0, 1.0], f"t {t} and y {y}") for t, y in [
+        ((4, 5), (5,)), ((5,), (4, 5)), ((4, 5), (4, 6)), ((4, 5), (5, 4)),
+        ((2, 3, 4), (2, 3, 4)), ((), ())]],
+    ((3, 3), (3, 3), np.zeros((3, 2)), "eval_points must be a 1-D array, got shape (3, 2)"),
+    ((3,), (3,), 0.5, "eval_points must be a 1-D array, got shape ()"),
+    ((3, 3), (3, 3), [0.0, np.nan, 1.0], "eval_points[1] = nan is not finite"),
+    ((3, 3), (3, 3), [0.0, 1.0, -np.inf], "eval_points[2] = -inf is not finite"),
 ])
-def test_fit_refuses_mismatched_shapes(t_shape, y_shape):
-    with pytest.raises(ValueError, match=re.escape(f"t {t_shape} and y {y_shape}")):
-        krr_fit_eval(np.zeros(t_shape), np.ones(y_shape), KrrConfig(), [0.0, 1.0])
+def test_fit_refuses_mismatched_shapes(t_shape, y_shape, points, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        krr_fit_eval(np.zeros(t_shape), np.ones(y_shape), KrrConfig(), points)
 
 
 def test_fit_at_sweep_size_holds_no_whole_kernel():

@@ -173,10 +173,10 @@ def test_warning_follows_the_rank_on_every_repeat(solved, spec):
     holds = rank_of(full_gram) == len(full_gram)  # only a full-rank factor is held
     for _ in range(10):
         fit(reconstruct_gssc, samples, rep, full, 30.0)
-        held = samples._held().get("normal")
+        held = samples._held.get("normal")
         assert (held is not None) == holds
         est, _, fired = fit(reconstruct_gssc, samples, rep, sub, 30.0)
-        reused = held is not None and samples._held()["normal"] is held
+        reused = held is not None and samples._held["normal"] is held
         assert reused == (holds and leads(sub, full))  # a leading block
         fresh = SampleSet(samples.t, samples.y)
         solved.clear()
