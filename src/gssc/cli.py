@@ -6,9 +6,9 @@ they make sense (seeding for synth/sample, parallelism for experiment,
 output paths everywhere).
 
 Exit codes: 0 success, 2 bad input -- files, parse problems, rejected
-values, argparse usage errors -- 3 unsupported requests, 4 numerical
-failures.  Past argument parsing, a failure prints one `gssc: ...` line
-on stderr.
+values, argparse usage errors -- 3 unsupported requests, among them any
+whose arrays do not fit in memory, 4 numerical failures.  Past argument
+parsing, a failure prints one `gssc: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -281,6 +281,8 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except UnsupportedError as exc:
         return _fail("unsupported", exc, 3)
+    except MemoryError as exc:  # numpy names the refused allocation
+        return _fail("unsupported", str(exc) or "out of memory", 3)
     except (InfeasibleError, NumericalError, np.linalg.LinAlgError) as exc:
         return _fail("numerical failure", exc, 4)
     except (ValueError, OSError) as exc:

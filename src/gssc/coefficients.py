@@ -26,7 +26,7 @@ import csv
 import numpy as np
 
 from .complexes import _as_int, _csv_rows, _integral
-from .errors import FormatError, UnsupportedError
+from .errors import FormatError, NumericalError, UnsupportedError
 
 
 class CoefficientSystem:
@@ -327,12 +327,16 @@ def apply_coboundary(x):
 
 
 def norm_p(x, p=2, weights=None):
-    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}."""
+    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}; an
+    overflowing sum raises NumericalError."""
     if p not in (1, 2):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     w = resolve_weights(weights, len(x.values))
-    cell = x.system.norms(x.values)
-    total = float(np.sum((w ** p) * (cell ** p)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum((w ** p) * (x.system.norms(x.values) ** p)))
+    if not np.isfinite(total):
+        raise NumericalError(f"the weighted {p}-norm of a {x.degree}-chain overflows: "
+                             f"its sum of p-th powers is {total}")
     return total if p == 1 else float(np.sqrt(total))
 
 

@@ -10,13 +10,14 @@ and real chain space splits orthogonally as
 
 One scale-relative cutoff decides what is zero on every `eig_sym` path: an
 eigenvalue of an n x n symmetric matrix counts as zero when its magnitude
-is at most `max(n * eps, 1e-12) * lambda_max`.  Every numerical rank,
-kernel dimension, image projection and certificate preimage in the package
-comes from `eig_sym` under that cutoff; for a boundary B they come from the
-nonzero eigenpairs of its smaller Gram (`_gram_modes`), so a singular value
-of B counts as zero below about 1e-6 * sigma_max.  Multiplying B (or the
-weights of a weighted projection) by any positive constant leaves every
-rank and every projection unchanged.  Both dense normal systems
+is at most `max(n * eps, 1e-12) * lambda_max`.  Every numerical rank, image
+projection and certificate preimage in the package comes from `eig_sym`
+under that cutoff; for a boundary B they come from the nonzero eigenpairs
+of its smaller Gram (`_gram_modes`), so a singular value of B counts as
+zero below about 1e-6 * sigma_max.  Betti numbers use exact ranks
+(`homology._rank`) instead.  Multiplying B (or the weights of a weighted
+projection) by any positive constant leaves every rank and every
+projection unchanged.  Both dense normal systems
 (`learn.solve_smooth`'s fit and `learn.reconstruct_gssc`'s Gram) go
 through `_cholesky` under `_full_rank` (that cutoff), else `_min_norm_solve`.
 
@@ -27,8 +28,8 @@ Each rep memoizes, read-only, the small-side eigenpairs of every Gram of
 B_k it factors (a square B_k has two: B_k^T B_k for B_k, B_k B_k^T for
 B_k^T).  Projections apply the pseudoinverse straight from them through
 sparse products by B_k; only the spectral bases map eigenvectors through
-B_k.  Spectral bases, real ranks and unit-weight projections read the memo;
-weighted projections factor their own Gram on each call.
+B_k.  Spectral bases and unit-weight projections read the memo; weighted
+projections factor their own Gram on each call.
 
 As the three parts are orthogonal, [U0 | U_irr | U_sol] with eigenvalues
 [0 | lambda(B_k^T B_k) | lambda(B_{k+1} B_{k+1}^T)] is an eigenbasis of L_k.
@@ -42,10 +43,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import homology
 from ._blas import one_blas_thread
 from .coefficients import ChainVector, FourierFn, Real, norm_p
 from .complexes import _as_int
-from .errors import UnsupportedError
+from .errors import NumericalError, UnsupportedError
 
 ZERO_TOL_FLOOR = 1e-12
 
@@ -188,11 +190,6 @@ def _boundary_modes(rep, k, transpose=False):
     """
     B, dual, U, lam = _factored(rep, k, transpose)
     return (_signed(B.T @ U / np.sqrt(lam)) if dual else U), lam
-
-
-def _boundary_rank(rep, k):
-    """Numerical rank of B_k under the one cutoff, from the rep's memo."""
-    return len(_factored(rep, k)[3])
 
 
 def laplacian(rep, k):
@@ -392,8 +389,8 @@ def _full_bases(rep, k):
     """The eigenbasis of L_k, memoized per rep and degree, read-only.
 
     U_irr and U_sol are the Gram modes of B_k and B_{k+1}^T.  U0 has the
-    other beta_k = n_k - n_irr - n_sol columns, the first beta_k
-    eigenvectors of L_k; no eigendecomposition runs when beta_k = 0.
+    other beta_k = n_k - rank B_k - rank B_{k+1} columns (exact ranks), the
+    first beta_k eigenvectors of L_k; no eigendecomposition runs when it is 0.
     """
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
@@ -401,9 +398,14 @@ def _full_bases(rep, k):
     def build():
         U_irr, irr_vals = _boundary_modes(rep, k)
         U_sol, sol_vals = _boundary_modes(rep, k + 1, transpose=True)
-        beta = rep.n_cells(k) - len(irr_vals) - len(sol_vals)
+        n = rep.n_cells(k)
+        beta = n - homology._rank(rep, k) - homology._rank(rep, k + 1)
+        if len(irr_vals) + len(sol_vals) + beta != n:
+            raise NumericalError(
+                f"degree {k}: {len(irr_vals)} + {len(sol_vals)} nonzero float modes "
+                f"and the exact beta_{k} = {beta} do not sum to n_{k} = {n}")
         U0 = (eig_sym(laplacian(rep, k)).eigenvectors[:, :beta].copy() if beta
-              else np.zeros((rep.n_cells(k), 0)))
+              else np.zeros((n, 0)))
         for arr in (U0, U_irr, U_sol):  # some are shared through the memo
             arr.setflags(write=False)
         return HodgeBases(U0, U_irr, U_sol, irr_vals, sol_vals,

@@ -10,25 +10,22 @@ in the column lattice of B exactly when [B | x] has the factors of B
 (Newman, *Integral Matrices*, 1972, ch. II).  The public
 `smith_normal_form` keeps its unimodular certificates for checking.  All
 arithmetic uses Python ints, so entries may grow without overflow.
-`homology_Z` keeps each boundary's elimination in the rep's memo, so a loop
-over all degrees eliminates each boundary once.
-
-Field homology is a rank count: dim H_k = dim ker B_k - rank B_{k+1}.  Over
-the reals the ranks are numerical (tolerance delegated to `hodge`, the
-single source of truth for spectral cutoffs); over Z/p they come from the
-same sparse elimination, where every nonzero entry is a unit.
+Each boundary's elimination over Z or Z/p runs at most once per rep, held
+in its memo.  Field homology counts exact ranks from it, dim H_k = n_k -
+rank B_k - rank B_{k+1}: over Z/p the pivot count (every nonzero entry is a
+unit), over the reals the rank over Q, which adds the rank of the integer
+remainder.  `hodge` takes beta_k from the same ranks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import gf2
+from . import gf2, hodge
 from .coefficients import (Integer, ModN, Real, _apply_boundary, norm_p,
                            resolve_weights, zero_chain)
 from .complexes import _as_int, _columns, _to_dense
 from .errors import UnsupportedError
-from .hodge import _as_matrix, _boundary, _boundary_rank, _chain, _weighted_projection
 
 
 class SNFResult:
@@ -230,11 +227,17 @@ def _invariant_factors(columns):
     return _factors(_eliminate(columns))
 
 
-def _boundary_factors(rep, k):
-    """`_invariant_factors` of B_k.  The elimination runs at most once per
-    rep; the Smith form of its non-unit remainder, which is small and most
-    often empty, runs on each call."""
-    return _factors(rep._memo(("elimination", k), lambda: _eliminate(rep.columns(k))))
+def _elimination(rep, k, p=None):
+    """`_eliminate` of B_k over Z (p None) or Z/p, run at most once per rep;
+    `_factors` of it runs the Smith form of the remainder on each call."""
+    return rep._memo(("elimination", k, p), lambda: _eliminate(rep.columns(k), p))
+
+
+def _rank(rep, k, p=None):
+    """Exact rank of B_k over Q (p None), which is its rank over the reals,
+    or over Z/p (p prime); a Smith form runs only on a nonempty remainder."""
+    pivots, remainder = _elimination(rep, k, p)
+    return pivots + (smith_normal_form(remainder).rank if remainder.size else 0)
 
 
 def _prime(p):
@@ -283,27 +286,21 @@ def homology_Z(rep, k):
     """H_k with integer coefficients: free rank plus invariant factors > 1."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    rank_k = len(_boundary_factors(rep, k)) if k else 0  # B_0 = 0
-    factors = _boundary_factors(rep, k + 1)
+    rank_k = len(_factors(_elimination(rep, k))) if k else 0  # B_0 = 0
+    factors = _factors(_elimination(rep, k + 1))
     betti = rep.n_cells(k) - rank_k - len(factors)
     torsion = [d for d in factors if d > 1]
     return HomologySummary(betti, torsion)
 
 
 def homology_field(rep, k, field):
-    """dim H_k over a field: Real (numerical ranks) or ModN(p) with p prime."""
+    """dim H_k over a field, Real or ModN(p) with p prime, from exact ranks."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    if isinstance(field, Real):
-        r_down = _boundary_rank(rep, k)
-        r_up = _boundary_rank(rep, k + 1)
-    elif isinstance(field, ModN):
-        p = _prime(field.modulus)
-        r_down = _eliminate(rep.columns(k), p)[0]
-        r_up = _eliminate(rep.columns(k + 1), p)[0]
-    else:
+    if not isinstance(field, (Real, ModN)):
         raise UnsupportedError(f"{field!r} is not a supported field")
-    return rep.n_cells(k) - r_down - r_up
+    p = _prime(field.modulus) if isinstance(field, ModN) else None
+    return rep.n_cells(k) - _rank(rep, k, p) - _rank(rep, k + 1, p)
 
 
 # -- simplicial seminorm -------------------------------------------------------
@@ -318,7 +315,7 @@ def _require_kernel_chain(x):
     elif bd.size:
         resid = np.max(np.abs(bd))
         scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
-        entry = float(np.max(np.abs(_boundary(rep, k).data), initial=0.0))
+        entry = float(np.max(np.abs(hodge._boundary(rep, k).data), initial=0.0))
         if resid > 1e-8 * scale * max(1.0, entry):
             raise ValueError("representative is not a cycle (boundary residual "
                              f"{resid:.3e})")
@@ -348,9 +345,9 @@ def simplicial_seminorm(x, p=2, weights=None):
     if isinstance(x.system, Real):
         if p != 2:
             raise UnsupportedError("Real seminorm is implemented for p = 2 only")
-        mat = _as_matrix(x.values)
-        _, part_pos = _weighted_projection(rep, k + 1, mat, w)
-        mini = _chain(x, k, mat - part_pos)
+        mat = hodge._as_matrix(x.values)
+        _, part_pos = hodge._weighted_projection(rep, k + 1, mat, w)
+        mini = hodge._chain(x, k, mat - part_pos)
         return norm_p(mini, 2, w), mini
 
     if isinstance(x.system, ModN) and x.system.modulus == 2:
@@ -369,7 +366,7 @@ def simplicial_seminorm(x, p=2, weights=None):
         # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff
         # [B_{k+1} | x] has the same invariant factors as B_{k+1}
         x_col = tuple((i, v) for i, v in enumerate(x.values.tolist()) if v)
-        if _invariant_factors(up + (x_col,)) == _boundary_factors(rep, k + 1):
+        if _invariant_factors(up + (x_col,)) == _factors(_elimination(rep, k + 1)):
             return 0.0, zero_chain(rep, k, x.system)
         raise UnsupportedError(
             "integer seminorm of a nontrivial class (infimum over an infinite "

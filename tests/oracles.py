@@ -18,7 +18,8 @@ from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
 from gssc.complexes import _integral
 from gssc.errors import InfeasibleError, NumericalError
-from gssc.hodge import DecompositionResult, HodgeBases, _signed, eig_sym
+from gssc.hodge import (DecompositionResult, HodgeBases, _signed, eig_sym,
+                        numerical_rank)
 from gssc.homology import smith_normal_form
 from gssc.learn import ConditioningWarning
 
@@ -713,6 +714,14 @@ def dense_modes(B):
     lam = spec.eigenvalues[keep]
     V = spec.eigenvectors[:, keep]
     return (_signed(B.T @ V / np.sqrt(lam)) if dual else V), lam
+
+
+def float_betti(rep, k):
+    """beta_k from numerical ranks, n_k - numerical_rank(B_k) -
+    numerical_rank(B_{k+1}): the real `homology_field` before its ranks
+    became exact."""
+    return (rep.n_cells(k) - numerical_rank(rep.boundary_float(k))
+            - numerical_rank(rep.boundary_float(k + 1)))
 
 
 def dense_laplacian(rep, k):

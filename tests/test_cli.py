@@ -4,6 +4,7 @@ import csv
 import json
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,7 @@ def _bad_input_files(tmp_path):
     chain = tmp_path / "x.csv"
     chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
     (tmp_path / "x_nan.csv").write_text(chain.read_text().replace("-0.5", "nan"))
+    (tmp_path / "x_huge.csv").write_text("cell,value\n0,1e308\n1,-1e308\n2,1e308\n")
     (tmp_path / "x_extra.csv").write_text(chain.read_text().replace("0,1.0", "0,1.0,7"))
     (tmp_path / "s_extra.csv").write_text(
         samples.read_text().replace("\n0,-1.0,1.0", "\n0,-1.0,1.0,junk"))
@@ -379,6 +381,36 @@ def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv, n
     assert stdout == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gssc: error:")
+    assert needle in lines[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# well-formed requests the library refuses: (id, argv, exit code, kind, needle)
+REFUSED = [
+    ("sample-beyond-memory", ["--seed", "1", "sample", "cycle(4)", "{d}/f.csv",
+                              "-M", "100000000000"], 3, "unsupported", "Unable to allocate"),
+    ("synth-beyond-memory", ["synth", "cycle(6)", "--time-order", "100000000000"],
+     3, "unsupported", "Unable to allocate"),
+    ("decompose-norm-overflow", ["decompose", "cycle(3)", "{d}/x_huge.csv", "-k", "0"],
+     4, "numerical failure", "the weighted 2-norm of a 0-chain overflows"),
+]
+
+
+@pytest.mark.parametrize("argv,code,kind,needle",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSED])
+def test_refusal_exits_with_its_code_one_line_and_no_output(tmp_path, capsys, argv,
+                                                            code, kind, needle):
+    d = _bad_input_files(tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        got, stdout, err = run(capsys, "--out", str(out),
+                               *[a.format(d=d) for a in argv])
+    assert got == code
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gssc: {kind}:")
     assert needle in lines[0]
     assert "Traceback" not in err
     assert not out.exists()

@@ -1,13 +1,14 @@
 """Coefficient systems, chain arithmetic, norms, and chain CSV files."""
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN, Real,
-                  UnsupportedError, apply_boundary, apply_coboundary,
+from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN,
+                  NumericalError, Real, UnsupportedError, apply_boundary, apply_coboundary,
                   canonical_complex, eval_fn, load_chain, norm_p,
                   random_chain, save_chain, scale, solve_fundamental,
                   zero_chain)
@@ -126,6 +127,21 @@ def test_weighted_norm_value():
     x = ChainVector(rep, 1, Real(), [1.0, 1.0, 1.0])
     assert norm_p(x, 2, weights=[1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(14.0))
     assert norm_p(x, 1, weights=[1.0, 2.0, 3.0]) == pytest.approx(6.0)
+
+
+def test_an_overflowing_norm_is_refused_without_a_numpy_warning():
+    rep = canonical_complex("cycle(3)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squares up to 3e306 still sum to a finite value
+        assert norm_p(ChainVector(rep, 1, Real(), [1e153, -1e153, 1e153]), 2) == \
+            float(np.sqrt(3e306))
+        for x, p in ((ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 2),
+                     (ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 1),
+                     (ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2)):
+            with pytest.raises(NumericalError, match=f"weighted {p}-norm of a "
+                               f"{x.degree}-chain overflows"):
+                norm_p(x, p)
 
 
 def test_negative_weights_are_rejected():

@@ -271,8 +271,10 @@ def test_no_library_path_reads_the_dense_float_boundary(monkeypatch):
 
 def test_bases_run_no_laplacian_eigendecomposition_when_beta_is_zero(monkeypatch):
     rep = resolve_complex("random(40,0.5,1.0,11)")
-    # the real Betti number factors both Grams; beta_1 = 0 here
     assert homology_field(rep, 1, Real()) == 0
+    # the bases factor only the Grams of B_1 and B_2^T: warm both memos
+    hodge._factored(rep, 1)
+    hodge._factored(rep, 2, transpose=True)
 
     def refuse(*args):
         raise AssertionError("a Laplacian was built or eigendecomposed")
