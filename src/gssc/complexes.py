@@ -96,10 +96,9 @@ def _columns(mat, what="entry"):
     if mat.ndim != 2:
         raise ValueError("need a 2-d matrix")
     cols = [[] for _ in range(mat.shape[1])]
-    at_row, at_col = np.nonzero(mat != 0)
-    for i, j in zip(at_row.tolist(), at_col.tolist()):
-        v = mat[i, j]
-        if not _integral(v):
+    at = np.nonzero(mat != 0)
+    for i, j, v in zip(*(a.tolist() for a in at), mat[at].tolist()):
+        if type(v) is not int and not _integral(v):
             raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
         cols[j].append((i, int(v)))
     return tuple(map(tuple, cols))
@@ -427,24 +426,24 @@ def canonical_complex(name):
 def random_complex(n_vertices, edge_prob, fill_prob, seed):
     """Random 2-complex: G(n, edge_prob) edges, then each triangle of the
     edge graph kept with probability fill_prob.  Face-closed by construction
-    and deterministic for a fixed seed (edges drawn in lexicographic pair
-    order, then triangles in lexicographic triple order).
+    and deterministic for a fixed seed: one uniform per vertex pair, then one
+    per triangle of the edge graph, each in lexicographic order.
     """
+    n_vertices = _as_int("n_vertices", n_vertices)
     if not (0.0 <= edge_prob <= 1.0 and 0.0 <= fill_prob <= 1.0):
         raise ValueError("probabilities must be in [0, 1]")
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
     rng = np.random.default_rng(seed)
-    edges = set()
-    for pair in itertools.combinations(range(n_vertices), 2):
-        if rng.random() < edge_prob:
-            edges.add(pair)
-    triangles = []
-    for a, b, c in itertools.combinations(range(n_vertices), 3):
-        if {(a, b), (a, c), (b, c)} <= edges and rng.random() < fill_prob:
-            triangles.append((a, b, c))
-    maximal = triangles + sorted(edges) + [(v,) for v in range(n_vertices)]
-    return SimplicialComplex.from_maximal(maximal, n_vertices=n_vertices)
+    kept = rng.random(n_vertices * (n_vertices - 1) // 2) < edge_prob
+    edges = list(itertools.compress(itertools.combinations(range(n_vertices), 2), kept.tolist()))
+    above = [set() for _ in range(n_vertices)]  # neighbours above each vertex
+    for a, b in edges:
+        above[a].add(b)
+    candidates = [(a, b, c) for a, b in edges for c in sorted(above[a] & above[b])]
+    kept = rng.random(len(candidates)) < fill_prob
+    triangles = list(itertools.compress(candidates, kept.tolist()))
+    return SimplicialComplex(n_vertices, [[(v,) for v in range(n_vertices)], edges, triangles])
 
 
 def default_experiment_complex():

@@ -4,7 +4,8 @@ The integer side is exact: ranks, Betti numbers and torsion (invariant
 factors of the next boundary map that exceed 1) come from sparse
 elimination on unit pivots, each in a shortest column holding one, with
 Smith normal form run only on the non-unit remainder (Dumas, Saunders &
-Villard, J. Symb. Comput. 32, 2001).
+Villard, J. Symb. Comput. 32, 2001), which also gives ranks over Z/p for
+odd p; ranks over Z/2 come from the GF(2) bitmask elimination of `gf2`.
 Class membership is decided by the same invariant factors: a chain x lies
 in the column lattice of B exactly when [B | x] has the factors of B
 (Newman, *Integral Matrices*, 1972, ch. II).  The public
@@ -142,19 +143,22 @@ def smith_normal_form(matrix):
 
 
 def _eliminate(columns, p=None):
-    """Sparse elimination on unit pivots: (pivot count, non-unit remainder).
+    """Elimination to the rank: (pivot count, non-unit remainder).
 
     `columns` holds an integer matrix as sparse columns [(row, int), ...].
-    A unit is +-1 over Z (p None) and any entry nonzero mod p over Z/p.
-    Each step takes the shortest column that holds a unit (columns are kept
-    in buckets by length; over Z those without +-1 are passed over), pivots
-    on its unit in the shortest row, clears that row with column operations
-    and drops the row and column, until no unit is left.  A unit pivot
-    splits the matrix into diag(1, Schur complement), so the nonzero
-    invariant factors, which no pivot order changes, are [1] * pivots
-    followed by those of the remainder, a dense object matrix holding no
-    unit; over Z/p the remainder is empty and the rank is the pivot count.
+    Over Z/2 the count is the rank from `gf2`'s bitmask elimination.  Over
+    Z (p None) and Z/p, p odd, pivots are units: +-1 over Z, any entry
+    nonzero mod p over Z/p.  Each step takes the shortest column that holds
+    a unit (columns are kept in buckets by length; over Z those without +-1
+    are passed over), pivots on its unit in the shortest row, clears that
+    row with column operations and drops the row and column, until no unit
+    is left.  A unit pivot splits the matrix into diag(1, Schur complement),
+    so the nonzero invariant factors, which no pivot order changes, are
+    [1] * pivots followed by those of the remainder, a dense object matrix
+    holding no unit; over Z/p the remainder is empty.
     """
+    if p == 2:
+        return len(gf2.independent_columns(gf2.column_masks(columns))), _to_dense((), 0)
     cols = {}   # column -> {row: value}
     rows = {}   # row -> set of columns with a nonzero in that row
     for j, entries in enumerate(columns):
@@ -168,47 +172,46 @@ def _eliminate(columns, p=None):
     for j, col in cols.items():
         by_len.setdefault(len(col), set()).add(j)
 
-    def is_unit(v):
-        return p is not None or v == 1 or v == -1
-
-    def relength(j, old):
-        """Move column j out of the bucket of length `old` into its current one."""
-        bucket = by_len[old]
-        bucket.discard(j)
-        if not bucket:
-            del by_len[old]
-        if j in cols:
-            by_len.setdefault(len(cols[j]), set()).add(j)
-
     pivots = 0
-    while (c := next((j for n in sorted(by_len) for j in by_len[n]
-                      if any(map(is_unit, cols[j].values()))), None)) is not None:
+    while by_len:
+        if p:  # every nonzero entry is a unit
+            c = next(iter(by_len[min(by_len)]))
+        elif (c := next((j for n in sorted(by_len) for j in by_len[n] if 1 in cols[j].values()
+                         or -1 in cols[j].values()), None)) is None:
+            break
         pivot_col = cols.pop(c)
-        relength(c, len(pivot_col))
-        r = min((i for i, v in pivot_col.items() if is_unit(v)),
+        bucket = by_len[len(pivot_col)]
+        bucket.discard(c)
+        if not bucket:
+            del by_len[len(pivot_col)]
+        r = min((i for i, v in pivot_col.items() if p or v in (1, -1)),
                 key=lambda i: len(rows[i]))
         u = pivot_col.pop(r)
-        for i in pivot_col:
-            rows[i].discard(c)
+        entries = [(i, v, rows[i]) for i, v in pivot_col.items()]
+        for _, _, row in entries:
+            row.discard(c)
         inverse = u if p is None else pow(u, -1, p)  # 1/u = u for u = +-1
         for j in rows.pop(r) - {c}:
             col = cols[j]
             old = len(col)
             f = col.pop(r) * inverse  # column j -= f * column c
-            for i, v in pivot_col.items():
-                w = col.get(i, 0) - f * v
-                if p is not None:
-                    w %= p
-                if w:
-                    if i not in col:
-                        rows[i].add(j)
+            for i, v, row in entries:
+                if i not in col:
+                    col[i] = -f * v % p if p else -f * v
+                    row.add(j)
+                elif w := ((col[i] - f * v) % p if p else col[i] - f * v):
                     col[i] = w
-                elif i in col:
+                else:
                     del col[i]
-                    rows[i].discard(j)
-            if not col:
+                    row.discard(j)
+            bucket = by_len[old]  # move j to the bucket of its new length
+            bucket.discard(j)
+            if not bucket:
+                del by_len[old]
+            if col:
+                by_len.setdefault(len(col), set()).add(j)
+            else:
                 del cols[j]
-            relength(j, old)
         pivots += 1
     live = sorted({i for col in cols.values() for i in col})
     at = {i: a for a, i in enumerate(live)}
@@ -241,8 +244,16 @@ def _rank(rep, k, p=None):
 
 
 def _prime(p):
+    """p if it is prime.  Miller-Rabin on the bases 2, ..., 41 is exact below 3.3e24 (Sorenson
+    & Webster, Math. Comp. 86, 2017; the bases up to 37 pass 318665857834031151167461)."""
     p = _as_int("modulus", p)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p >= 3317044064679887385961981:
+        raise UnsupportedError(f"modulus {p} is at least 3.3e24, beyond the exact primality test")
+    s = max(((p - 1) & (1 - p)).bit_length() - 1, 0)  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    if p < 2 or any(p % a == 0 or pow(a, d, p) != 1 and p - 1 not in {
+            pow(a, d << k, p) for k in range(s)}
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41) if a < p):
         raise UnsupportedError(f"{p} is not prime")
     return p
 

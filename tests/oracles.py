@@ -16,7 +16,7 @@ import scipy.linalg
 from gssc import gf2
 from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
-from gssc.complexes import _integral
+from gssc.complexes import SimplicialComplex, _integral, _to_dense
 from gssc.errors import InfeasibleError, NumericalError
 from gssc.hodge import (DecompositionResult, HodgeBases, _signed, eig_sym,
                         numerical_rank)
@@ -809,3 +809,101 @@ def batched_krr_fit_eval(t, y, config, eval_points):
             "kernel system is singular (duplicated sample instants with "
             "ridge = 0?); use a ridge > 0")
     return (rbf_kernel(eval_points, t, config.lengthscale) @ alpha)[..., 0]
+
+
+def loop_eliminate(columns, p=None):
+    """Sparse unit-pivot elimination, (pivot count, non-unit remainder), as a
+    dict loop over every p: the shortest column holding a unit (+-1 over Z,
+    any nonzero over Z/p), found by a sorted scan of the length buckets at
+    every pivot, and its unit in the shortest row."""
+    cols = {}   # column -> {row: value}
+    rows = {}   # row -> set of columns with a nonzero in that row
+    for j, entries in enumerate(columns):
+        for i, v in entries:
+            if p is not None:
+                v %= p
+            if v:
+                cols.setdefault(j, {})[i] = v
+                rows.setdefault(i, set()).add(j)
+    by_len = {}  # column length -> set of live columns of that length
+    for j, col in cols.items():
+        by_len.setdefault(len(col), set()).add(j)
+
+    def is_unit(v):
+        return p is not None or v == 1 or v == -1
+
+    def relength(j, old):
+        bucket = by_len[old]
+        bucket.discard(j)
+        if not bucket:
+            del by_len[old]
+        if j in cols:
+            by_len.setdefault(len(cols[j]), set()).add(j)
+
+    pivots = 0
+    while (c := next((j for n in sorted(by_len) for j in by_len[n]
+                      if any(map(is_unit, cols[j].values()))), None)) is not None:
+        pivot_col = cols.pop(c)
+        relength(c, len(pivot_col))
+        r = min((i for i, v in pivot_col.items() if is_unit(v)),
+                key=lambda i: len(rows[i]))
+        u = pivot_col.pop(r)
+        for i in pivot_col:
+            rows[i].discard(c)
+        inverse = u if p is None else pow(u, -1, p)
+        for j in rows.pop(r) - {c}:
+            col = cols[j]
+            old = len(col)
+            f = col.pop(r) * inverse
+            for i, v in pivot_col.items():
+                w = col.get(i, 0) - f * v
+                if p is not None:
+                    w %= p
+                if w:
+                    if i not in col:
+                        rows[i].add(j)
+                    col[i] = w
+                elif i in col:
+                    del col[i]
+                    rows[i].discard(j)
+            if not col:
+                del cols[j]
+            relength(j, old)
+        pivots += 1
+    live = sorted({i for col in cols.values() for i in col})
+    at = {i: a for a, i in enumerate(live)}
+    remainder = [[(at[i], v) for i, v in col.items()] for col in cols.values()]
+    return pivots, _to_dense(remainder, len(at))
+
+
+def scalar_random_complex(n_vertices, edge_prob, fill_prob, seed):
+    """`random_complex` by one scalar draw per vertex pair, then one per
+    triangle of the edge graph, both in lexicographic order, closed by
+    `SimplicialComplex.from_maximal`."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    for pair in itertools.combinations(range(n_vertices), 2):
+        if rng.random() < edge_prob:
+            edges.add(pair)
+    triangles = []
+    for a, b, c in itertools.combinations(range(n_vertices), 3):
+        if {(a, b), (a, c), (b, c)} <= edges and rng.random() < fill_prob:
+            triangles.append((a, b, c))
+    maximal = triangles + sorted(edges) + [(v,) for v in range(n_vertices)]
+    return SimplicialComplex.from_maximal(maximal, n_vertices=n_vertices)
+
+
+def entrywise_columns(mat, what="entry"):
+    """Sparse columns of a dense 2-d integer matrix read one entry at a time;
+    refuses the first entry, row-major, that is != 0 and not an integer."""
+    mat = np.asarray(mat, dtype=object)
+    if mat.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    cols = [[] for _ in range(mat.shape[1])]
+    at_row, at_col = np.nonzero(mat != 0)
+    for i, j in zip(at_row.tolist(), at_col.tolist()):
+        v = mat[i, j]
+        if not _integral(v):
+            raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
+        cols[j].append((i, int(v)))
+    return tuple(map(tuple, cols))

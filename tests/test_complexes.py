@@ -1,9 +1,12 @@
 """Complex construction, boundary matrices, validation, and file formats."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
+
+from oracles import scalar_random_complex
 
 from gssc import (ChainComplexRep, FormatError, SimplicialComplex,
                   UnsupportedError, canonical_complex, load_complex, load_delta,
@@ -226,6 +229,16 @@ def test_random_complex_determinism_and_extremes():
     assert graph.dim <= 1
     tetra = random_complex(4, 1.0, 1.0, seed=0)
     assert (tetra.n_simplexes(0), tetra.n_simplexes(1), tetra.n_simplexes(2)) == (4, 6, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 20, 40])
+def test_random_complex_draws_as_the_scalar_generator(n):
+    for edge_prob, fill_prob, seed in itertools.product(
+            (0, 0.3, 0.5, 1), (0, 0.3, 0.5, 1), (0, 4, 11)):
+        got = random_complex(n, edge_prob, fill_prob, seed)
+        expected = scalar_random_complex(n, edge_prob, fill_prob, seed)
+        assert got.n_vertices == expected.n_vertices == n
+        assert got.simplexes_by_dim == expected.simplexes_by_dim
 
 
 def test_scx_round_trip_and_closure(tmp_path):

@@ -6,13 +6,16 @@ Gauss-Jordan elimination, on seeded random integer matrices (including
 unit-free ones, which only the non-unit remainder can answer) and on every
 boundary matrix of the named complexes and of criterion 2's corpus.  The
 shortest-column pivot search must not depend on row or column order, and
-over Z it must pass over short columns that hold no unit.
+over Z it must pass over short columns that hold no unit.  `_eliminate`
+must also pivot exactly as the dict loop it replaced (`loop_eliminate`):
+the same pivot count and the same non-unit remainder over Z and odd p, and
+the same count over Z/2, where it runs the GF(2) bitmask elimination.
 """
 
 import numpy as np
 import pytest
 
-from oracles import dense_mod_p_rank
+from oracles import dense_mod_p_rank, loop_eliminate
 from test_acceptance import two_complex_corpus
 
 from gssc import (ChainComplexRep, HomologySummary, homology_Z, integer_rank,
@@ -23,6 +26,7 @@ from gssc.homology import _eliminate, _invariant_factors
 
 PRIMES = (2, 3, 5, 7, 101)
 NAMED = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
+LADDER = ("default", "random(30,0.5,1.0,11)", "random(40,0.5,1.0,11)")
 
 
 def random_matrices(count=300, seed=20):
@@ -89,6 +93,38 @@ def test_boundary_matrices_match_smith_normal_form():
 def test_boundary_matrices_match_dense_mod_p_rank(p):
     for B in boundary_matrices():
         assert mod_p_rank(B, p) == dense_mod_p_rank(B, p)
+
+
+def unit_rich_matrices(count=300, seed=3):
+    """Seeded matrices of 5 to 29 rows and columns with entries in -2..2,
+    about a third of them nonzero: their many columns of equal length make
+    the pivot choice depend on the order in which a length bucket is walked."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.integers(5, 30, size=2)
+        B = rng.integers(-2, 3, size=(m, n))
+        B[rng.random((m, n)) < 0.6] = 0
+        out.append(np.array(B, dtype=object))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_columns():
+    """Sparse columns of every random, unit-rich and boundary matrix above
+    and of B_1, B_2 of each complex of the benchmark's ladder."""
+    ladder = [resolve_complex(spec).columns(k) for spec in LADDER for k in (1, 2)]
+    matrices = random_matrices() + unit_rich_matrices() + boundary_matrices()
+    return [_columns(B) for B in matrices] + ladder
+
+
+@pytest.mark.parametrize("p", (None,) + PRIMES)
+def test_elimination_pivots_as_the_dict_loop(corpus_columns, p):
+    for columns in corpus_columns:
+        pivots, remainder = _eliminate(columns, p)
+        loop_pivots, loop_remainder = loop_eliminate(columns, p)
+        assert pivots == loop_pivots
+        assert np.array_equal(remainder, loop_remainder)
 
 
 def test_row_and_column_order_leave_ranks_and_factors_unchanged():

@@ -444,8 +444,9 @@ def test_negative_basis_counts_are_rejected():
     (lambda rep, f: spectral_bases(rep, 1, 5, 5).sub(2.5, 3), "n_irr 2.5"),
     (lambda rep, f: sample_async(f, 2.5, 0.0, seed=0), "samples_per_edge 2.5"),
     (lambda rep, f: evaluation_grid(2.5), "n_points 2.5"),
+    (lambda rep, f: random_complex(2.5, 0.5, 0.5, 1), "n_vertices 2.5"),
 ], ids=["bases-float", "bases-str", "bases-n_sol", "sub", "sample_async",
-        "evaluation_grid"])
+        "evaluation_grid", "random_complex"])
 def test_non_integral_counts_raise_a_value_error_naming_them(call, shown):
     rep = canonical_complex("cycle(6)")
     f = random_chain(rep, 1, FourierFn(2), 0)

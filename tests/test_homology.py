@@ -8,13 +8,14 @@ import pytest
 import scipy.linalg
 
 from oracles import (bareiss_det, component_count, dense_mod_p_rank,
-                     dense_solve_integer, gcd_of_minors)
+                     dense_solve_integer, gcd_of_minors, primes_between)
 
 from gssc import (ChainVector, HomologySummary, Integer, ModN, Real,
                   UnsupportedError, canonical_complex, homology_Z,
                   homology_field, integer_rank, mod_p_rank, random_complex,
                   resolve_complex, simplicial_seminorm, smith_normal_form,
                   to_chain_complex)
+from gssc.homology import _prime
 
 
 def random_int_matrix(rng, max_side=6, lo=-5, hi=5):
@@ -82,6 +83,38 @@ def test_mod_p_rank_bounds_and_prime_check():
     assert mod_p_rank(np.array([[2]], dtype=object), 2) == 0
     with pytest.raises(UnsupportedError, match="prime"):
         mod_p_rank(np.eye(2, dtype=object), 4)
+
+
+def test_prime_check_agrees_with_a_sieve():
+    accepted = []
+    for p in range(-3, 10**4 + 1):
+        try:
+            accepted.append(_prime(p))
+        except UnsupportedError as exc:
+            assert str(exc) == f"{p} is not prime"
+    assert accepted == primes_between(0, 10**4)
+
+
+@pytest.mark.parametrize("p,message", [
+    ((2**31 - 1) ** 2, f"{(2**31 - 1) ** 2} is not prime"),
+    # the least composite that passes Miller-Rabin on the bases 2, ..., 37
+    (318665857834031151167461, "318665857834031151167461 is not prime"),
+    (3317044064679887385961981, "modulus 3317044064679887385961981 is at least 3.3e24"),
+    (10**400, f"modulus {10**400} is at least 3.3e24"),
+])
+def test_prime_check_refuses_composites_and_moduli_beyond_its_range(p, message):
+    with pytest.raises(UnsupportedError, match=re.escape(message)):
+        mod_p_rank(np.eye(2, dtype=object), p)
+    with pytest.raises(UnsupportedError, match=re.escape(message)):
+        homology_field(canonical_complex("rp2"), 1, ModN(p))
+
+
+def test_mod_p_rank_at_a_61_bit_prime_is_the_rank_over_q():
+    boundary = canonical_complex("rp2").boundary_matrix(2)
+    start = time.perf_counter()
+    assert mod_p_rank(boundary, 2**61 - 1) == integer_rank(boundary) == 2
+    assert time.perf_counter() - start < 1.0
+    assert homology_field(canonical_complex("rp2"), 1, ModN(2**61 - 1)) == 0
 
 
 @pytest.mark.parametrize("p,shown", [(3.5, "3.5"), ("3", "'3'")])
