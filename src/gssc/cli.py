@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from .coefficients import (FourierFn, Integer, ModN, Real, load_chain,
                            save_chain)
-from .complexes import (SimplicialComplex, resolve_complex, save_complex,
-                        save_delta, validate)
+from .complexes import (SimplicialComplex, _write_csv, resolve_complex,
+                        save_complex, save_delta, validate)
 from .errors import (FormatError, InfeasibleError, NumericalError,
                      UnsupportedError)
 from .experiment import parse_config, run_experiment
@@ -142,8 +143,12 @@ def _cmd_homology(args):
     return 0
 
 
+def _print_summary(result):
+    print(json.dumps({"model": result.model, "objective": result.objective,
+                      "residuals": result.residuals}, sort_keys=True))
+
+
 def _cmd_decompose(args):
-    import os
     rep = resolve_complex(args.complex)
     system = _system_for(args)
     x = load_chain(args.signal, rep, args.k, system)
@@ -155,33 +160,25 @@ def _cmd_decompose(args):
         result = solve_smooth(x, eta=args.eta)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    for name, part in (("x0", result.x0), ("x1", result.x1),
-                       ("x_neg1", result.x_neg1)):
+    for name, part in zip(("x0", "x1", "x_neg1"), result.parts()):
         save_chain(part, os.path.join(out_dir, f"{name}.csv"))
-    print(json.dumps({"model": result.model,
-                      "objective": result.objective,
-                      "residuals": result.residuals}, sort_keys=True))
+    _print_summary(result)
     return 0
 
 
 def _cmd_spectra(args):
-    import csv
     rep = resolve_complex(args.complex)
     spec = eig_sym(laplacian(rep, args.k))
-    if args.out:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spec.eigenvalues):
-            writer.writerow([i, repr(float(lam))])
-    finally:
-        if args.out:
-            fh.close()
+    # the vectors go first, so a failed write prints no spectrum
     if args.vectors:
         np.savetxt(args.vectors, spec.eigenvectors, delimiter=",")
+    try:
+        _write_csv(args.out or None, ["index", "eigenvalue"],
+                   ([i, repr(float(lam))] for i, lam in enumerate(spec.eigenvalues)))
+    except OSError:
+        if args.vectors:
+            os.remove(args.vectors)
+        raise
     return 0
 
 
@@ -220,9 +217,7 @@ def _cmd_reconstruct(args):
                                         time_order=args.time_order,
                                         eta=args.eta)
     save_chain(estimate, out)
-    print(json.dumps({"model": result.model,
-                      "objective": result.objective,
-                      "residuals": result.residuals}, sort_keys=True))
+    _print_summary(result)
     return 0
 
 

@@ -21,11 +21,9 @@ columns for FourierFn.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .complexes import _as_int, _csv_rows, _integral
+from .complexes import _as_int, _csv_rows, _integral, _write_csv
 from .errors import FormatError, NumericalError, UnsupportedError
 
 
@@ -342,33 +340,29 @@ def norm_p(x, p=2, weights=None):
 
 # -- CSV interchange ----------------------------------------------------------
 
+def _chain_header(system):
+    """Scalar chains: `cell,value`.  FourierFn: `edge,c0,...,c{T-1}`."""
+    if isinstance(system, FourierFn):
+        return ["edge"] + [f"c{j}" for j in range(system.n_coeffs)]
+    return ["cell", "value"]
+
+
 def save_chain(x, path):
-    """Scalar chains: `cell,value` rows.  FourierFn: `edge,c0,...,c{T-1}`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if isinstance(x.system, FourierFn):
-            writer.writerow(["edge"] + [f"c{j}" for j in range(x.system.n_coeffs)])
-            for i, row in enumerate(x.values):
-                writer.writerow([i] + [repr(float(v)) for v in row])
-        else:
-            writer.writerow(["cell", "value"])
-            for i, v in enumerate(x.values):
-                writer.writerow([i, repr(float(v)) if isinstance(x.system, Real) else int(v)])
+    """One row per cell, its index and values: exact ones as ints, others as round-trip floats."""
+    fmt = int if x.system.exact else lambda v: repr(float(v))
+    rows = x.values if isinstance(x.system, FourierFn) else x.values[:, None]
+    _write_csv(path, _chain_header(x.system),
+               ([i] + [fmt(v) for v in row] for i, row in enumerate(rows)))
 
 
 def load_chain(path, rep, degree, system):
     """Inverse of save_chain; rows may appear in any order but must cover
     every cell index exactly once."""
     n = rep.n_cells(degree)
-    if isinstance(system, FourierFn):
-        header = ["edge"] + [f"c{j}" for j in range(system.n_coeffs)]
-        values = np.zeros((n, system.n_coeffs))
-    else:
-        header = ["cell", "value"]
-        values = system.zeros(n)
+    values = system.zeros(n)
     parse = int if system.exact else float
     seen = set()
-    for lineno, row in _csv_rows(path, header):
+    for lineno, row in _csv_rows(path, _chain_header(system)):
         try:
             idx = int(row[0])
         except ValueError:

@@ -25,10 +25,12 @@ boundary-matrix presentation shared by both kinds of complex.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import re
+import sys
 
 import numpy as np
 import scipy.sparse
@@ -87,6 +89,13 @@ def _csv_rows(path, header):
             yield reader.line_num, row
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}", reader.line_num) from None
+
+
+def _write_csv(path, header, rows):
+    """`header`, then `rows`, as UTF-8 CSV with \\r\\n line ends to `path`, or stdout if None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 def _columns(mat, what="entry"):

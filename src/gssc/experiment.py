@@ -7,15 +7,14 @@ noise level and sample count, so any single CSV row can be reproduced in
 isolation.  Signals are shared across sweep points within a trial, so
 method curves differ only by the swept quantity.
 
-Outputs: results.csv (one row per method/point/trial), aggregate.csv
-(per-point means over trials, computed from the printed 12-digit values so
-the two files stay mutually consistent), and timings.csv (wall-clock per
-point; kept separate because it is the one non-reproducible output).
+Outputs, built in one walk over the cell outcomes and written by the one CSV
+writer: results.csv (a row per method/point/trial), aggregate.csv (per-point
+means over trials of the printed 12-digit values, so the files agree) and
+timings.csv (wall-clock per point, apart as the one non-reproducible output).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -23,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ._blas import one_blas_thread
 from .baselines import KrrConfig, krr_grid, sc_product
-from .complexes import _as_int, _text_lines, resolve_complex
+from .complexes import _as_int, _text_lines, _write_csv, resolve_complex
 from .errors import FormatError, UnsupportedError
 from .hodge import spectral_bases
 from .learn import (SynthSpec, evaluation_grid, reconstruct_gssc, rmse_ratio,
@@ -32,6 +31,10 @@ from .learn import (SynthSpec, evaluation_grid, reconstruct_gssc, rmse_ratio,
 KNOWN_METHODS = ("gssc", "gssc_sub", "krr", "sc_product")
 DEFAULT_NOISE_LEVELS = (0.001, 0.005, 0.01, 0.05, 0.1)
 DEFAULT_SAMPLE_COUNTS = (5, 10, 15, 20, 30, 40)
+_OUTPUT_HEADERS = {"results": ["method", "noise", "samples_per_edge", "trial", "seed", "rmse",
+                               "hyperparams"],
+                   "aggregate": ["method", "noise", "samples_per_edge", "mean_rmse", "trials"],
+                   "timings": ["noise", "samples_per_edge", "seconds"]}
 
 
 class ExperimentConfig:
@@ -215,12 +218,10 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     design = signals[0].system.design_matrix(grid)
     truths = [f.values @ design.T for f in signals]
 
-    cells = [(pi, trial) for pi in range(len(points))
-             for trial in range(config.trials)]
+    cells = [(sigma, m, trial) for sigma, m in points for trial in range(config.trials)]
 
     def work(cell):
-        pi, trial = cell
-        sigma, m = points[pi]
+        sigma, m, trial = cell
         return _run_cell(config, rep, bases, sub, grid, design, signals[trial],
                          truths[trial], sigma, m, trial)
 
@@ -231,45 +232,23 @@ def run_experiment(config, out_dir, jobs=1, log=None):
         else:
             outcomes = [work(cell) for cell in cells]
 
-    results = {cell: out for cell, out in zip(cells, outcomes)}
-
-    results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "noise", "samples_per_edge", "trial",
-                         "seed", "rmse", "hyperparams"])
-        for pi, (sigma, m) in enumerate(points):
-            for trial in range(config.trials):
-                rmses, _ = results[(pi, trial)]
-                for method in config.methods:
-                    writer.writerow([method, _fmt(sigma), m, trial,
-                                     config.seed + trial,
-                                     f"{rmses[method]:.12g}",
-                                     _hyperparams(config, method, bases, sub)])
-
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "noise", "samples_per_edge",
-                         "mean_rmse", "trials"])
-        for pi, (sigma, m) in enumerate(points):
-            for method in config.methods:
-                printed = [float(f"{results[(pi, trial)][0][method]:.12g}")
-                           for trial in range(config.trials)]
-                writer.writerow([method, _fmt(sigma), m,
-                                 f"{math.fsum(printed) / len(printed):.12g}",
-                                 config.trials])
-
-    timings_path = os.path.join(out_dir, "timings.csv")
-    with open(timings_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise", "samples_per_edge", "seconds"])
-        for pi, (sigma, m) in enumerate(points):
-            total = sum(sum(results[(pi, trial)][1].values())
-                        for trial in range(config.trials))
-            writer.writerow([_fmt(sigma), m, f"{total:.3f}"])
-
+    # one walk over the outcomes, which come grouped by sweep point
+    rows = {name: [] for name in _OUTPUT_HEADERS}
+    for pi, (sigma, m) in enumerate(points):
+        noise = _fmt(sigma)
+        trials = outcomes[pi * config.trials:(pi + 1) * config.trials]
+        rows["results"] += ([method, noise, m, trial, config.seed + trial,
+                             f"{rmses[method]:.12g}", _hyperparams(config, method, bases, sub)]
+                            for trial, (rmses, _) in enumerate(trials)
+                            for method in config.methods)
+        for method in config.methods:
+            printed = [float(f"{rmses[method]:.12g}") for rmses, _ in trials]
+            mean = math.fsum(printed) / len(printed)
+            rows["aggregate"].append([method, noise, m, f"{mean:.12g}", config.trials])
+        rows["timings"].append([noise, m, f"{sum(sum(s.values()) for _, s in trials):.3f}"])
+    paths = {name: os.path.join(out_dir, f"{name}.csv") for name in _OUTPUT_HEADERS}
+    for name, path in paths.items():
+        _write_csv(path, _OUTPUT_HEADERS[name], rows[name])
     if log is not None:
-        log(f"wrote {results_path}, {aggregate_path}, {timings_path}")
-    return {"results": results_path, "aggregate": aggregate_path,
-            "timings": timings_path}
+        log(f"wrote {', '.join(paths.values())}")
+    return paths

@@ -248,7 +248,8 @@ def _prime(p):
     & Webster, Math. Comp. 86, 2017; the bases up to 37 pass 318665857834031151167461)."""
     p = _as_int("modulus", p)
     if p >= 3317044064679887385961981:
-        raise UnsupportedError(f"modulus {p} is at least 3.3e24, beyond the exact primality test")
+        raise UnsupportedError(f"a modulus of {p.bit_length()} bits is at least 3.3e24, "
+                               "beyond the exact primality test")
     s = max(((p - 1) & (1 - p)).bit_length() - 1, 0)  # p - 1 = d 2^s with d odd
     d = (p - 1) >> s
     if p < 2 or any(p % a == 0 or pow(a, d, p) != 1 and p - 1 not in {

@@ -42,10 +42,12 @@ from . import gf2
 from ._blas import one_blas_thread
 from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
                            resolve_weights)
-from .complexes import _as_int, _csv_rows
+from .complexes import _as_int, _csv_rows, _write_csv
 from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
                     _min_norm_solve, _spd_solve, _split, laplacian, spectral_bases)
+
+_SAMPLES_HEADER = ["edge", "t", "y"]  # the first row of a samples CSV
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -310,19 +312,14 @@ def _design(system, t):
 
 
 def save_samples(samples, path):
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "t", "y"])
-        for e in range(samples.n_edges):
-            for i in range(samples.samples_per_edge):
-                writer.writerow([e, repr(float(samples.t[e, i])),
-                                 repr(float(samples.y[e, i]))])
+    _write_csv(path, _SAMPLES_HEADER,
+               ([e, repr(float(t)), repr(float(y))] for e in range(samples.n_edges)
+                for t, y in zip(samples.t[e], samples.y[e])))
 
 
 def load_samples(path, n_edges):
     rows = [[] for _ in range(n_edges)]
-    for lineno, row in _csv_rows(path, ["edge", "t", "y"]):
+    for lineno, row in _csv_rows(path, _SAMPLES_HEADER):
         try:
             e = int(row[0])
             sample = (float(row[1]), float(row[2]))

@@ -168,6 +168,23 @@ def test_spectra_defaults_to_stdout(capsys):
     assert out.splitlines()[0] == "index,eigenvalue"
 
 
+def test_spectra_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, capsysbinary):
+    # one vertex: L_0 = [0], whose eigenvalue no LAPACK rounds
+    assert main(["spectra", "path(1)", "-k", "0"]) == 0
+    assert capsysbinary.readouterr().out == b"index,eigenvalue\r\n0,0.0\r\n"
+    out = tmp_path / "spec.csv"
+    assert main(["spectra", "path(1)", "-k", "0", "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == b"index,eigenvalue\r\n0,0.0\r\n"
+
+
+def test_spectra_prints_nothing_when_its_vectors_cannot_be_written(tmp_path, capsys):
+    code, out, err = run(capsys, "spectra", "path(3)", "-k", "0",
+                         "--vectors", str(tmp_path / "missing" / "v.csv"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "missing/v.csv" in err
+
+
 def test_synth_sample_reconstruct_pipeline(tmp_path, capsys):
     signal = tmp_path / "f.csv"
     samples = tmp_path / "s.csv"
@@ -366,6 +383,13 @@ BAD_INPUT = [
      "complex 'random(0,0.5,0.5,1)': n_vertices 0 is below 1"),
     ("cycle-spec-too-small", ["homology", "cycle(2)"], "complex 'cycle(2)': n 2 is below 3"),
     ("path-spec-no-vertex", ["homology", "path(0)"], "complex 'path(0)': n 0 is below 1"),
+    ("spectra-vectors-unwritable", ["spectra", "path(3)", "-k", "0",
+                                    "--vectors", "{d}/missing/v.csv"], "missing/v.csv"),
+    # the vectors go first, and the failed --out takes them back: they were to land
+    # where the table checks that nothing is left
+    ("spectra-out-unwritable", ["spectra", "path(3)", "-k", "0", "--out",
+                                "{d}/missing/spec.csv", "--vectors", "{d}/out"],
+     "missing/spec.csv"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]

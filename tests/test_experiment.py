@@ -197,6 +197,27 @@ def test_run_experiment_writes_three_deterministic_files(tmp_path):
     assert agg_a == agg_b
 
 
+def test_each_output_file_starts_with_its_header_and_ends_lines_in_crlf(tmp_path):
+    paths = run_experiment(tiny_config(), tmp_path)
+    headers = {"results": b"method,noise,samples_per_edge,trial,seed,rmse,hyperparams",
+               "aggregate": b"method,noise,samples_per_edge,mean_rmse,trials",
+               "timings": b"noise,samples_per_edge,seconds"}
+    assert set(paths) == set(headers)
+    for name, header in headers.items():
+        with open(paths[name], "rb") as fh:
+            data = fh.read()
+        lines = data.split(b"\r\n")
+        assert lines[0] == header
+        assert lines[-1] == b"" and not any(b"\r" in line or b"\n" in line for line in lines)
+        assert len(lines) == 2 + {"results": 16, "aggregate": 8, "timings": 2}[name]
+    # rmse and mean to 12 significant digits, seconds to 3 decimals
+    results, aggregate, timings = (read_csv(paths[name])[1:] for name in headers)
+    assert results[0][:5] == ["gssc", "0.05", "5", "0", "3"]
+    assert all(f"{float(row[5]):.12g}" == row[5] for row in results)
+    assert all(f"{float(row[3]):.12g}" == row[3] for row in aggregate)
+    assert all(re.fullmatch(r"\d+\.\d{3}", row[2]) for row in timings)
+
+
 def test_aggregate_means_match_the_result_rows(tmp_path):
     paths = run_experiment(tiny_config(), tmp_path)
     results = read_csv(paths["results"])[1:]

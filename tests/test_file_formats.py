@@ -1,21 +1,23 @@
-"""The five text formats: every reader branch, and a seeded corruption fuzz.
+"""The five text formats: every reader branch, the exact bytes of each CSV
+writer, and a seeded corruption fuzz.
 
 `.scx` and `.dcx` complexes, chain CSVs, sample CSVs and sweep configs are
-read through one line reader and one CSV reader.  Each refusal below must
-be a `FormatError` whose message names the line or the file; the fuzz runs
-byte-level corruptions of valid files through the command line, where
-every case must either succeed or exit 2 with one error line.
+read through one line reader and one CSV reader, and every CSV is written by
+one writer.  Each refusal below must be a `FormatError` whose message names
+the line or the file; the fuzz runs byte-level corruptions of valid files
+through the command line, where every case must either succeed or exit 2
+with one error line.
 """
 
 import numpy as np
 import pytest
 
 import gssc.cli
-from gssc import (ChainVector, FormatError, FourierFn, ModN, Real, SynthSpec,
-                  canonical_complex, load_chain, load_complex, load_delta,
-                  load_samples, parse_config, random_complex, sample_async,
-                  save_chain, save_complex, save_delta, save_samples,
-                  synthesize)
+from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN, Real,
+                  SampleSet, SynthSpec, canonical_complex, load_chain,
+                  load_complex, load_delta, load_samples, parse_config,
+                  random_complex, sample_async, save_chain, save_complex,
+                  save_delta, save_samples, synthesize)
 
 CYCLE3 = canonical_complex("cycle(3)")
 
@@ -61,6 +63,43 @@ REFUSALS = [
     ("cfg-crlf-line-numbers", "cfg", "trials = 1\r\n\r\n# c\r\nwavelets = 9\r\n",
      "line 4: unknown config key 'wavelets'"),
 ]
+
+
+# the exact bytes each CSV writer emits: csv's minimal quoting, comma
+# delimiter and \r\n line ends; floats as their shortest round-trip repr and
+# exact values as plain integers.  The values are typed in, so no LAPACK
+# rounding reaches the text.
+WRITTEN_CHAINS = [
+    ("real", Real(), [1 / 3, -1e300], b"cell,value\r\n0,0.3333333333333333\r\n1,-1e+300\r\n"),
+    ("integer", Integer(), [-3, 10**30],
+     b"cell,value\r\n0,-3\r\n1,1000000000000000000000000000000\r\n"),
+    ("mod2", ModN(2), [3, -2], b"cell,value\r\n0,1\r\n1,0\r\n"),
+    ("fourier", FourierFn(1), [[0.1, 2, -1e-300], [1 / 3, 0, 1]],
+     b"edge,c0,c1,c2\r\n0,0.1,2.0,-1e-300\r\n1,0.3333333333333333,0.0,1.0\r\n"),
+]
+
+
+@pytest.mark.parametrize("system,values,data",
+                         [pytest.param(*row[1:], id=row[0]) for row in WRITTEN_CHAINS])
+def test_save_chain_writes_these_bytes_and_reads_them_back(tmp_path, system, values, data):
+    path3 = canonical_complex("path(3)")
+    x = ChainVector(path3, 1, system, values)
+    path = tmp_path / "x.csv"
+    save_chain(x, path)
+    assert path.read_bytes() == data
+    assert np.array_equal(load_chain(path, path3, 1, system).values, x.values)
+
+
+def test_save_samples_writes_these_bytes_and_reads_them_back(tmp_path):
+    samples = SampleSet(np.array([[0.1, -2.5], [1 / 3, 0.0]]),
+                        np.array([[1e300, -0.0], [7.0, 1 / 7]]))
+    path = tmp_path / "s.csv"
+    save_samples(samples, path)
+    assert path.read_bytes() == (b"edge,t,y\r\n0,0.1,1e+300\r\n0,-2.5,-0.0\r\n"
+                                 b"1,0.3333333333333333,7.0\r\n"
+                                 b"1,0.0,0.14285714285714285\r\n")
+    back = load_samples(path, 2)
+    assert np.array_equal(back.t, samples.t) and np.array_equal(back.y, samples.y)
 
 
 @pytest.mark.parametrize("fmt,text,needle",

@@ -99,8 +99,11 @@ def test_prime_check_agrees_with_a_sieve():
     ((2**31 - 1) ** 2, f"{(2**31 - 1) ** 2} is not prime"),
     # the least composite that passes Miller-Rabin on the bases 2, ..., 37
     (318665857834031151167461, "318665857834031151167461 is not prime"),
-    (3317044064679887385961981, "modulus 3317044064679887385961981 is at least 3.3e24"),
-    (10**400, f"modulus {10**400} is at least 3.3e24"),
+    # past 3.3e24 the modulus is named by its bit length, as Python refuses to print
+    # an int of more than 4,300 digits
+    (3317044064679887385961981, "a modulus of 82 bits is at least 3.3e24"),
+    (10**400, "a modulus of 1329 bits is at least 3.3e24"),
+    pytest.param(10**5000, "a modulus of 16610 bits is at least 3.3e24", id="10**5000"),
 ])
 def test_prime_check_refuses_composites_and_moduli_beyond_its_range(p, message):
     with pytest.raises(UnsupportedError, match=re.escape(message)):
