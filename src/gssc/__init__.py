@@ -24,12 +24,12 @@ from .hodge import (DecompositionResult, HodgeBases, Spectrum,
                     courant_fischer_check, eig_sym, hodge_decompose,
                     laplacian, numerical_rank, spectral_bases)
 from .homology import (HomologySummary, SNFResult, homology_Z, homology_field,
-                       integer_rank, mod_p_rank, simplicial_seminorm,
-                       smith_normal_form)
+                       integer_rank, mod_p_rank, smith_normal_form)
 from .learn import (ConditioningWarning, SampleSet, SynthSpec,
                     eval_chain_on_grid, evaluation_grid, load_samples,
                     reconstruct_gssc, rmse_ratio, sample_async, save_samples,
-                    solve_fundamental, solve_smooth, synthesize)
+                    simplicial_seminorm, solve_fundamental, solve_smooth,
+                    synthesize)
 
 __version__ = "0.1.0"
 

@@ -111,7 +111,7 @@ def _build_parser():
     csub = p.add_subparsers(dest="complex_command", required=True)
     g = csub.add_parser("gen", help="generate and save a complex",
                         parents=[common])
-    g.add_argument("spec", help="canonical name, random(...), or 'default'")
+    g.add_argument("spec", help="path (.scx/.dcx), canonical name, random(...), or 'default'")
 
     return parser
 
@@ -123,14 +123,9 @@ def _require_out(args, what):
 
 
 def _system_for(args):
-    name = args.system
-    if name == "real":
-        return Real()
-    if name == "integer":
-        return Integer()
-    if name == "mod2":
-        return ModN(2)
-    return FourierFn(args.time_order)
+    if args.system == "fourier":
+        return FourierFn(args.time_order)
+    return {"real": Real(), "integer": Integer(), "mod2": ModN(2)}[args.system]
 
 
 def _cmd_homology(args):
@@ -235,12 +230,11 @@ def _cmd_complex_gen(args):
         print(f"dims {dims} ({'valid' if report.ok else 'INVALID'})")
         return 0
     if args.out.endswith(".scx"):
-        # simplicial complexes label their cells with vertex tuples
-        cells = [c for level in rep.labels or [] for c in level]
-        if not cells or not all(isinstance(c, tuple) for c in cells):
+        # simplicial complexes label their cells with vertex tuples, by level
+        if not rep.labels or not all(isinstance(c, tuple) for lv in rep.labels for c in lv):
             raise UnsupportedError(
                 f"{args.spec!r} is not a simplicial complex; save it as .dcx")
-        save_complex(SimplicialComplex.from_maximal(cells, rep.n_cells(0)), args.out)
+        save_complex(SimplicialComplex(rep.n_cells(0), rep.labels), args.out)
     elif args.out.endswith(".dcx"):
         save_delta(rep, args.out)
     else:

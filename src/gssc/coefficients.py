@@ -331,7 +331,10 @@ def norm_p(x, p=2, weights=None):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     w = resolve_weights(weights, len(x.values))
     with np.errstate(over="ignore"):
-        total = float(np.sum((w ** p) * (x.system.norms(x.values) ** p)))
+        try:
+            total = float(np.sum((w ** p) * (x.system.norms(x.values) ** p)))
+        except OverflowError:  # an Integer value beyond float range
+            total = np.inf
     if not np.isfinite(total):
         raise NumericalError(f"the weighted {p}-norm of a {x.degree}-chain overflows: "
                              f"its sum of p-th powers is {total}")

@@ -136,13 +136,8 @@ class SimplicialComplex:
             raise ValueError("a complex needs at least one vertex")
         self.n_vertices = n_vertices
 
-        levels = [list(level) for level in simplexes_by_dim]
-        while levels and not levels[-1]:
-            levels.pop()
-        if not levels:
-            levels = [[]]
         stored = set()
-        for k, level in enumerate(levels):
+        for k, level in enumerate(simplexes_by_dim):
             for s in level:
                 s = tuple(int(v) for v in s)
                 if len(s) != k + 1:
@@ -152,9 +147,7 @@ class SimplicialComplex:
                 if s[0] < 0 or s[-1] >= n_vertices:
                     raise ValueError(f"simplex {s} has a vertex out of range")
                 stored.add(s)
-        expected_vertices = {(v,) for v in range(n_vertices)}
-        if not expected_vertices <= {s for s in stored if len(s) == 1}:
-            stored |= expected_vertices
+        stored |= {(v,) for v in range(n_vertices)}
         # face closure
         for s in stored:
             for j in range(len(s)):
@@ -375,13 +368,50 @@ def validate(rep):
 # -- canonical complexes -----------------------------------------------------
 
 # one grammar for every named complex: fixed canonical names, the
-# parametrized graphs, and the seeded random generator
+# parametrized graphs, the seeded random generator and the built-in testbed
 _SPEC = re.compile(
-    r"(?P<fixed>rp2|torus|filled_triangle)"
-    r"|(?P<graph>cycle|path)\((?P<n>\d+)\)"
+    r"(?P<fixed>rp2|torus|filled_triangle)|(?P<default>default)"
+    r"|(?P<graph>cycle|path)\(\s*(?P<n>\d+)\s*\)"
     r"|random\(\s*(?P<vertices>\d+)\s*,\s*(?P<edge_prob>[0-9.eE+-]+)\s*,"
     r"\s*(?P<fill_prob>[0-9.eE+-]+)\s*,\s*(?P<seed>\d+)\s*\)")
-_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# the two delta-complexes of `canonical_complex`: dims, B_1, B_2, vertex labels
+_DELTA = {"rp2": ((2, 3, 2), [[-1, -1, 0], [1, 1, 0]], [[-1, 1], [1, -1], [1, 1]], ["v", "w"]),
+          "torus": ((1, 3, 2), [[0, 0, 0]], [[1, 1], [1, 1], [-1, -1]], ["v"])}
+
+
+def _named_complex(m):
+    """The rep named by `m`, a full match of `_SPEC` on a stripped spec."""
+    spec = m.string
+    if m["fixed"] in _DELTA:
+        dims, b1, b2, vertices = _DELTA[m["fixed"]]
+        return ChainComplexRep(dims, [b1, b2], name=m["fixed"],
+                               labels=[vertices, ["a", "b", "c"], ["U", "L"]])
+    if m["fixed"]:
+        rep = to_chain_complex(SimplicialComplex.from_maximal([(0, 1, 2)]))
+        rep.name = "filled_triangle"
+        return rep
+    if m["default"]:
+        return default_experiment_complex()
+    if m["graph"]:
+        kind, n = m["graph"], int(m["n"])
+        least = 3 if kind == "cycle" else 1
+        if n < least:
+            raise FormatError(f"complex {spec!r}: n {n} is below {least}")
+        edges = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if kind == "cycle" else [])
+        rep = to_chain_complex(SimplicialComplex(n, [[(v,) for v in range(n)], edges]))
+        rep.name = f"{kind}({n})"
+        return rep
+    probs = []
+    for field in ("edge_prob", "fill_prob"):
+        try:
+            probs.append(float(m[field]))
+        except ValueError:
+            raise FormatError(f"complex {spec!r}: {field} {m[field]!r} is not a number") from None
+        if not 0 <= probs[-1] <= 1:
+            raise FormatError(f"complex {spec!r}: {field} {probs[-1]} is not in [0, 1]")
+    if (n_vertices := int(m["vertices"])) < 1:
+        raise FormatError(f"complex {spec!r}: n_vertices {n_vertices} is below 1")
+    return to_chain_complex(random_complex(n_vertices, *probs, int(m["seed"])))
 
 
 def canonical_complex(name):
@@ -398,38 +428,12 @@ def canonical_complex(name):
     cycle(n)         the n-cycle graph, n >= 3.
     path(n)          the path graph on n vertices.
     """
-    name = name.strip()
-    if name == "rp2":
-        b1 = [[-1, -1, 0], [1, 1, 0]]
-        b2 = [[-1, 1], [1, -1], [1, 1]]
-        return ChainComplexRep((2, 3, 2), [b1, b2], name="rp2",
-                               labels=[["v", "w"], ["a", "b", "c"], ["U", "L"]])
-    if name == "torus":
-        b1 = [[0, 0, 0]]
-        b2 = [[1, 1], [1, 1], [-1, -1]]
-        return ChainComplexRep((1, 3, 2), [b1, b2], name="torus",
-                               labels=[["v"], ["a", "b", "c"], ["U", "L"]])
-    if name == "filled_triangle":
-        rep = to_chain_complex(SimplicialComplex.from_maximal([(0, 1, 2)]))
-        rep.name = "filled_triangle"
-        return rep
-    m = _SPEC.fullmatch(name)
-    if m and m["graph"]:
-        kind, n = m["graph"], int(m["n"])
-        least = 3 if kind == "cycle" else 1
-        if n < least:
-            raise FormatError(f"complex {name!r}: n {n} is below {least}")
-        if kind == "cycle":
-            edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
-        else:
-            edges = [(i, i + 1) for i in range(n - 1)]
-        sc = SimplicialComplex.from_maximal(edges + [(v,) for v in range(n)])
-        rep = to_chain_complex(sc)
-        rep.name = name
-        return rep
-    raise UnsupportedError(
-        f"unknown complex {name!r}; known: rp2, torus, filled_triangle, "
-        "cycle(n), path(n)")
+    m = _SPEC.fullmatch(name.strip())
+    if m is None or not (m["fixed"] or m["graph"]):
+        raise UnsupportedError(
+            f"unknown complex {name.strip()!r}; known: rp2, torus, filled_triangle, "
+            "cycle(n), path(n)")
+    return _named_complex(m)
 
 
 def random_complex(n_vertices, edge_prob, fill_prob, seed):
@@ -465,29 +469,16 @@ def default_experiment_complex():
     gradient and curl directions for the default basis sizes.
     """
     core = random_complex(20, 0.5, 1.0, seed=11)
-    extra = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25),
-             (0, 20)]
-    maximal = core.maximal_simplexes() + extra
-    return to_chain_complex(SimplicialComplex.from_maximal(maximal, n_vertices=26))
+    ring = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25), (0, 20)]
+    levels = [[(v,) for v in range(26)], core.simplexes(1) + ring, core.simplexes(2)]
+    return to_chain_complex(SimplicialComplex(26, levels))
 
 
 def resolve_complex(spec):
-    """Interpret a complex spec: default, canonical, random, or path."""
-    if spec == "default":
-        return default_experiment_complex()
-    m = _SPEC.fullmatch(spec)
-    if m and m["vertices"]:
-        fields = ("edge_prob", "fill_prob")
-        if bad := [f for f in fields if not _FLOAT.fullmatch(m[f])]:
-            raise FormatError(f"complex {spec!r}: {bad[0]} {m[bad[0]]!r} is not a number")
-        probs = [float(m[f]) for f in fields]
-        if bad := [(f, v) for f, v in zip(fields, probs) if not 0 <= v <= 1]:
-            raise FormatError(f"complex {spec!r}: {bad[0][0]} {bad[0][1]} is not in [0, 1]")
-        if (n_vertices := int(m["vertices"])) < 1:
-            raise FormatError(f"complex {spec!r}: n_vertices {n_vertices} is below 1")
-        return to_chain_complex(random_complex(n_vertices, *probs, int(m["seed"])))
-    if m:
-        return canonical_complex(spec)
+    """Interpret a complex spec: a name in `_SPEC`'s grammar (blanks around it
+    and inside its parentheses ignored), or a .scx/.dcx path."""
+    if m := _SPEC.fullmatch(spec.strip()):
+        return _named_complex(m)
     if spec.endswith(".scx"):
         return to_chain_complex(load_complex(spec))
     if spec.endswith(".dcx"):

@@ -1,4 +1,4 @@
-"""Integer and field homology of chain complexes, and simplicial seminorms.
+"""Integer and field homology of chain complexes.
 
 The integer side is exact: ranks, Betti numbers and torsion (invariant
 factors of the next boundary map that exceed 1) come from sparse
@@ -6,9 +6,10 @@ elimination on unit pivots, each in a shortest column holding one, with
 Smith normal form run only on the non-unit remainder (Dumas, Saunders &
 Villard, J. Symb. Comput. 32, 2001), which also gives ranks over Z/p for
 odd p; ranks over Z/2 come from the GF(2) bitmask elimination of `gf2`.
-Class membership is decided by the same invariant factors: a chain x lies
-in the column lattice of B exactly when [B | x] has the factors of B
-(Newman, *Integral Matrices*, 1972, ch. II).  The public
+Integer class membership, which `learn.simplicial_seminorm` asks, is
+decided by the same invariant factors: a chain x lies in the column
+lattice of B exactly when [B | x] has the factors of B (Newman, *Integral
+Matrices*, 1972, ch. II).  The public
 `smith_normal_form` keeps its unimodular certificates for checking.  All
 arithmetic uses Python ints, so entries may grow without overflow.
 Each boundary's elimination over Z or Z/p runs at most once per rep, held
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gf2, hodge
-from .coefficients import (Integer, ModN, Real, _apply_boundary, norm_p,
-                           resolve_weights, zero_chain)
+from . import gf2
+from .coefficients import ModN, Real
 from .complexes import _as_int, _columns, _to_dense
 from .errors import UnsupportedError
 
@@ -243,6 +243,15 @@ def _rank(rep, k, p=None):
     return pivots + (smith_normal_form(remainder).rank if remainder.size else 0)
 
 
+def _in_boundary_lattice(rep, k, values):
+    """Whether the integer k-chain `values` lies in the column lattice L of
+    B_{k+1}: L + Zx = L exactly when [B_{k+1} | x] has the invariant factors
+    of B_{k+1}."""
+    x_col = tuple((i, v) for i, v in enumerate(values) if v)
+    factors = _invariant_factors(rep.columns(k + 1) + (x_col,))
+    return factors == _factors(_elimination(rep, k + 1))
+
+
 def _prime(p):
     """p if it is prime.  Miller-Rabin on the bases 2, ..., 41 is exact below 3.3e24 (Sorenson
     & Webster, Math. Comp. 86, 2017; the bases up to 37 pass 318665857834031151167461)."""
@@ -271,10 +280,9 @@ def mod_p_rank(matrix, p):
 class HomologySummary:
     """Betti number and torsion of one homology group."""
 
-    def __init__(self, betti, torsion, coefficients="Z"):
+    def __init__(self, betti, torsion):
         self.betti = int(betti)
         self.torsion = tuple(int(d) for d in torsion)
-        self.coefficients = coefficients
 
     def __str__(self):
         parts = []
@@ -313,75 +321,3 @@ def homology_field(rep, k, field):
         raise UnsupportedError(f"{field!r} is not a supported field")
     p = _prime(field.modulus) if isinstance(field, ModN) else None
     return rep.n_cells(k) - _rank(rep, k, p) - _rank(rep, k + 1, p)
-
-
-# -- simplicial seminorm -------------------------------------------------------
-
-def _require_kernel_chain(x):
-    rep = x.complex
-    k = x.degree
-    bd = _apply_boundary(x, k, adjoint=False).values
-    if x.system.exact:
-        if any(v != 0 for v in bd):
-            raise ValueError("representative is not a cycle (boundary nonzero)")
-    elif bd.size:
-        resid = np.max(np.abs(bd))
-        scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
-        entry = float(np.max(np.abs(hodge._boundary(rep, k).data), initial=0.0))
-        if resid > 1e-8 * scale * max(1.0, entry):
-            raise ValueError("representative is not a cycle (boundary residual "
-                             f"{resid:.3e})")
-
-
-def simplicial_seminorm(x, p=2, weights=None):
-    """Minimal weighted p-norm over the homology class of a cycle.
-
-    Returns (value, minimizing representative).  Real chains use p = 2 and
-    the Hodge split's weighted least-squares projection onto im B_{k+1};
-    Z/2 chains are solved by exhaustive enumeration of the image subgroup
-    (2^rank elements, rank capped at 24), keeping among tied minimizers the
-    one reached by the smallest subset of the greedy independent generators
-    of im B_{k+1}.  Integer chains are answered only
-    when the class is trivial, that is when x is in the column lattice of
-    B_{k+1}: appending x as one more column leaves the invariant factors of
-    the sparse elimination unchanged.  A nonzero class, including any
-    nonzero cycle of the top degree, is refused: the infimum over an
-    infinite coset is out of scope.
-    """
-    rep = x.complex
-    k = x.degree
-    _require_kernel_chain(x)
-    w = resolve_weights(weights, len(x.values))
-    up = rep.columns(k + 1)
-
-    if isinstance(x.system, Real):
-        if p != 2:
-            raise UnsupportedError("Real seminorm is implemented for p = 2 only")
-        mat = hodge._as_matrix(x.values)
-        _, part_pos = hodge._weighted_projection(rep, k + 1, mat, w)
-        mini = hodge._chain(x, k, mat - part_pos)
-        return norm_p(mini, 2, w), mini
-
-    if isinstance(x.system, ModN) and x.system.modulus == 2:
-        if p not in (1, 2):
-            raise UnsupportedError("only p = 1 and p = 2 are supported")
-        masks = gf2.column_masks(up)
-        gens = [masks[j] for j in gf2.independent_columns(masks)]
-        gf2.check_enumeration_bound(len(gens), "Z/2 seminorm")
-        power, _, best, _ = gf2._least_in_span(
-            gf2.vector_to_mask(x.values), gens,
-            gf2.weight_powers(None if weights is None else w, p))
-        mini = x.with_values(gf2.mask_to_vector(best, len(x.values)))
-        return float(power) if p == 1 else float(np.sqrt(power)), mini
-
-    if isinstance(x.system, Integer):
-        # x is in the column lattice L of B_{k+1} iff L + Zx = L, iff
-        # [B_{k+1} | x] has the same invariant factors as B_{k+1}
-        x_col = tuple((i, v) for i, v in enumerate(x.values.tolist()) if v)
-        if _invariant_factors(up + (x_col,)) == _factors(_elimination(rep, k + 1)):
-            return 0.0, zero_chain(rep, k, x.system)
-        raise UnsupportedError(
-            "integer seminorm of a nontrivial class (infimum over an infinite "
-            "coset) is out of scope")
-
-    raise UnsupportedError(f"seminorm not defined for {x.system!r}")

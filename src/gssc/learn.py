@@ -10,7 +10,8 @@ Three convex problems share the DecompositionResult container:
   projections and the result is exactly the Hodge decomposition; over Z/2
   the first stage is a walk of the feasible coset of corrections, found by
   one GF(2) solve, and the second the exhaustive boundary walk under each
-  correction, ordered by correction size first.
+  correction, ordered by correction size first.  `simplicial_seminorm` is
+  the second stage alone, on a cycle: the least element of its class.
 * smooth       -- trade data fit against the roughness of the non-harmonic
   parts:  min |x' - x|^2 + (1/eta) (|B_{k+1}^T x1|^2 + |B_k x_neg1|^2)
   with x' = x0 + x1 + x_neg1 and x0 constrained to ker L_k.  The roughness
@@ -40,12 +41,14 @@ import scipy.linalg
 
 from . import gf2
 from ._blas import one_blas_thread
-from .coefficients import (ChainVector, FourierFn, ModN, Real, norm_p,
-                           resolve_weights)
+from .coefficients import (ChainVector, FourierFn, Integer, ModN, Real, _apply_boundary,
+                           norm_p, resolve_weights, zero_chain)
 from .complexes import _as_int, _csv_rows, _write_csv
 from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
-                    _min_norm_solve, _spd_solve, _split, laplacian, spectral_bases)
+                    _min_norm_solve, _spd_solve, _split, _weighted_projection, laplacian,
+                    spectral_bases)
+from .homology import _in_boundary_lattice
 
 _SAMPLES_HEADER = ["edge", "t", "y"]  # the first row of a samples CSV
 
@@ -54,13 +57,31 @@ class ConditioningWarning(RuntimeWarning):
     """Warned when a fit's normal system is rank-deficient (minimum-norm fit)."""
 
 
-# -- fundamental model ---------------------------------------------------------
+# -- least elements of a class: fundamental model and seminorm ----------------
+
+def _boundary_span(x, p, w, what, coset_bits=None, target=None):
+    """(indices, masks, powers) for a walk of im B_{k+1} over Z/2 under the
+    p-norm, p in {1, 2}: the greedy independent generators and
+    `gf2.weight_powers(w, p)`.  None when no power is 0 and the mask `target`
+    lies in the span, which the walk would answer with 0.  Else a walk of
+    more than 2^24 elements (`coset_bits` counts an outer walk) is refused."""
+    if p not in (1, 2):
+        raise UnsupportedError("only p = 1 and p = 2 are supported")
+    powers = gf2.weight_powers(w, p)
+    masks = gf2.column_masks(x.complex.columns(x.degree + 1))
+    idx = gf2.independent_columns(masks)
+    gens = [masks[j] for j in idx]
+    if (target is not None and (powers is None or all(v > 0 for v in powers))
+            and gf2.solution_coset(gens, target) is not None):
+        return None
+    gf2.check_enumeration_bound(len(gens), what, coset_bits=coset_bits)
+    return idx, gens, powers
+
 
 def _fundamental_mod2(x, p, w):
     rep = x.complex
     k = x.degree
     n_k = len(x.values)
-    powers = gf2.weight_powers(w, p)
 
     down = rep.columns(k)
     down_cols = gf2.column_masks(down)      # B_k e_i, as C_{k-1} masks
@@ -79,16 +100,13 @@ def _fundamental_mod2(x, p, w):
             "x cannot be written as cycle + B_k^T y over Z/2 "
             "(its boundary is outside the reachable set)")
     a0, kernel = coset
-    pos_cols = gf2.column_masks(rep.columns(k + 1))
-    pos_idx = gf2.independent_columns(pos_cols)
-    gf2.check_enumeration_bound(len(pos_idx), "fundamental model",
-                                coset_bits=len(kernel))
+    pos_idx, pos_gens, powers = _boundary_span(x, p, w, "fundamental model",
+                                               coset_bits=len(kernel))
 
     c0 = gf2.combine(neg_gens, a0)
     shift = len(neg_gens)
     low = (1 << shift) - 1
     packed = [z | gf2.combine(neg_gens, z) << shift for z in kernel]  # (z, c)
-    pos_gens = [pos_cols[j] for j in pos_idx]
 
     # walk the feasible corrections, and under each one im B_{k+1}; the key
     # (correction power, cycle-part power, y1 mask, y_neg1 mask) puts the
@@ -147,14 +165,71 @@ def solve_fundamental(x, p=2, weights=None):
             _boundary(x.complex, x.degree) @ _as_matrix(result.x0.values)))
         return result
     if isinstance(x.system, ModN) and x.system.modulus == 2:
-        if p not in (1, 2):
-            raise UnsupportedError("only p = 1 and p = 2 are supported")
         return _fundamental_mod2(x, p, None if weights is None else w)
     if isinstance(x.system, ModN):
         raise UnsupportedError("ModN decomposition is implemented for modulus 2 only")
     raise UnsupportedError(
         f"fundamental model over {x.system!r} is not solvable here "
         "(integer programs over an infinite lattice are out of scope)")
+
+
+def _require_kernel_chain(x):
+    bd = _apply_boundary(x, x.degree, adjoint=False).values
+    if x.system.exact:
+        if any(v != 0 for v in bd):
+            raise ValueError("representative is not a cycle (boundary nonzero)")
+    elif bd.size:
+        resid = np.max(np.abs(bd))
+        scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
+        entry = float(np.max(np.abs(_boundary(x.complex, x.degree).data), initial=0.0))
+        if resid > 1e-8 * scale * max(1.0, entry):
+            raise ValueError("representative is not a cycle (boundary residual "
+                             f"{resid:.3e})")
+
+
+def simplicial_seminorm(x, p=2, weights=None):
+    """Minimal weighted p-norm over the homology class of a cycle.
+
+    Returns (value, minimizing representative).  Real chains use p = 2 and
+    the Hodge split's weighted least-squares projection onto im B_{k+1}.
+    Z/2 chains take the fundamental model's walk of im B_{k+1} (2^rank
+    elements, rank capped at 24), keeping among tied minimizers the one
+    reached by the smallest subset of its greedy independent generators; a
+    cycle in im B_{k+1} is answered (0, zero chain) by one GF(2) solve, as
+    the walk would, unless some w_i^p is 0.  Integer chains are answered only
+    in a trivial class, x in the column lattice of B_{k+1}: the infimum over
+    an infinite coset is out of scope.
+    """
+    rep = x.complex
+    k = x.degree
+    _require_kernel_chain(x)
+    w = resolve_weights(weights, len(x.values))
+
+    if isinstance(x.system, Real):
+        if p != 2:
+            raise UnsupportedError("Real seminorm is implemented for p = 2 only")
+        mat = _as_matrix(x.values)
+        _, part_pos = _weighted_projection(rep, k + 1, mat, w)
+        mini = _chain(x, k, mat - part_pos)
+        return norm_p(mini, 2, w), mini
+
+    if isinstance(x.system, ModN) and x.system.modulus == 2:
+        target = gf2.vector_to_mask(x.values)
+        span = _boundary_span(x, p, None if weights is None else w, "Z/2 seminorm", target=target)
+        if span is None:
+            return 0.0, zero_chain(rep, k, x.system)
+        power, _, best, _ = gf2._least_in_span(target, *span[1:])
+        mini = x.with_values(gf2.mask_to_vector(best, len(x.values)))
+        return float(power) if p == 1 else float(np.sqrt(power)), mini
+
+    if isinstance(x.system, Integer):
+        if _in_boundary_lattice(rep, k, x.values.tolist()):
+            return 0.0, zero_chain(rep, k, x.system)
+        raise UnsupportedError(
+            "integer seminorm of a nontrivial class (infimum over an infinite "
+            "coset) is out of scope")
+
+    raise UnsupportedError(f"seminorm not defined for {x.system!r}")
 
 
 # -- smoothness model ----------------------------------------------------------

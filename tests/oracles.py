@@ -676,12 +676,13 @@ def dense_fundamental_mod2(x, p, w):
 def reference_seminorm_mod2(x, p, weights=None):
     """Z/2 seminorm of a cycle x by one walk of im B_{k+1}, as (value, mask).
 
-    The reference for the Z/2 branch of `homology.simplicial_seminorm`: the
+    The reference for the Z/2 branch of `learn.simplicial_seminorm`: the
     same walk over x + im B_{k+1} for the least weighted power, but among
     tied minimizers it keeps the least representative mask, where the
     library keeps the least generator subset, so the two representatives
-    agree only where the minimizer is unique.  `weights` is None for unit
-    weights.
+    agree only where the minimizer is unique.  It walks trivial classes
+    too, which the library answers by one GF(2) solve when no weight is 0.
+    `weights` is None for unit weights.
     """
     masks = _dense_column_masks(x.complex.boundary_matrix(x.degree + 1))
     gens = [masks[j] for j in _greedy_independent(masks)]

@@ -136,6 +136,7 @@ def test_a_singular_kernel_in_a_middle_block_fails_loudly():
     ((3,), (3,), 0.5, "eval_points must be a 1-D array, got shape ()"),
     ((3, 3), (3, 3), [0.0, np.nan, 1.0], "eval_points[1] = nan is not finite"),
     ((3, 3), (3, 3), [0.0, 1.0, -np.inf], "eval_points[2] = -inf is not finite"),
+    ((3, 0), (3, 0), [0.0, 1.0], "need at least one sample"),
 ])
 def test_fit_refuses_mismatched_shapes(t_shape, y_shape, points, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -195,6 +196,12 @@ def test_product_smoother_refuses_infinite_strengths(name):
     grid0 = GridEstimate(np.ones((4, 12)), np.linspace(-3, 3, 12))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         sc_product(grid0, rep, **{name: float("inf")})
+
+
+def test_product_smoother_refuses_a_grid_of_another_complex():
+    grid0 = GridEstimate(np.ones((3, 12)), np.linspace(-3, 3, 12))
+    with pytest.raises(ValueError, match="3 grid rows for 4 edges"):
+        sc_product(grid0, canonical_complex("cycle(4)"))
 
 
 def test_product_smoother_fixes_harmonic_constant_signals():

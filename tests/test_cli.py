@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gssc import FourierFn, Real, canonical_complex, load_chain, rmse_ratio
+from gssc import (FourierFn, Real, canonical_complex, load_chain, load_samples,
+                  reconstruct_gssc, rmse_ratio, spectral_bases)
 from gssc.cli import main
 
 
@@ -211,6 +212,17 @@ def test_synth_sample_reconstruct_pipeline(tmp_path, capsys):
     est = load_chain(estimate, rep, 1, FourierFn(2))
     assert rmse_ratio(est, truth) < 1e-6
 
+    # --sub-size keeps the leading columns of both non-harmonic bases
+    code, out, _ = run(capsys, "--out", str(estimate), "reconstruct",
+                       "cycle(6)", str(samples), "--time-order", "2",
+                       "--eta", "1e6", "--n-irr", "6", "--n-sol", "6", "--sub-size", "2")
+    assert code == 0
+    bases = spectral_bases(rep, 1, 6, 6).sub(2, 2)
+    assert bases.n_irr == 2
+    want = reconstruct_gssc(load_samples(samples, 6), rep, bases, time_order=2, eta=1e6)
+    assert json.loads(out)["objective"] == want[1].objective
+    assert np.array_equal(load_chain(estimate, rep, 1, FourierFn(2)).values, want[0].values)
+
 
 def test_synth_requires_an_output_path(capsys):
     code, _, err = run(capsys, "synth", "cycle(3)")
@@ -277,6 +289,29 @@ def test_complex_gen_without_out_prints_dims(capsys):
     code, out, _ = run(capsys, "complex", "gen", "rp2")
     assert code == 0
     assert out.strip() == "dims 2 3 2 (valid)"
+
+
+@pytest.mark.parametrize("spaced,plain", [(" rp2 ", "rp2"), ("cycle( 5 )", "cycle(5)"),
+                                          (" default ", "default")])
+def test_homology_ignores_blanks_around_a_spec_and_inside_its_parentheses(capsys, spaced,
+                                                                           plain):
+    assert run(capsys, "homology", spaced) == run(capsys, "homology", plain)
+
+
+@pytest.mark.parametrize("spec", ["default", "rp2", "torus", "filled_triangle", "cycle(5)",
+                                  "path(3)", "random(8,0.6,0.7,2)"])
+def test_complex_gen_writes_files_with_their_specs_homology(tmp_path, capsys, spec):
+    code, want, _ = run(capsys, "homology", spec)
+    assert code == 0
+    for ext in (".dcx",) if spec in ("rp2", "torus") else (".dcx", ".scx"):
+        path = tmp_path / f"c{ext}"
+        wrote = run(capsys, "--out", str(path), "complex", "gen", spec)
+        assert wrote == (0, f"wrote {path}\n", "")
+        assert run(capsys, "homology", str(path)) == (0, want, "")
+        # a written file is a spec for complex gen as well
+        again = tmp_path / f"again{ext}"
+        assert run(capsys, "--out", str(again), "complex", "gen", str(path))[0] == 0
+        assert again.read_text() == path.read_text()
 
 
 def test_complex_gen_refuses_scx_for_delta_complexes(tmp_path, capsys):
@@ -390,6 +425,8 @@ BAD_INPUT = [
     ("spectra-out-unwritable", ["spectra", "path(3)", "-k", "0", "--out",
                                 "{d}/missing/spec.csv", "--vectors", "{d}/out"],
      "missing/spec.csv"),
+    ("complex-gen-unknown-extension", ["complex", "gen", "rp2"],
+     "unknown output extension"),
     ("experiment-jobs-0", ["experiment", "{d}/ok.cfg", "--jobs", "0"], "jobs"),
     ("experiment-jobs-negative", ["--jobs", "-5", "experiment", "{d}/ok.cfg"], "jobs"),
 ]
@@ -418,6 +455,8 @@ REFUSED = [
      3, "unsupported", "Unable to allocate"),
     ("decompose-norm-overflow", ["decompose", "cycle(3)", "{d}/x_huge.csv", "-k", "0"],
      4, "numerical failure", "the weighted 2-norm of a 0-chain overflows"),
+    ("smooth-p1", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model", "smooth",
+                   "-p", "1"], 3, "unsupported", "the smooth model supports p = 2 only"),
 ]
 
 

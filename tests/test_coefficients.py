@@ -92,6 +92,22 @@ def test_integer_parameters_refuse_non_integral_values(system, value, shown):
         system(value)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda rep: ModN(1), "modulus must be >= 2"),
+    (lambda rep: norm_p(zero_chain(rep, 1, Real()), 2, weights=np.ones((3, 1))),
+     "weights must be one-dimensional"),
+    (lambda rep: zero_chain(rep, 1, Real()) + zero_chain(canonical_complex("cycle(4)"), 1, Real()),
+     "chains live on different complexes"),
+    (lambda rep: zero_chain(rep, 1, Real()) - zero_chain(rep, 0, Real()),
+     "degrees differ: 1 vs 0"),
+    (lambda rep: zero_chain(rep, 1, Real()) + zero_chain(rep, 1, Integer()),
+     "coefficient systems differ: Real() vs Integer()"),
+], ids=["modulus-1", "weights-2d", "add-complexes", "add-degrees", "add-systems"])
+def test_chain_arguments_that_do_not_fit_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(canonical_complex("cycle(3)"))
+
+
 def test_integer_parameters_accept_integral_values_of_any_type():
     assert ModN(3.0).modulus == 3
     assert ModN(np.int64(7)).modulus == 7
@@ -136,9 +152,14 @@ def test_an_overflowing_norm_is_refused_without_a_numpy_warning():
         # squares up to 3e306 still sum to a finite value
         assert norm_p(ChainVector(rep, 1, Real(), [1e153, -1e153, 1e153]), 2) == \
             float(np.sqrt(3e306))
+        assert norm_p(ChainVector(rep, 1, Integer(), [10**200, 0, 0]), 1) == 1e200
         for x, p in ((ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 2),
                      (ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 1),
-                     (ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2)):
+                     (ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2),
+                     (ChainVector(rep, 0, Integer(), [10**200, 0, 0]), 2),
+                     # beyond float range: float() itself overflows
+                     (ChainVector(rep, 0, Integer(), [10**400, 0, 0]), 1),
+                     (ChainVector(rep, 0, Integer(), [-10**400, 0, 0]), 2)):
             with pytest.raises(NumericalError, match=f"weighted {p}-norm of a "
                                f"{x.degree}-chain overflows"):
                 norm_p(x, p)

@@ -9,9 +9,9 @@ import pytest
 from oracles import scalar_random_complex
 
 from gssc import (ChainComplexRep, FormatError, SimplicialComplex,
-                  UnsupportedError, canonical_complex, load_complex, load_delta,
-                  random_complex, save_complex, save_delta, to_chain_complex,
-                  validate)
+                  UnsupportedError, canonical_complex, default_experiment_complex,
+                  integer_rank, load_complex, load_delta, random_complex, resolve_complex,
+                  save_complex, save_delta, to_chain_complex, validate)
 
 
 def boundary_terms(simplex):
@@ -294,7 +294,103 @@ def test_delta_rep_rejects_shape_mismatch():
         ChainComplexRep((2, 2), [np.zeros((3, 2), dtype=object)])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SimplicialComplex(0, []), "a complex needs at least one vertex"),
+    (lambda: SimplicialComplex(3, [[(0,)], [(0, 1, 2)]]), "(0, 1, 2) listed at dimension 1"),
+    (lambda: SimplicialComplex(2, [[(0,)], [(0, 2)]]), "simplex (0, 2) has a vertex out of range"),
+    (lambda: SimplicialComplex.from_maximal([(0, 1, 1)]), "repeated vertex in simplex (0, 1, 1)"),
+    (lambda: SimplicialComplex.from_maximal([(2, -1)]), "negative vertex in simplex (-1, 2)"),
+    (lambda: SimplicialComplex.from_maximal([(0, 4)], n_vertices=3),
+     "n_vertices smaller than the largest vertex used"),
+    (lambda: ChainComplexRep((), []), "dims must be a non-empty tuple"),
+    (lambda: ChainComplexRep((2, -1), [np.zeros((2, 0))]), "dims must be a non-empty tuple"),
+    (lambda: ChainComplexRep((2, 1), []), "need exactly one boundary matrix"),
+    (lambda: random_complex(4, 1.5, 0.5, 0), "probabilities must be in [0, 1]"),
+    (lambda: random_complex(4, 0.5, -0.1, 0), "probabilities must be in [0, 1]"),
+    (lambda: random_complex(0, 0.5, 0.5, 0), "need at least one vertex"),
+    (lambda: integer_rank([1, 2]), "need a 2-d matrix"),
+], ids=["no-vertex", "wrong-level", "vertex-range", "repeated-vertex", "negative-vertex",
+        "few-vertices", "no-dims", "negative-dim", "boundary-count", "edge-prob",
+        "fill-prob", "random-no-vertex", "matrix-1d"])
+def test_construction_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("boundary", [[1, -1], [[[1]]], [[1, 2], [3]]])
 def test_delta_rep_rejects_boundaries_that_are_not_2d(boundary):
     with pytest.raises(ValueError, match="2-d"):
         ChainComplexRep((2, 1), [boundary])
+
+
+def same_rep(a, b):
+    return (a.dims == b.dims and a.labels == b.labels and a.name == b.name
+            and all(a.columns(k) == b.columns(k) for k in range(a.dim + 2)))
+
+
+@pytest.mark.parametrize("spaced,plain", [
+    (" rp2 ", "rp2"), ("\ttorus\n", "torus"), (" filled_triangle", "filled_triangle"),
+    ("cycle( 5 )", "cycle(5)"), (" path(  3) ", "path(3)"), (" default ", "default"),
+    ("random( 5 , 0.5 , 1 , 3 )", "random(5,0.5,1,3)"),
+    (" random(5,0.5,1,3)", "random(5,0.5,1,3)"),
+])
+def test_specs_ignore_blanks_around_them_and_inside_parentheses(spaced, plain):
+    assert same_rep(resolve_complex(spaced), resolve_complex(plain))
+    if not plain.startswith(("random", "default")):
+        assert same_rep(canonical_complex(spaced), canonical_complex(plain))
+        assert same_rep(canonical_complex(spaced), resolve_complex(plain))
+
+
+@pytest.mark.parametrize("spec", ["default", " default", "random(5,0.5,1,3)", "cyc le(5)"])
+def test_canonical_complex_takes_only_fixed_names_and_graphs(spec):
+    with pytest.raises(UnsupportedError, match="unknown complex"):
+        canonical_complex(spec)
+
+
+@pytest.mark.parametrize("spec", ["cycle 5", "cycle(5", "random(5,0.5,1)", "rp 2"])
+def test_resolve_complex_refuses_what_the_grammar_does_not_name(spec):
+    with pytest.raises(FormatError, match="cannot interpret"):
+        resolve_complex(spec)
+
+
+# the probability pattern the spec grammar used before it parsed with float()
+OLD_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_float_accepts_exactly_the_old_pattern_over_the_grammar_characters():
+    # the grammar's probability fields are [0-9.eE+-]+; 2..9 act as 0 and 1 do
+    count = 0
+    for n in range(1, 7):
+        for chars in itertools.product("01.eE+-", repeat=n):
+            text = "".join(chars)
+            assert parses(text) == bool(OLD_FLOAT.fullmatch(text)), text
+            count += 1
+    assert count == 137256
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_graphs_are_the_closures_of_their_edges(n):
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    for kind, maximal in (("cycle", edges), ("path", [(i, i + 1) for i in range(n - 1)])):
+        if kind == "cycle" and n < 3:
+            continue
+        want = to_chain_complex(SimplicialComplex.from_maximal(maximal + [(v,) for v in range(n)]))
+        want.name = f"{kind}({n})"
+        assert same_rep(canonical_complex(f"{kind}({n})"), want)
+
+
+def test_default_complex_is_the_closure_of_its_core_and_ring():
+    core = random_complex(20, 0.5, 1.0, seed=11)
+    ring = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25), (0, 20)]
+    want = to_chain_complex(SimplicialComplex.from_maximal(core.maximal_simplexes() + ring,
+                                                           n_vertices=26))
+    assert same_rep(default_experiment_complex(), want)
+    assert default_experiment_complex().dims == (26, 110, 181)

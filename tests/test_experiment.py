@@ -77,6 +77,12 @@ def test_config_refuses_non_integral_counts(bad, shown):
     {"alpha": float("nan")},
     {"beta": float("inf")},
     {"seed": -1},
+    {"noise_levels": ()},
+    {"sweep": "samples", "sample_counts": ()},
+    {"sample_counts": (0, 5)},
+    {"samples_per_edge": 0},
+    {"trials": 0},
+    {"sub_size": 0},
 ])
 def test_config_rejects_non_finite_noise_and_bad_orders(tmp_path, bad):
     with pytest.raises(FormatError):

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   UnsupportedError, canonical_complex, courant_fischer_check,
-                  eig_sym, evaluation_grid, hodge_decompose, laplacian,
+                  eig_sym, evaluation_grid, hodge_decompose, homology_field, laplacian,
                   numerical_rank, random_chain, random_complex, resolve_complex,
                   sample_async, simplicial_seminorm, solve_fundamental,
                   spectral_bases, to_chain_complex)
@@ -457,6 +457,17 @@ def test_non_integral_counts_raise_a_value_error_naming_them(call, shown):
     assert bases.sub(1.0, np.int64(1)).n_irr == 1
     assert sample_async(f, 2.0, 0.0, seed=0).samples_per_edge == 2
     assert len(evaluation_grid(np.int64(7))) == 7
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: spectral_bases(canonical_complex("rp2"), 3), "degree 3 outside 0..2"),
+    (lambda: homology_field(canonical_complex("rp2"), -1, Real()), "degree -1 outside 0..2"),
+    (lambda: courant_fischer_check(canonical_complex("path(1)"), 2),
+     "need at least edges to check the identity"),
+], ids=["bases", "field", "frequency-identity"])
+def test_requests_outside_the_complex_are_unsupported(call, message):
+    with pytest.raises(UnsupportedError, match=re.escape(message)):
+        call()
 
 
 def test_frequency_identity_on_small_graphs():

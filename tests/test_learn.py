@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 
 from gssc import (ChainVector, ConditioningWarning, FormatError, FourierFn,
-                  InfeasibleError, Integer, ModN, Real, SynthSpec,
-                  UnsupportedError, canonical_complex, eig_sym,
-                  eval_chain_on_grid, evaluation_grid, hodge_decompose,
+                  InfeasibleError, Integer, ModN, Real, SampleSet, SynthSpec,
+                  UnsupportedError, apply_boundary, canonical_complex, eig_sym,
+                  eval_chain_on_grid, evaluation_grid, gf2, hodge_decompose,
                   laplacian, load_samples, random_chain, random_complex,
                   reconstruct_gssc, resolve_complex, rmse_ratio, sample_async,
-                  save_samples, solve_fundamental, solve_smooth,
+                  save_samples, simplicial_seminorm, solve_fundamental, solve_smooth,
                   spectral_bases, synthesize, to_chain_complex, zero_chain)
 
 
@@ -94,6 +94,75 @@ def test_fundamental_integer_is_refused():
         solve_fundamental(x)
     with pytest.raises(UnsupportedError, match="modulus 2"):
         solve_fundamental(ChainVector(rep, 1, ModN(3), [1, 1, 1]))
+
+
+def trivial_z2_cycles(spec, k):
+    """The zero k-chain and the boundary of the first (k+1)-cell, over Z/2."""
+    rep = resolve_complex(spec)
+    top = ChainVector(rep, k + 1, ModN(2), [1] + [0] * (rep.n_cells(k + 1) - 1))
+    return zero_chain(rep, k, ModN(2)), apply_boundary(top)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["zero", "triangle-boundary"])
+@pytest.mark.parametrize("p,weights", [(2, None), (1, None), (1, "positive"), (2, "positive")])
+def test_z2_seminorm_answers_trivial_classes_past_the_enumeration_bound(which, p, weights):
+    # im B_2 of `default` has rank 84, far past the 2^24 walk
+    x = trivial_z2_cycles("default", 1)[which]
+    w = None if weights is None else np.linspace(0.5, 2.0, len(x.values))
+    value, mini = simplicial_seminorm(x, p=p, weights=w)
+    assert value == 0.0 and type(value) is float
+    assert mini.system == ModN(2) and mini.degree == 1 and not mini.values.any()
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["zero", "triangle-boundary"])
+@pytest.mark.parametrize("p,w0", [(1, 0.0), (2, 0.0), (2, 1e-200)])
+def test_z2_seminorm_walks_a_trivial_class_when_a_weight_power_is_zero(which, p, w0):
+    # 1e-200 squared underflows to 0, so some other element ties the power 0
+    x = trivial_z2_cycles("default", 1)[which]
+    w = np.ones(len(x.values))
+    w[0] = w0
+    with pytest.raises(UnsupportedError, match="2\\^84 elements exceeds the 2\\^24 bound"):
+        simplicial_seminorm(x, p=p, weights=w)
+    if w0:
+        assert simplicial_seminorm(x, p=1, weights=w)[0] == 0.0
+
+
+@pytest.mark.parametrize("spec", ["rp2", "torus", "cycle(7)", "filled_triangle",
+                                  "random(8,0.6,0.7,2)"])
+def test_z2_seminorm_of_a_boundary_is_the_walks_answer(spec):
+    rep = resolve_complex(spec)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for k in range(rep.dim):
+        masks = gf2.column_masks(rep.columns(k + 1))
+        gens = [masks[j] for j in gf2.independent_columns(masks)]
+        for _ in range(4):
+            x = apply_boundary(ChainVector(rep, k + 1, ModN(2),
+                                           rng.integers(0, 2, rep.n_cells(k + 1))))
+            for p in (1, 2):
+                for w in (None, rng.uniform(0.5, 2.0, rep.n_cells(k))):
+                    power, _, best, _ = gf2._least_in_span(
+                        gf2.vector_to_mask(x.values), gens, gf2.weight_powers(w, p))
+                    value, mini = simplicial_seminorm(x, p=p, weights=w)
+                    assert value == (float(power) if p == 1 else float(np.sqrt(power))) == 0.0
+                    assert gf2.vector_to_mask(mini.values) == best == 0
+                    checked += 1
+    assert checked >= 16
+
+
+def test_z2_seminorm_of_a_trivial_class_takes_no_walk(monkeypatch):
+    # the all-ones 0-chain of cycle(20) bounds; the walk would take 2^19 steps
+    rep = resolve_complex("cycle(20)")
+    x = ChainVector(rep, 0, ModN(2), [1] * 20)
+
+    def refuse(gens):
+        raise AssertionError("the span was walked")
+    monkeypatch.setattr(gf2, "gray_iter", refuse)
+    value, mini = simplicial_seminorm(x, p=1)
+    assert value == 0.0 and not mini.values.any()
+    # a zero weight keeps the walk
+    with pytest.raises(AssertionError, match="walked"):
+        simplicial_seminorm(x, p=1, weights=[0.0] + [1.0] * 19)
 
 
 def test_mod2_objectives_on_the_projective_plane():
@@ -386,6 +455,32 @@ def test_reconstruction_refuses_mismatched_input(case, message):
         args = (samples, rep, spectral_bases(rep, 0, 20, 20))
     with pytest.raises(ValueError, match=re.escape(message)):
         reconstruct_gssc(*args)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda rep: SampleSet(np.zeros((4, 3)), np.zeros((4, 2))), ValueError,
+     "t and y must be matching (n_edges, M) arrays"),
+    (lambda rep: sample_async(zero_chain(rep, 1, Real()), 3, 0.0, 0), UnsupportedError,
+     "sampling needs a function-valued chain"),
+    (lambda rep: eval_chain_on_grid(zero_chain(rep, 1, Real())), UnsupportedError,
+     "grid evaluation needs a function-valued chain"),
+    (lambda rep: rmse_ratio(np.zeros((4, 3)), np.ones((4, 2))), ValueError,
+     "shape mismatch (4, 3) vs (4, 2)"),
+    (lambda rep: solve_fundamental(zero_chain(rep, 1, ModN(2)), p=3), UnsupportedError,
+     "only p = 1 and p = 2 are supported"),
+    (lambda rep: simplicial_seminorm(zero_chain(rep, 1, Real()), p=1), UnsupportedError,
+     "Real seminorm is implemented for p = 2 only"),
+    (lambda rep: simplicial_seminorm(zero_chain(rep, 1, ModN(2)), p=3), UnsupportedError,
+     "only p = 1 and p = 2 are supported"),
+    (lambda rep: simplicial_seminorm(zero_chain(rep, 1, ModN(3))), UnsupportedError,
+     "seminorm not defined for ModN(3)"),
+    (lambda rep: simplicial_seminorm(zero_chain(rep, 1, FourierFn(2))), UnsupportedError,
+     "seminorm not defined for FourierFn(2)"),
+], ids=["samples-shape", "sample-real", "grid-real", "rmse-shape", "fundamental-p3",
+        "seminorm-real-p1", "seminorm-z2-p3", "seminorm-mod3", "seminorm-fourier"])
+def test_signal_calls_that_do_not_fit_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(canonical_complex("cycle(4)"))
 
 
 def test_reconstruction_warns_when_underdetermined():
