@@ -252,6 +252,7 @@ _COMMANDS = {
     "sample": _cmd_sample,
     "reconstruct": _cmd_reconstruct,
     "experiment": _cmd_experiment,
+    "complex": _cmd_complex_gen,
 }
 
 
@@ -265,8 +266,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "complex":
-            return _cmd_complex_gen(args)
         return _COMMANDS[args.command](args)
     except UnsupportedError as exc:
         return _fail("unsupported", exc, 3)

@@ -330,9 +330,10 @@ def norm_p(x, p=2, weights=None):
     if p not in (1, 2):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     w = resolve_weights(weights, len(x.values))
+    on = w > 0  # a cell of weight 0 adds nothing, so its norm is not taken
     with np.errstate(over="ignore"):
         try:
-            total = float(np.sum((w ** p) * (x.system.norms(x.values) ** p)))
+            total = float(np.sum((w[on] ** p) * (x.system.norms(x.values[on]) ** p)))
         except OverflowError:  # an Integer value beyond float range
             total = np.inf
     if not np.isfinite(total):

@@ -2,21 +2,20 @@
 
 The integer side is exact: ranks, Betti numbers and torsion (invariant
 factors of the next boundary map that exceed 1) come from sparse
-elimination on unit pivots, each in a shortest column holding one, with
-Smith normal form run only on the non-unit remainder (Dumas, Saunders &
-Villard, J. Symb. Comput. 32, 2001), which also gives ranks over Z/p for
-odd p; ranks over Z/2 come from the GF(2) bitmask elimination of `gf2`.
-Integer class membership, which `learn.simplicial_seminorm` asks, is
-decided by the same invariant factors: a chain x lies in the column
-lattice of B exactly when [B | x] has the factors of B (Newman, *Integral
-Matrices*, 1972, ch. II).  The public
-`smith_normal_form` keeps its unimodular certificates for checking.  All
-arithmetic uses Python ints, so entries may grow without overflow.
-Each boundary's elimination over Z or Z/p runs at most once per rep, held
-in its memo.  Field homology counts exact ranks from it, dim H_k = n_k -
-rank B_k - rank B_{k+1}: over Z/p the pivot count (every nonzero entry is a
-unit), over the reals the rank over Q, which adds the rank of the integer
-remainder.  `hodge` takes beta_k from the same ranks.
+elimination over Z on unit pivots, each in a shortest column holding one,
+with Smith normal form run only on the non-unit remainder (Dumas, Saunders &
+Villard, J. Symb. Comput. 32, 2001).  That one elimination answers every
+field but Z/2: the rank over Z/p, p odd, counts the invariant factors that
+p does not divide, and the rank over Q, so over the reals, counts them all.
+Ranks over Z/2 come from the GF(2) bitmask elimination of `gf2`.  Integer
+class membership, which `learn.simplicial_seminorm` asks, is decided by the
+same invariant factors: a chain x lies in the column lattice of B exactly
+when [B | x] has the factors of B (Newman, *Integral Matrices*, 1972, ch.
+II).  The public `smith_normal_form` keeps its unimodular certificates for
+checking.  All arithmetic uses Python ints, so entries may grow without
+overflow.  Each boundary's elimination runs at most once per rep, held in
+its memo with its rank over Z/2; field homology, dim H_k = n_k - rank B_k -
+rank B_{k+1}, and `hodge`'s beta_k read their ranks from it.
 """
 
 from __future__ import annotations
@@ -142,64 +141,50 @@ def smith_normal_form(matrix):
     return SNFResult(A, U, V, rank)
 
 
-def _eliminate(columns, p=None):
-    """Elimination to the rank: (pivot count, non-unit remainder).
+def _eliminate(columns):
+    """Unit-pivot elimination over Z: (pivot count, non-unit remainder).
 
-    `columns` holds an integer matrix as sparse columns [(row, int), ...].
-    Over Z/2 the count is the rank from `gf2`'s bitmask elimination.  Over
-    Z (p None) and Z/p, p odd, pivots are units: +-1 over Z, any entry
-    nonzero mod p over Z/p.  Each step takes the shortest column that holds
-    a unit (columns are kept in buckets by length; over Z those without +-1
-    are passed over), pivots on its unit in the shortest row, clears that
-    row with column operations and drops the row and column, until no unit
-    is left.  A unit pivot splits the matrix into diag(1, Schur complement),
-    so the nonzero invariant factors, which no pivot order changes, are
-    [1] * pivots followed by those of the remainder, a dense object matrix
-    holding no unit; over Z/p the remainder is empty.
+    `columns` holds an integer matrix as sparse nonzero columns [(row, int),
+    ...].  Each step takes the shortest column that holds a unit +-1 (live
+    columns sit in buckets by length), pivots on its unit in the shortest row,
+    clears that row with column operations and drops the row and column,
+    until no unit is left.  A unit pivot splits the matrix into diag(1,
+    Schur complement), so the nonzero invariant factors, which no pivot order
+    changes, are [1] * pivots and those of the remainder, a dense object
+    matrix holding no unit.
     """
-    if p == 2:
-        return len(gf2.independent_columns(gf2.column_masks(columns))), _to_dense((), 0)
     cols = {}   # column -> {row: value}
     rows = {}   # row -> set of columns with a nonzero in that row
     for j, entries in enumerate(columns):
         for i, v in entries:
-            if p is not None:
-                v %= p
-            if v:
-                cols.setdefault(j, {})[i] = v
-                rows.setdefault(i, set()).add(j)
+            cols.setdefault(j, {})[i] = v
+            rows.setdefault(i, set()).add(j)
     by_len = {}  # column length -> set of live columns of that length
     for j, col in cols.items():
         by_len.setdefault(len(col), set()).add(j)
 
     pivots = 0
-    while by_len:
-        if p:  # every nonzero entry is a unit
-            c = next(iter(by_len[min(by_len)]))
-        elif (c := next((j for n in sorted(by_len) for j in by_len[n] if 1 in cols[j].values()
-                         or -1 in cols[j].values()), None)) is None:
-            break
+    while (c := next((j for n in sorted(by_len) for j in by_len[n] if 1 in cols[j].values()
+                      or -1 in cols[j].values()), None)) is not None:
         pivot_col = cols.pop(c)
         bucket = by_len[len(pivot_col)]
         bucket.discard(c)
         if not bucket:
             del by_len[len(pivot_col)]
-        r = min((i for i, v in pivot_col.items() if p or v in (1, -1)),
-                key=lambda i: len(rows[i]))
+        r = min((i for i, v in pivot_col.items() if v in (1, -1)), key=lambda i: len(rows[i]))
         u = pivot_col.pop(r)
         entries = [(i, v, rows[i]) for i, v in pivot_col.items()]
         for _, _, row in entries:
             row.discard(c)
-        inverse = u if p is None else pow(u, -1, p)  # 1/u = u for u = +-1
         for j in rows.pop(r) - {c}:
             col = cols[j]
             old = len(col)
-            f = col.pop(r) * inverse  # column j -= f * column c
+            f = col.pop(r) * u  # column j -= f * column c, as 1/u = u
             for i, v, row in entries:
                 if i not in col:
-                    col[i] = -f * v % p if p else -f * v
+                    col[i] = -f * v
                     row.add(j)
-                elif w := ((col[i] - f * v) % p if p else col[i] - f * v):
+                elif w := col[i] - f * v:
                     col[i] = w
                 else:
                     del col[i]
@@ -230,17 +215,30 @@ def _invariant_factors(columns):
     return _factors(_eliminate(columns))
 
 
-def _elimination(rep, k, p=None):
-    """`_eliminate` of B_k over Z (p None) or Z/p, run at most once per rep;
-    `_factors` of it runs the Smith form of the remainder on each call."""
-    return rep._memo(("elimination", k, p), lambda: _eliminate(rep.columns(k), p))
+def _field_rank(eliminated, p=None):
+    """Rank over Q (p None) or over Z/p, p an odd prime, from `_eliminate`'s
+    (pivot count, remainder): the pivots plus the remainder's invariant
+    factors that p does not divide, with no Smith form on an empty one."""
+    pivots, remainder = eliminated
+    factors = smith_normal_form(remainder).invariant_factors if remainder.size else ()
+    return pivots + sum(not p or d % p != 0 for d in factors)
+
+
+def _gf2_rank(columns):
+    """Rank over Z/2: `gf2`'s bitmask elimination of the columns mod 2."""
+    return len(gf2.independent_columns(gf2.column_masks(columns)))
+
+
+def _elimination(rep, k):
+    """`_eliminate` of B_k, run at most once per rep."""
+    return rep._memo(("elimination", k), lambda: _eliminate(rep.columns(k)))
 
 
 def _rank(rep, k, p=None):
-    """Exact rank of B_k over Q (p None), which is its rank over the reals,
-    or over Z/p (p prime); a Smith form runs only on a nonempty remainder."""
-    pivots, remainder = _elimination(rep, k, p)
-    return pivots + (smith_normal_form(remainder).rank if remainder.size else 0)
+    """Exact rank of B_k over Q (p None), which is its rank over the reals, or over Z/p."""
+    if p == 2:
+        return rep._memo(("gf2 rank", k), lambda: _gf2_rank(rep.columns(k)))
+    return _field_rank(_elimination(rep, k), p)
 
 
 def _in_boundary_lattice(rep, k, values):
@@ -269,12 +267,14 @@ def _prime(p):
 
 
 def integer_rank(matrix):
-    return len(_invariant_factors(_columns(matrix)))
+    """Rank over Z, which is the rank over Q (`_field_rank` with no p)."""
+    return _field_rank(_eliminate(_columns(matrix)))
 
 
 def mod_p_rank(matrix, p):
-    """Rank over Z/p: the pivot count of sparse elimination mod p."""
-    return _eliminate(_columns(matrix), _prime(p))[0]
+    """Rank over Z/p: `gf2`'s bitmask rank for p = 2, else `_field_rank`."""
+    columns, p = _columns(matrix), _prime(p)
+    return _gf2_rank(columns) if p == 2 else _field_rank(_eliminate(columns), p)
 
 
 class HomologySummary:

@@ -153,6 +153,13 @@ def test_an_overflowing_norm_is_refused_without_a_numpy_warning():
         assert norm_p(ChainVector(rep, 1, Real(), [1e153, -1e153, 1e153]), 2) == \
             float(np.sqrt(3e306))
         assert norm_p(ChainVector(rep, 1, Integer(), [10**200, 0, 0]), 1) == 1e200
+        # a cell of weight 0 adds nothing, however far beyond float range it is
+        w = [0, 1, 1]
+        assert norm_p(ChainVector(rep, 0, Integer(), [10**400, 0, 0]), 1, weights=w) == 0.0
+        assert norm_p(ChainVector(rep, 0, Real(), [1e200, 1, 1]), 2, weights=w) == np.sqrt(2)
+        fourier = np.ones((3, 3))
+        fourier[0] = 1e200
+        assert norm_p(ChainVector(rep, 1, FourierFn(1), fourier), 2, weights=w) == np.sqrt(6)
         for x, p in ((ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 2),
                      (ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 1),
                      (ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2),

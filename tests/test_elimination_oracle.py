@@ -1,15 +1,18 @@
 """Sparse unit-pivot elimination against the dense code it replaced.
 
 The invariant factors behind `integer_rank` and `homology_Z` must equal the
-dense Smith normal form's, and `mod_p_rank` must equal dense modular
-Gauss-Jordan elimination, on seeded random integer matrices (including
-unit-free ones, which only the non-unit remainder can answer) and on every
-boundary matrix of the named complexes and of criterion 2's corpus.  The
-shortest-column pivot search must not depend on row or column order, and
-over Z it must pass over short columns that hold no unit.  `_eliminate`
-must also pivot exactly as the dict loop it replaced (`loop_eliminate`):
-the same pivot count and the same non-unit remainder over Z and odd p, and
-the same count over Z/2, where it runs the GF(2) bitmask elimination.
+dense Smith normal form's, and `mod_p_rank` and `homology_field` over Z/p
+must equal dense modular Gauss-Jordan elimination, on seeded random integer
+matrices (including unit-free ones, which only the non-unit remainder can
+answer) and on every boundary matrix of the named complexes and of
+criterion 2's corpus.  The shortest-column pivot search must not depend on
+row or column order, and it must pass over short columns that hold no unit.
+`_eliminate` must also pivot exactly as the dict loop it replaced
+(`loop_eliminate`): the same pivot count and the same non-unit remainder
+over Z.  The loop also eliminates mod p, pivoting on every nonzero, so its
+pivot count there is the rank over Z/p that the exact ranks of `homology`
+must match: the GF(2) bitmask rank for p = 2, and for odd p the pivots over
+Z plus the remainder's invariant factors that p does not divide.
 """
 
 import numpy as np
@@ -18,11 +21,11 @@ import pytest
 from oracles import dense_mod_p_rank, loop_eliminate
 from test_acceptance import two_complex_corpus
 
-from gssc import (ChainComplexRep, HomologySummary, homology_Z, integer_rank,
-                  mod_p_rank, resolve_complex, smith_normal_form)
+from gssc import (ChainComplexRep, HomologySummary, ModN, homology_field, homology_Z,
+                  integer_rank, mod_p_rank, resolve_complex, smith_normal_form)
 from gssc.cli import main
 from gssc.complexes import _columns
-from gssc.homology import _eliminate, _invariant_factors
+from gssc.homology import _eliminate, _invariant_factors, _rank
 
 PRIMES = (2, 3, 5, 7, 101)
 NAMED = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
@@ -73,6 +76,10 @@ def test_random_matrices_match_smith_normal_form():
         assert homology_Z(rep, 0) == HomologySummary(
             m - len(expected), [d for d in expected if d > 1])
         assert homology_Z(rep, 1) == HomologySummary(n - len(expected), [])
+        for p in PRIMES:
+            rank = dense_mod_p_rank(B, p)
+            assert homology_field(rep, 0, ModN(p)) == m - rank
+            assert homology_field(rep, 1, ModN(p)) == n - rank
         if B.size and all(v % 2 == 0 for v in B.flat) and expected:
             unit_free_torsion += 1
     assert unit_free_torsion >= 50
@@ -121,10 +128,15 @@ def corpus_columns():
 @pytest.mark.parametrize("p", (None,) + PRIMES)
 def test_elimination_pivots_as_the_dict_loop(corpus_columns, p):
     for columns in corpus_columns:
-        pivots, remainder = _eliminate(columns, p)
-        loop_pivots, loop_remainder = loop_eliminate(columns, p)
-        assert pivots == loop_pivots
-        assert np.array_equal(remainder, loop_remainder)
+        if p is None:
+            pivots, remainder = _eliminate(columns)
+            loop_pivots, loop_remainder = loop_eliminate(columns, p)
+            assert pivots == loop_pivots
+            assert np.array_equal(remainder, loop_remainder)
+        else:  # the rank over Z/p of a rep whose only boundary is these columns
+            n_rows = 1 + max((i for col in columns for i, _ in col), default=-1)
+            rep = ChainComplexRep._from_columns((n_rows, len(columns)), [columns])
+            assert _rank(rep, 1, p) == loop_eliminate(columns, p)[0]
 
 
 def test_row_and_column_order_leave_ranks_and_factors_unchanged():
