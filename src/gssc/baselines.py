@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .hodge import _full_bases, eig_sym
-from .learn import evaluation_grid
+from .learn import _refuse_nonfinite, evaluation_grid
 
 
 class KrrConfig:
@@ -54,12 +54,13 @@ _KERNEL_BUDGET = 1 << 16
 def krr_fit_eval(t, y, config, eval_points):
     """Kernel ridge predictor evaluated at given instants.
 
-    `t` and `y` hold one edge's samples, shape (M,), or a stack of edges,
-    shape (n, M), each edge fitted on its own; the result has shape (G,) or
-    (n, G) for a finite 1-D `eval_points` of length G.  Edges are solved in
-    batches whose (b, G, M) evaluation kernel holds at most 65,536 doubles
-    (512 KiB; one edge at least), so memory does not grow with n; each edge
-    gets the same LAPACK call on the same numbers as in one batch of all edges.
+    `t` and `y` hold one edge's finite samples, shape (M,), or a stack of
+    edges, shape (n, M), each edge fitted on its own; the result has shape
+    (G,) or (n, G) for a finite 1-D `eval_points` of length G.  Edges are
+    solved in batches whose (b, G, M) evaluation kernel holds at most 65,536
+    doubles (512 KiB; one edge at least), so memory does not grow with n;
+    each edge gets the same LAPACK call on the same numbers as in one batch
+    of all edges.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,6 +75,8 @@ def krr_fit_eval(t, y, config, eval_points):
         g = np.flatnonzero(~np.isfinite(eval_points))[0]
         raise ValueError(f"eval_points[{g}] = {eval_points[g]} is not finite")
     ts, ys = np.atleast_2d(t, y)
+    _refuse_nonfinite("t", ts)
+    _refuse_nonfinite("y", ys)
     out = np.empty((len(ts), len(eval_points)))
     step = max(1, _KERNEL_BUDGET // max(1, out.shape[1] * t.shape[-1]))
     diag = np.arange(t.shape[-1])
@@ -91,7 +94,7 @@ def krr_fit_eval(t, y, config, eval_points):
 
 
 class GridEstimate:
-    """Per-edge signal values tabulated on a fixed time grid."""
+    """Per-edge finite signal values tabulated on a fixed time grid."""
 
     def __init__(self, values, grid):
         values = np.asarray(values, dtype=float)
@@ -99,6 +102,7 @@ class GridEstimate:
         if values.ndim != 2 or values.shape[1] != len(grid):
             raise ValueError(f"values {values.shape} do not match grid of "
                              f"length {len(grid)}")
+        _refuse_nonfinite("values", values, "grid point")
         self.values = values
         self.grid = grid
 

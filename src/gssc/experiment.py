@@ -202,6 +202,7 @@ def run_experiment(config, out_dir, jobs=1, log=None):
     their matrices are small enough that BLAS threading costs more than it
     saves, and `jobs` >= 1 cells run at a time in parallel threads.
     """
+    jobs = _as_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     rep = resolve_complex(config.complex)

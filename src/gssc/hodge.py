@@ -68,12 +68,23 @@ class Spectrum:
         return self.eigenvectors[:, np.abs(self.eigenvalues) <= self.zero_tol]
 
 
+def _max_abs(M):
+    """max |M| of a float array (0 when empty); refuses M's first non-finite
+    entry, row-major, by its index."""
+    scale = float(np.max(np.abs(M), initial=0.0))
+    if not np.isfinite(scale):
+        at = tuple(np.argwhere(~np.isfinite(M))[0].tolist())
+        raise ValueError(f"entry {at} = {M[at]} is not finite")
+    return scale
+
+
 def eig_sym(matrix):
     """Symmetric eigendecomposition with fixed conventions.
 
     Eigenvalues ascend; each eigenvector's first entry that is nonzero at
     working precision is made positive, so repeated calls agree bit for bit.
-    Rejects matrices that are not symmetric to 1e-12 relative.
+    Rejects matrices that are not symmetric to 1e-12 relative, and names the
+    first non-finite entry of any that holds one.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -81,7 +92,7 @@ def eig_sym(matrix):
     n = M.shape[0]
     if n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
-    scale = max(float(np.max(np.abs(M))), 1e-300)
+    scale = max(_max_abs(M), 1e-300)
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     lam, vec = np.linalg.eigh((M + M.T) / 2.0)
@@ -208,8 +219,12 @@ def numerical_rank(matrix):
     Counts the eigenvalues of its smaller Gram above
     `max(n * eps, 1e-12) * lambda_max`, i.e. the singular values above
     about 1e-6 * sigma_max; the count is the same for any positive
-    multiple of the matrix.
+    multiple of the matrix.  A dense matrix with a non-finite entry is
+    refused naming it, before any Gram is formed.
     """
+    if not scipy.sparse.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        _max_abs(matrix)
     return len(_gram_modes(matrix)[1])
 
 

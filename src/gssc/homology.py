@@ -59,86 +59,55 @@ class SNFResult:
 def smith_normal_form(matrix):
     """Smith normal form over Z with transformation certificates.
 
-    Pivots are chosen with minimal absolute value, which keeps intermediate
-    entries small in practice.  Row operations accumulate in U, column
-    operations in V; each is a product of swaps, signed additions and
-    negations, so det(U), det(V) are +-1.  Entries must be integers
-    (integer-valued floats included); any other entry raises ValueError.
+    Row steps act on A and U together, column steps on A and V, each on
+    whole slices, so U @ B @ V = S holds throughout and det(U), det(V) are
+    +-1.  The order of the steps fixes U and V.  At each t: (1) pivot on the
+    first entry of least |a|, row-major, of the trailing block A[t:, t:],
+    swapping its row and column into place; (2) subtract (a // pivot) times
+    the pivot row from every row nonzero in the pivot column, and while any
+    stays nonzero swap in the first of least |a| and repeat; then the same
+    for columns, going back to (2) after a column swap; (3) unless the pivot
+    is +-1, add to the pivot row the first row of the trailing block holding
+    an entry the pivot does not divide, and redo t; (4) negate the pivot row
+    when the pivot is negative.  Entries must be integers (integer-valued
+    floats included); any other entry raises ValueError.
     """
     A = _to_dense(_columns(matrix), np.shape(matrix)[0])
     m, n = A.shape
-    U = _to_dense([((i, 1),) for i in range(m)], m)
-    V = _to_dense([((i, 1),) for i in range(n)], n)
-
-    def row_add(dst, src, c):
-        A[dst, :] += c * A[src, :]
-        U[dst, :] += c * U[src, :]
-
-    def col_add(dst, src, c):
-        A[:, dst] += c * A[:, src]
-        V[:, dst] += c * V[:, src]
-
-    def row_swap(i, j):
-        A[[i, j], :] = A[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-
-    def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-
+    U, V = np.identity(m, dtype=object), np.identity(n, dtype=object)
     t = 0
     while t < min(m, n):
-        # minimal-absolute-value pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i, j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
+        block = A[t:, t:]
+        nonzero = np.argwhere(block != 0)
+        if not len(nonzero):
             break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            # clear the pivot column, swapping a smaller remainder up if any
-            for i in range(t + 1, m):
-                if A[i, t] != 0:
-                    row_add(i, t, -(A[i, t] // A[t, t]))
-            residue = [i for i in range(t + 1, m) if A[i, t] != 0]
-            if residue:
-                row_swap(t, min(residue, key=lambda i: abs(A[i, t])))
+        i, j = t + nonzero[np.argmin(np.abs(block[tuple(nonzero.T)]))]
+        A[[t, i]], U[[t, i]] = A[[i, t]], U[[i, t]]
+        A[:, [t, j]], V[:, [t, j]] = A[:, [j, t]], V[:, [j, t]]
+        side = 0  # 0: rows of A with U; 1: columns, as rows of A.T with V.T
+        while side < 2:
+            X, W = (A, U) if side == 0 else (A.T, V.T)
+            rows = t + 1 + np.flatnonzero(X[t + 1:, t])
+            q = (X[rows, t] // X[t, t])[:, None]
+            X[rows] -= q * X[t]
+            W[rows] -= q * W[t]
+            rest = rows[X[rows, t] != 0]
+            if len(rest):
+                r = rest[np.argmin(np.abs(X[rest, t]))]
+                X[[t, r]], W[[t, r]] = X[[r, t]], W[[r, t]]
+                side = 0
+            else:
+                side += 1
+        if abs(A[t, t]) != 1:
+            bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+            if len(bad):
+                A[t] += A[t + 1 + bad[0]]
+                U[t] += U[t + 1 + bad[0]]
                 continue
-            for j in range(t + 1, n):
-                if A[t, j] != 0:
-                    col_add(j, t, -(A[t, j] // A[t, t]))
-            residue = [j for j in range(t + 1, n) if A[t, j] != 0]
-            if residue:
-                col_swap(t, min(residue, key=lambda j: abs(A[t, j])))
-                continue
-            break
-        # divisibility: the pivot must divide everything that remains
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i, j] % A[t, t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_add(t, bad, 1)
-            continue  # redo elimination at the same t with a smaller pivot
         if A[t, t] < 0:
-            A[t, :] = -A[t, :]
-            U[t, :] = -U[t, :]
+            A[t], U[t] = -A[t], -U[t]
         t += 1
-
-    rank = sum(1 for i in range(min(m, n)) if A[i, i] != 0)
-    return SNFResult(A, U, V, rank)
+    return SNFResult(A, U, V, int(np.count_nonzero(A.diagonal())))
 
 
 def _eliminate(columns):

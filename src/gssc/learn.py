@@ -315,6 +315,13 @@ def synthesize(rep, spec):
     return ChainVector(rep, 1, system, coeffs)
 
 
+def _refuse_nonfinite(name, arr, along="sample"):
+    """Refuses the first non-finite entry, row-major, of a 2-d per-edge array."""
+    if not np.all(np.isfinite(arr)):
+        e, i = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise ValueError(f"{name} = {arr[e, i]} at edge {e}, {along} {i} is not finite")
+
+
 class SampleSet:
     """Asynchronous samples: per edge, M instants and noisy values.
 
@@ -331,10 +338,8 @@ class SampleSet:
         y = np.array(y, dtype=float)
         if t.shape != y.shape or t.ndim != 2:
             raise ValueError("t and y must be matching (n_edges, M) arrays")
-        for name, arr in (("t", t), ("y", y)):
-            if not np.all(np.isfinite(arr)):
-                e, i = np.argwhere(~np.isfinite(arr))[0].tolist()
-                raise ValueError(f"{name} = {arr[e, i]} at edge {e}, sample {i} is not finite")
+        _refuse_nonfinite("t", t)
+        _refuse_nonfinite("y", y)
         t.setflags(write=False)
         y.setflags(write=False)
         self._t = t
@@ -534,7 +539,10 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
 
 def evaluation_grid(n_points=100):
     """Equispaced instants on [-pi, pi], both endpoints included."""
-    return np.linspace(-np.pi, np.pi, _as_int("n_points", n_points))
+    n_points = _as_int("n_points", n_points)
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    return np.linspace(-np.pi, np.pi, n_points)
 
 
 def eval_chain_on_grid(chain, grid=None):

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (enumeration, cofactor-style
 recursion, union-find, dense designs) so that it shares no algorithm with
 the library implementations it checks; only the chain and result
-containers are borrowed from the library.
+containers and separately tested primitives (`eig_sym`, `_columns`,
+`_to_dense`, ...) are borrowed from the library.
 """
 
 import itertools
@@ -16,11 +17,11 @@ import scipy.linalg
 from gssc import gf2
 from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
-from gssc.complexes import SimplicialComplex, _integral, _to_dense
+from gssc.complexes import SimplicialComplex, _columns, _integral, _to_dense
 from gssc.errors import InfeasibleError, NumericalError
 from gssc.hodge import (DecompositionResult, HodgeBases, _signed, eig_sym,
                         numerical_rank)
-from gssc.homology import smith_normal_form
+from gssc.homology import SNFResult
 from gssc.learn import ConditioningWarning
 
 
@@ -60,17 +61,102 @@ def gcd_of_minors(matrix, k):
     return g
 
 
+def loop_smith_normal_form(matrix):
+    """Smith normal form over Z with transformation certificates.
+
+    Pivots are chosen with minimal absolute value, which keeps intermediate
+    entries small in practice.  Row operations accumulate in U, column
+    operations in V; each is a product of swaps, signed additions and
+    negations, so det(U), det(V) are +-1.  Entries must be integers
+    (integer-valued floats included); any other entry raises ValueError.
+    """
+    A = _to_dense(_columns(matrix), np.shape(matrix)[0])
+    m, n = A.shape
+    U = _to_dense([((i, 1),) for i in range(m)], m)
+    V = _to_dense([((i, 1),) for i in range(n)], n)
+
+    def row_add(dst, src, c):
+        A[dst, :] += c * A[src, :]
+        U[dst, :] += c * U[src, :]
+
+    def col_add(dst, src, c):
+        A[:, dst] += c * A[:, src]
+        V[:, dst] += c * V[:, src]
+
+    def row_swap(i, j):
+        A[[i, j], :] = A[[j, i], :]
+        U[[i, j], :] = U[[j, i], :]
+
+    def col_swap(i, j):
+        A[:, [i, j]] = A[:, [j, i]]
+        V[:, [i, j]] = V[:, [j, i]]
+
+    t = 0
+    while t < min(m, n):
+        # minimal-absolute-value pivot in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = A[i, j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            # clear the pivot column, swapping a smaller remainder up if any
+            for i in range(t + 1, m):
+                if A[i, t] != 0:
+                    row_add(i, t, -(A[i, t] // A[t, t]))
+            residue = [i for i in range(t + 1, m) if A[i, t] != 0]
+            if residue:
+                row_swap(t, min(residue, key=lambda i: abs(A[i, t])))
+                continue
+            for j in range(t + 1, n):
+                if A[t, j] != 0:
+                    col_add(j, t, -(A[t, j] // A[t, t]))
+            residue = [j for j in range(t + 1, n) if A[t, j] != 0]
+            if residue:
+                col_swap(t, min(residue, key=lambda j: abs(A[t, j])))
+                continue
+            break
+        # divisibility: the pivot must divide everything that remains
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i, j] % A[t, t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue  # redo elimination at the same t with a smaller pivot
+        if A[t, t] < 0:
+            A[t, :] = -A[t, :]
+            U[t, :] = -U[t, :]
+        t += 1
+
+    rank = sum(1 for i in range(min(m, n)) if A[i, i] != 0)
+    return SNFResult(A, U, V, rank)
+
+
 def dense_solve_integer(matrix, target):
     """One integer solution z of B z = target, or None when none exists.
 
-    Reads the answer off the certificates of the dense `smith_normal_form`
+    Reads the answer off the certificates of `loop_smith_normal_form`
     of all of B: with S = U B V, B z = t has an integer solution exactly
     when each (U t)_i is divisible by S_ii (and vanishes where S_ii = 0).
     """
     B = np.asarray(matrix, dtype=object)
     m, n = B.shape
     t = np.asarray(target, dtype=object).reshape(m)
-    snf = smith_normal_form(B)
+    snf = loop_smith_normal_form(B)
     rhs = snf.U @ t
     y = np.zeros(n, dtype=object)
     for i in range(min(m, n)):

@@ -137,10 +137,18 @@ def test_a_singular_kernel_in_a_middle_block_fails_loudly():
     ((3, 3), (3, 3), [0.0, np.nan, 1.0], "eval_points[1] = nan is not finite"),
     ((3, 3), (3, 3), [0.0, 1.0, -np.inf], "eval_points[2] = -inf is not finite"),
     ((3, 0), (3, 0), [0.0, 1.0], "need at least one sample"),
+    # a list in place of a shape is the array itself
+    ([0.0, np.nan], (2,), [0.0, 1.0], "t = nan at edge 0, sample 1 is not finite"),
+    ([[0.0, 1.0, 2.0], [0.0, 1.0, np.nan]], (2, 3), [0.0],
+     "t = nan at edge 1, sample 2 is not finite"),
+    ((2, 3), [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]], [0.0],
+     "y = inf at edge 1, sample 1 is not finite"),
 ])
 def test_fit_refuses_mismatched_shapes(t_shape, y_shape, points, message):
+    t = np.zeros(t_shape) if isinstance(t_shape, tuple) else np.array(t_shape)
+    y = np.ones(y_shape) if isinstance(y_shape, tuple) else np.array(y_shape)
     with pytest.raises(ValueError, match=re.escape(message)):
-        krr_fit_eval(np.zeros(t_shape), np.ones(y_shape), KrrConfig(), points)
+        krr_fit_eval(t, y, KrrConfig(), points)
 
 
 def test_fit_at_sweep_size_holds_no_whole_kernel():
@@ -196,6 +204,15 @@ def test_product_smoother_refuses_infinite_strengths(name):
     grid0 = GridEstimate(np.ones((4, 12)), np.linspace(-3, 3, 12))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         sc_product(grid0, rep, **{name: float("inf")})
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_grid_estimate_refuses_non_finite_values(bad):
+    values = np.ones((4, 12))
+    values[2, 7] = bad
+    message = f"values = {bad} at edge 2, grid point 7 is not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridEstimate(values, np.linspace(-3, 3, 12))
 
 
 def test_product_smoother_refuses_a_grid_of_another_complex():

@@ -13,12 +13,15 @@ over Z.  The loop also eliminates mod p, pivoting on every nonzero, so its
 pivot count there is the rank over Z/p that the exact ranks of `homology`
 must match: the GF(2) bitmask rank for p = 2, and for odd p the pivots over
 Z plus the remainder's invariant factors that p does not divide.
+`smith_normal_form`, which steps on whole rows and columns, must give the
+same S, U, V and rank as the entry-by-entry loop it replaced
+(`loop_smith_normal_form`) on all of these matrices and their transposes.
 """
 
 import numpy as np
 import pytest
 
-from oracles import dense_mod_p_rank, loop_eliminate
+from oracles import dense_mod_p_rank, loop_eliminate, loop_smith_normal_form
 from test_acceptance import two_complex_corpus
 
 from gssc import (ChainComplexRep, HomologySummary, ModN, homology_field, homology_Z,
@@ -137,6 +140,29 @@ def test_elimination_pivots_as_the_dict_loop(corpus_columns, p):
             n_rows = 1 + max((i for col in columns for i, _ in col), default=-1)
             rep = ChainComplexRep._from_columns((n_rows, len(columns)), [columns])
             assert _rank(rep, 1, p) == loop_eliminate(columns, p)[0]
+
+
+def test_smith_normal_form_steps_as_the_entry_loop():
+    matrices = random_matrices() + unit_rich_matrices() + boundary_matrices()
+    shapes = [np.zeros(shape, dtype=object) for shape in ((0, 0), (0, 3), (3, 0), (3, 4))]
+    vectors = [np.array([[0, 4, -6, 0, 10]], dtype=object),
+               np.array([[0], [-4], [6]], dtype=object)]
+    examples = {  # matrix: invariant factors
+        ((-3, 6), (9, -12)): [3, 6],  # a negative pivot, negated
+        ((2, 0), (0, 3)): [1, 6],  # 2 does not divide 3: the divisibility step
+        ((4, 6, 0), (0, 0, 10)): [2, 10],
+    }
+    cases = [np.array(B, dtype=object) for B in examples]
+    for B in matrices + [B.T for B in matrices] + shapes + vectors + cases:
+        snf, loop = smith_normal_form(B), loop_smith_normal_form(B)
+        assert np.array_equal(snf.S, loop.S)
+        assert np.array_equal(snf.U, loop.U)
+        assert np.array_equal(snf.V, loop.V)
+        assert snf.rank == loop.rank
+        assert snf.verify(B)
+    for B, factors in examples.items():
+        assert smith_normal_form(np.array(B, dtype=object)).invariant_factors == factors
+    assert smith_normal_form(vectors[0]).invariant_factors == [2]
 
 
 def test_row_and_column_order_leave_ranks_and_factors_unchanged():

@@ -252,8 +252,10 @@ def test_trials_share_signals_across_sweep_points(tmp_path):
 
 
 def test_run_experiment_refuses_jobs_below_one(tmp_path):
-    for jobs in (0, -5):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+    for jobs, message in ((0, "jobs must be >= 1"), (-5, "jobs must be >= 1"),
+                          (1.5, "jobs 1.5 is not an integer"),
+                          ("2", "jobs '2' is not an integer")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(tiny_config(), tmp_path / str(jobs), jobs=jobs)
         assert not (tmp_path / str(jobs)).exists()
 

@@ -43,6 +43,18 @@ def test_eig_sym_simple_matrices():
         eig_sym(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("call", [eig_sym, numerical_rank])
+@pytest.mark.parametrize("matrix,message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "entry (0, 0) = nan is not finite"),
+    ([[1.0, 0.0], [0.0, np.inf]], "entry (1, 1) = inf is not finite"),
+    ([[1.0, -np.inf], [-np.inf, 1.0]], "entry (0, 1) = -inf is not finite"),
+], ids=["nan", "inf", "-inf"])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_entries_are_refused_before_any_numpy_warning(call, matrix, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(matrix)
+
+
 def test_eig_sym_is_deterministic_and_orthonormal():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((7, 7))
@@ -457,6 +469,13 @@ def test_non_integral_counts_raise_a_value_error_naming_them(call, shown):
     assert bases.sub(1.0, np.int64(1)).n_irr == 1
     assert sample_async(f, 2.0, 0.0, seed=0).samples_per_edge == 2
     assert len(evaluation_grid(np.int64(7))) == 7
+
+
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_evaluation_grid_refuses_fewer_than_two_points(n_points):
+    with pytest.raises(ValueError, match=re.escape(f"n_points must be >= 2, got {n_points}")):
+        evaluation_grid(n_points)
+    assert np.array_equal(evaluation_grid(2), [-np.pi, np.pi])
 
 
 @pytest.mark.parametrize("call,message", [
