@@ -3,7 +3,7 @@
 numpy and scipy wheels each bring an OpenBLAS with its own thread pool.  A
 small dense solve loses more to the hand-off and to the pools contending
 than a second thread gains: on a 2-vCPU Xeon (numpy 2.4, scipy 1.17) the
-benchmark ladder's pass took 0.41-0.48 s with `hodge._spd_solve`'s scipy
+benchmark ladder's pass took 0.41-0.48 s with `learn._smooth_fit`'s scipy
 Cholesky on two threads, 0.23-0.25 s in this scope.  Libraries are driven
 through their thread-count functions, the idiom of threadpoolctl.
 """

@@ -17,9 +17,9 @@ of its smaller Gram (`_gram_modes`), so a singular value of B counts as
 zero below about 1e-6 * sigma_max.  Betti numbers use exact ranks
 (`homology._rank`) instead.  Multiplying B (or the weights of a weighted
 projection) by any positive constant leaves every rank and every
-projection unchanged.  Both dense normal systems
-(`learn.solve_smooth`'s fit and `learn.reconstruct_gssc`'s Gram) go
-through `_cholesky` under `_full_rank` (that cutoff), else `_min_norm_solve`.
+projection unchanged.  Both dense normal systems (`learn.solve_smooth`'s
+fit and `learn.reconstruct_gssc`'s Gram) are factored in place by `_cholesky`
+under `_full_rank` (that cutoff), else solved by `_min_norm_solve`.
 
 The float code reads each boundary through a sparse CSR view of the rep's
 integer columns, built once per rep; Grams and Laplacians are formed sparse
@@ -44,7 +44,6 @@ import scipy.linalg
 import scipy.sparse
 
 from . import homology
-from ._blas import one_blas_thread
 from .coefficients import ChainVector, FourierFn, Real, norm_p
 from .complexes import _as_int
 from .errors import NumericalError, UnsupportedError
@@ -83,8 +82,8 @@ def eig_sym(matrix):
 
     Eigenvalues ascend; each eigenvector's first entry that is nonzero at
     working precision is made positive, so repeated calls agree bit for bit.
-    Rejects matrices that are not symmetric to 1e-12 relative, and names the
-    first non-finite entry of any that holds one.
+    Decomposes an exactly symmetric matrix as given, one symmetric to 1e-12
+    relative as its finite (M + M^T) / 2; refuses others, naming any non-finite entry.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -93,9 +92,14 @@ def eig_sym(matrix):
     if n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
     scale = max(_max_abs(M), 1e-300)
-    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
-    lam, vec = np.linalg.eigh((M + M.T) / 2.0)
+    if not np.array_equal(M, M.T):  # else (M + M^T) / 2 is M, bit for bit
+        with np.errstate(over="ignore"):  # an infinite difference is refused too
+            if not float(np.max(np.abs(M - M.T))) <= 1e-12 * scale:
+                raise ValueError("matrix is not symmetric within 1e-12 relative")
+            M = (M + M.T) / 2.0
+        if not np.isfinite(M).all():
+            raise ValueError("(M + M^T) / 2 of a nearly symmetric matrix overflows; rescale it")
+    lam, vec = np.linalg.eigh(M)
     tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.abs(lam)))
     return Spectrum(lam, _signed(vec), tol)
 
@@ -117,16 +121,6 @@ def _cholesky(A):
     except scipy.linalg.LinAlgError:
         return None
     return (factor, diag) if _full_rank(factor, diag) else None
-
-
-def _spd_solve(A, B):
-    """(X, rank): the minimum-norm X with A X = B (B 1-d or 2-d) and the rank
-    of a PSD A: n and `cho_solve` when `_cholesky` of a copy passes, else `_min_norm_solve`."""
-    with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
-        held = _cholesky(np.array(A, order="F"))
-        if held is not None:
-            return scipy.linalg.cho_solve((held[0], False), B), len(A)
-    return _min_norm_solve(A, B)
 
 
 def _min_norm_solve(A, B):
@@ -204,13 +198,13 @@ def _boundary_modes(rep, k, transpose=False):
 
 
 def laplacian(rep, k):
-    """Dense float L_k; raises for degrees outside the complex."""
+    """Dense float L_k, Fortran-ordered; raises for degrees outside the complex."""
     if not 0 <= k <= rep.dim:
         raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
     down = _boundary(rep, k)
     up = _boundary(rep, k + 1)
     # integer products sum exactly, so L is exactly symmetric
-    return (down.T @ down + up @ up.T).toarray()
+    return (down.T @ down + up @ up.T).toarray(order="F")
 
 
 def numerical_rank(matrix):
@@ -219,10 +213,16 @@ def numerical_rank(matrix):
     Counts the eigenvalues of its smaller Gram above
     `max(n * eps, 1e-12) * lambda_max`, i.e. the singular values above
     about 1e-6 * sigma_max; the count is the same for any positive
-    multiple of the matrix.  A dense matrix with a non-finite entry is
-    refused naming it, before any Gram is formed.
+    multiple of the matrix.  A matrix, dense or sparse, with a non-finite
+    entry is refused naming its first, row-major, before any Gram is formed.
     """
-    if not scipy.sparse.issparse(matrix):
+    if scipy.sparse.issparse(matrix):
+        rows, cols, vals = scipy.sparse.find(matrix)  # duplicates summed
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i, j, v = min(zip(rows[bad].tolist(), cols[bad].tolist(), vals[bad].tolist()))
+            raise ValueError(f"entry {(i, j)} = {v} is not finite")
+    else:
         matrix = np.asarray(matrix, dtype=float)
         _max_abs(matrix)
     return len(_gram_modes(matrix)[1])

@@ -46,8 +46,7 @@ from .coefficients import (ChainVector, FourierFn, Integer, ModN, Real, _apply_b
 from .complexes import _as_int, _csv_rows, _write_csv
 from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
 from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
-                    _min_norm_solve, _spd_solve, _split, _weighted_projection, laplacian,
-                    spectral_bases)
+                    _min_norm_solve, _split, _weighted_projection, laplacian, spectral_bases)
 from .homology import _in_boundary_lattice
 
 _SAMPLES_HEADER = ["edge", "t", "y"]  # the first row of a samples CSV
@@ -242,14 +241,20 @@ def _checked_eta(eta, top):
 
 
 def _smooth_fit(rep, k, mat, w, eta):
-    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by `hodge._spd_solve`,
-    whose cutoff drops the harmonic directions zero weights leave unobserved;
-    apart from `solve_smooth` so its n_k x n_k array is freed before the split.
-    """
-    normal = laplacian(rep, k)
-    normal /= _checked_eta(eta, normal.diagonal().max(initial=0.0))
-    normal[np.diag_indices_from(normal)] += w ** 2
-    return _spd_solve(normal, (w ** 2)[:, None] * mat)[0]
+    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x, factored in place by `_cholesky`,
+    else rebuilt for `_min_norm_solve`, whose cutoff drops the harmonic directions zero
+    weights leave unobserved; apart from `solve_smooth` to free its n_k x n_k array first."""
+    def normal():
+        A = laplacian(rep, k)  # Fortran-ordered: `_cholesky` factors it in place
+        A /= _checked_eta(eta, A.diagonal().max(initial=0.0))
+        A[np.diag_indices_from(A)] += w ** 2
+        return A
+    rhs = (w ** 2)[:, None] * mat
+    with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
+        held = _cholesky(normal())
+        if held is not None:
+            return scipy.linalg.cho_solve((held[0], False), rhs)
+    return _min_norm_solve(normal(), rhs)[0]
 
 
 def solve_smooth(x, eta=1.0, weights=None):

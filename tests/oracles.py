@@ -19,10 +19,11 @@ from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
 from gssc.complexes import SimplicialComplex, _columns, _integral, _to_dense
 from gssc.errors import InfeasibleError, NumericalError
-from gssc.hodge import (DecompositionResult, HodgeBases, _signed, eig_sym,
-                        numerical_rank)
+from gssc._blas import one_blas_thread
+from gssc.hodge import (ZERO_TOL_FLOOR, DecompositionResult, HodgeBases, Spectrum, _cholesky,
+                        _max_abs, _signed, eig_sym, laplacian, numerical_rank)
 from gssc.homology import SNFResult
-from gssc.learn import ConditioningWarning
+from gssc.learn import ConditioningWarning, _checked_eta
 
 
 def bareiss_det(matrix):
@@ -838,7 +839,8 @@ def eig_min_norm_solve(A, B):
     positive semidefinite A, from one `np.linalg.eigh` of its symmetric part
     whatever its rank.  Eigenvalues at or below
     max(n * eps, 1e-12) * max |lambda| count as zero; rank is the number
-    above.  The reference for `gssc.hodge._spd_solve`.
+    above.  The reference for `gssc.hodge._min_norm_solve` and for the fits of
+    `gssc.learn._smooth_fit`.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -860,6 +862,52 @@ def eig_smooth_fit(rep, k, mat, w, eta):
     normal = dense_laplacian(rep, k) / eta
     normal[np.diag_indices_from(normal)] += w ** 2
     return eig_min_norm_solve(normal, (w ** 2)[:, None] * mat)[0]
+
+
+# -- the copying dense solves --------------------------------------------------
+#
+# `eig_sym` once decomposed every input as (M + M^T) / 2, and `_smooth_fit`
+# solved through `hodge._spd_solve`, which factored a Fortran-ordered copy of
+# its system.  For an exactly symmetric M, (M + M^T) / 2 is M bit for bit, so
+# the library's copy-free paths must match these exactly.
+
+def symmetrized_eig_sym(matrix):
+    """`eig_sym` with every input symmetrized before `np.linalg.eigh`."""
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("need a square matrix")
+    n = M.shape[0]
+    if n == 0:
+        return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
+    scale = max(_max_abs(M), 1e-300)
+    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric within 1e-12 relative")
+    lam, vec = np.linalg.eigh((M + M.T) / 2.0)
+    tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.abs(lam)))
+    return Spectrum(lam, _signed(vec), tol)
+
+
+def spd_solve(A, B):
+    """(X, rank): the minimum-norm X with A X = B (B 1-d or 2-d) and the rank
+    of a PSD A: n and `cho_solve` when `_cholesky` of a copy passes, else the
+    cutoff's minimum-norm X from `symmetrized_eig_sym`."""
+    with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
+        held = _cholesky(np.array(A, order="F"))
+        if held is not None:
+            return scipy.linalg.cho_solve((held[0], False), B), len(A)
+    spec = symmetrized_eig_sym(A)
+    keep = spec.eigenvalues > spec.zero_tol
+    V, lam = spec.eigenvectors[:, keep], spec.eigenvalues[keep]
+    return V @ ((V.T @ B).T / lam).T, len(lam)
+
+
+def spd_smooth_fit(rep, k, mat, w, eta):
+    """Minimum-norm x' of (W^2 + L_k / eta) x' = W^2 x by `spd_solve`, which
+    factors a copy of the system."""
+    normal = laplacian(rep, k)
+    normal /= _checked_eta(eta, normal.diagonal().max(initial=0.0))
+    normal[np.diag_indices_from(normal)] += w ** 2
+    return spd_solve(normal, (w ** 2)[:, None] * mat)[0]
 
 
 def expression_rbf_kernel(a, b, lengthscale):

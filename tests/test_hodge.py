@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   UnsupportedError, canonical_complex, courant_fischer_check,
@@ -12,7 +13,8 @@ from gssc import (ChainVector, FourierFn, ModN, Real, SimplicialComplex,
                   numerical_rank, random_chain, random_complex, resolve_complex,
                   sample_async, simplicial_seminorm, solve_fundamental,
                   spectral_bases, to_chain_complex)
-from gssc.hodge import _signed, _spd_solve
+from gssc.hodge import _cholesky, _min_norm_solve, _signed
+from gssc.learn import _smooth_fit
 
 from oracles import eig_min_norm_solve, loop_signed
 
@@ -43,6 +45,25 @@ def test_eig_sym_simple_matrices():
         eig_sym(np.zeros((2, 3)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_eig_sym_decomposes_a_finite_symmetric_matrix_whose_sum_would_overflow():
+    spec = eig_sym(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    assert spec.eigenvalues.tolist() == [1.0, 1e308]
+    assert spec.eigenvectors.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("matrix,message", [
+    # symmetric to 1e-12 relative, but (M + M^T) / 2 overflows on the diagonal
+    ([[1e308, 1.0], [np.nextafter(1.0, 2.0), 1.0]], "overflows"),
+    # M - M^T overflows: as far from symmetric as can be
+    ([[0.0, 1e308], [-1e308, 0.0]], "not symmetric"),
+], ids=["sum", "difference"])
+@pytest.mark.filterwarnings("error")
+def test_eig_sym_refuses_an_overflowing_symmetrization_without_a_numpy_warning(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        eig_sym(matrix)
+
+
 @pytest.mark.parametrize("call", [eig_sym, numerical_rank])
 @pytest.mark.parametrize("matrix,message", [
     ([[np.nan, 0.0], [0.0, 1.0]], "entry (0, 0) = nan is not finite"),
@@ -53,6 +74,18 @@ def test_eig_sym_simple_matrices():
 def test_non_finite_entries_are_refused_before_any_numpy_warning(call, matrix, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(matrix)
+
+
+@pytest.mark.parametrize("sparse", [scipy.sparse.csr_array, scipy.sparse.csc_array])
+@pytest.mark.parametrize("matrix,message", [
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, np.nan]], "entry (1, 2) = nan is not finite"),
+    # row-major: (0, 2) comes before (1, 0), which a column-major scan meets first
+    ([[1.0, 0.0, np.inf], [-np.inf, 0.0, 1.0]], "entry (0, 2) = inf is not finite"),
+], ids=["nan", "row-major"])
+@pytest.mark.filterwarnings("error")
+def test_sparse_non_finite_entries_are_named_in_the_matrix_not_its_gram(sparse, matrix, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        numerical_rank(sparse(np.array(matrix)))
 
 
 def test_eig_sym_is_deterministic_and_orthonormal():
@@ -74,33 +107,41 @@ SINGULAR_FACTORS = np.array([[2.0, 3.0, 3.0], [3.0, 5.0, 3.0], [3.0, 3.0, 9.0]])
 SINGULAR_RAISES = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
 
 
-def test_spd_solve_of_a_full_rank_matrix_is_its_cholesky_bit_for_bit():
+def test_a_full_rank_system_is_solved_by_its_cholesky_bit_for_bit():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((9, 6))
     A = X.T @ X
     B = rng.standard_normal((6, 3))
-    X_got, rank = _spd_solve(A, B)
-    assert rank == 6
-    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
-    assert X_got.tobytes() == want.tobytes()
-    x_got, rank = _spd_solve(A, B[:, 0])
-    assert rank == 6 and x_got.shape == (6,)
-    assert x_got.tobytes() == scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(A), B[:, 0]).tobytes()
+    held = _cholesky(np.array(A, order="F"))
+    assert held is not None  # full rank: every pivot passes the cutoff
+    for rhs in (B, B[:, 0]):
+        got = scipy.linalg.cho_solve((held[0], False), rhs)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs)
+        assert got.shape == rhs.shape and got.tobytes() == want.tobytes()
+    # positive weights make the smooth fit's system full rank
+    rep = resolve_complex("default")
+    n = rep.n_cells(1)
+    w = rng.uniform(0.5, 2.0, n)
+    mat = rng.standard_normal((n, 3))
+    normal = laplacian(rep, 1) / 30.0
+    normal[np.diag_indices_from(normal)] += w ** 2
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(normal), (w ** 2)[:, None] * mat)
+    assert _smooth_fit(rep, 1, mat, w, 30.0).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("A, factors", [(SINGULAR_FACTORS, True),
                                         (SINGULAR_RAISES, False)])
-def test_spd_solve_of_a_singular_matrix_is_the_minimum_norm_solution(A, factors):
+def test_a_singular_system_gets_its_minimum_norm_solution(A, factors):
     if factors:
         scipy.linalg.cho_factor(A)
     else:
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(A)
+    assert _cholesky(np.array(A, order="F")) is None
     # a consistent rhs, so the minimum-norm X solves A X = B exactly
     B = A @ np.random.default_rng(6).standard_normal((3, 2))
     for rhs in (B, B[:, 1]):
-        X, rank = _spd_solve(A, rhs)
+        X, rank = _min_norm_solve(A, rhs)
         want, want_rank = eig_min_norm_solve(A, rhs)
         assert rank == want_rank == 2
         assert X.shape == rhs.shape
@@ -110,9 +151,10 @@ def test_spd_solve_of_a_singular_matrix_is_the_minimum_norm_solution(A, factors)
         assert np.max(np.abs(kernel.T @ X)) <= 1e-12 * np.max(np.abs(X))
 
 
-def test_spd_solve_of_an_empty_system_is_empty():
+def test_an_empty_system_is_solved():
+    assert _cholesky(np.zeros((0, 0), order="F")) is None
     for rhs in (np.zeros(0), np.zeros((0, 4))):
-        X, rank = _spd_solve(np.zeros((0, 0)), rhs)
+        X, rank = _min_norm_solve(np.zeros((0, 0)), rhs)
         assert rank == 0 and X.shape == rhs.shape
 
 
