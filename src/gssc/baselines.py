@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .errors import NumericalError
-from .hodge import _full_bases, eig_sym
+from .hodge import _first_nonfinite, _full_bases, eig_sym
 from .learn import _refuse_nonfinite, evaluation_grid
 
 
@@ -71,9 +71,9 @@ def krr_fit_eval(t, y, config, eval_points):
     eval_points = np.asarray(eval_points, dtype=float)
     if eval_points.ndim != 1:
         raise ValueError(f"eval_points must be a 1-D array, got shape {eval_points.shape}")
-    if not np.all(np.isfinite(eval_points)):
-        g = np.flatnonzero(~np.isfinite(eval_points))[0]
-        raise ValueError(f"eval_points[{g}] = {eval_points[g]} is not finite")
+    if bad := _first_nonfinite(eval_points):
+        (g,), value = bad
+        raise ValueError(f"eval_points[{g}] = {value} is not finite")
     ts, ys = np.atleast_2d(t, y)
     _refuse_nonfinite("t", ts)
     _refuse_nonfinite("y", ys)

@@ -3,7 +3,8 @@
 Subcommands: homology, decompose, spectra, synth, sample, reconstruct,
 experiment, complex gen.  Global flags --seed, --jobs, --out apply where
 they make sense (seeding for synth/sample, parallelism for experiment,
-output paths everywhere).
+output paths everywhere).  Commands import the scipy-based modules
+themselves, so `homology` and `complex gen` never load scipy.
 
 Exit codes: 0 success, 2 bad input -- files, parse problems, rejected
 values, argparse usage errors -- 3 unsupported requests, among them any
@@ -26,11 +27,7 @@ from .complexes import (SimplicialComplex, _write_csv, resolve_complex,
                         save_complex, save_delta, validate)
 from .errors import (FormatError, InfeasibleError, NumericalError,
                      UnsupportedError)
-from .experiment import parse_config, run_experiment
-from .hodge import eig_sym, laplacian, spectral_bases
 from .homology import homology_Z
-from .learn import (SynthSpec, load_samples, reconstruct_gssc, sample_async,
-                    save_samples, solve_fundamental, solve_smooth, synthesize)
 
 
 def _build_parser():
@@ -144,6 +141,7 @@ def _print_summary(result):
 
 
 def _cmd_decompose(args):
+    from .learn import solve_fundamental, solve_smooth
     rep = resolve_complex(args.complex)
     system = _system_for(args)
     x = load_chain(args.signal, rep, args.k, system)
@@ -162,6 +160,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_spectra(args):
+    from .hodge import eig_sym, laplacian
     rep = resolve_complex(args.complex)
     spec = eig_sym(laplacian(rep, args.k))
     # the vectors go first, so a failed write prints no spectrum
@@ -178,6 +177,7 @@ def _cmd_spectra(args):
 
 
 def _cmd_synth(args):
+    from .learn import SynthSpec, synthesize
     rep = resolve_complex(args.complex)
     out = _require_out(args, "signal CSV")
     spec = SynthSpec(n_irr=args.n_irr, n_sol=args.n_sol,
@@ -189,6 +189,7 @@ def _cmd_synth(args):
 
 
 def _cmd_sample(args):
+    from .learn import sample_async, save_samples
     rep = resolve_complex(args.complex)
     out = _require_out(args, "sample CSV")
     f = load_chain(args.signal, rep, 1, FourierFn(args.time_order))
@@ -200,6 +201,8 @@ def _cmd_sample(args):
 
 
 def _cmd_reconstruct(args):
+    from .hodge import spectral_bases
+    from .learn import load_samples, reconstruct_gssc
     if args.sub_size < 0:
         raise FormatError(f"sub-size must be >= 0, got {args.sub_size}")
     rep = resolve_complex(args.complex)
@@ -217,6 +220,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_experiment(args):
+    from .experiment import parse_config, run_experiment
     config = parse_config(args.config)
     run_experiment(config, out_dir=args.out or "results", jobs=args.jobs, log=print)
     return 0

@@ -33,7 +33,6 @@ import re
 import sys
 
 import numpy as np
-import scipy.sparse
 
 from .errors import FormatError, UnsupportedError
 
@@ -290,6 +289,7 @@ class ChainComplexRep:
         """B_k as a float `scipy.sparse` CSR array, built once from the
         columns; the library's float code reads this, not `boundary_float`."""
         def build():
+            import scipy.sparse  # here, so exact code never loads scipy
             cols = self.columns(k)
             indptr = np.cumsum([0] + [len(col) for col in cols])
             rows = [i for col in cols for i, _ in col]

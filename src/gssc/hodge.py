@@ -67,14 +67,17 @@ class Spectrum:
         return self.eigenvectors[:, np.abs(self.eigenvalues) <= self.zero_tol]
 
 
-def _max_abs(M):
-    """max |M| of a float array (0 when empty); refuses M's first non-finite
-    entry, row-major, by its index."""
-    scale = float(np.max(np.abs(M), initial=0.0))
-    if not np.isfinite(scale):
-        at = tuple(np.argwhere(~np.isfinite(M))[0].tolist())
-        raise ValueError(f"entry {at} = {M[at]} is not finite")
-    return scale
+def _first_nonfinite(M):
+    """(index, value) of the first non-finite entry, row-major, of a float
+    array of any ndim or a `scipy.sparse` matrix (duplicates summed), or None."""
+    if scipy.sparse.issparse(M):
+        rows, cols, vals = scipy.sparse.find(M)
+        bad = ~np.isfinite(vals)
+        return min(zip(zip(rows[bad].tolist(), cols[bad].tolist()), vals[bad].tolist()),
+                   default=None)
+    M = np.asarray(M, dtype=float)
+    bad = np.argwhere(~np.isfinite(M))
+    return (tuple(bad[0].tolist()), M[tuple(bad[0])]) if len(bad) else None
 
 
 def eig_sym(matrix):
@@ -91,10 +94,12 @@ def eig_sym(matrix):
     n = M.shape[0]
     if n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
-    scale = max(_max_abs(M), 1e-300)
+    scale = float(np.max(np.abs(M)))
+    if not np.isfinite(scale):
+        raise ValueError("entry {} = {} is not finite".format(*_first_nonfinite(M)))
     if not np.array_equal(M, M.T):  # else (M + M^T) / 2 is M, bit for bit
         with np.errstate(over="ignore"):  # an infinite difference is refused too
-            if not float(np.max(np.abs(M - M.T))) <= 1e-12 * scale:
+            if not float(np.max(np.abs(M - M.T))) <= 1e-12 * max(scale, 1e-300):
                 raise ValueError("matrix is not symmetric within 1e-12 relative")
             M = (M + M.T) / 2.0
         if not np.isfinite(M).all():
@@ -216,15 +221,8 @@ def numerical_rank(matrix):
     multiple of the matrix.  A matrix, dense or sparse, with a non-finite
     entry is refused naming its first, row-major, before any Gram is formed.
     """
-    if scipy.sparse.issparse(matrix):
-        rows, cols, vals = scipy.sparse.find(matrix)  # duplicates summed
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i, j, v = min(zip(rows[bad].tolist(), cols[bad].tolist(), vals[bad].tolist()))
-            raise ValueError(f"entry {(i, j)} = {v} is not finite")
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        _max_abs(matrix)
+    if bad := _first_nonfinite(matrix):
+        raise ValueError("entry {} = {} is not finite".format(*bad))
     return len(_gram_modes(matrix)[1])
 
 

@@ -45,8 +45,9 @@ from .coefficients import (ChainVector, FourierFn, Integer, ModN, Real, _apply_b
                            norm_p, resolve_weights, zero_chain)
 from .complexes import _as_int, _csv_rows, _write_csv
 from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky, _full_rank,
-                    _min_norm_solve, _split, _weighted_projection, laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky,
+                    _first_nonfinite, _full_rank, _min_norm_solve, _split,
+                    _weighted_projection, laplacian, spectral_bases)
 from .homology import _in_boundary_lattice
 
 _SAMPLES_HEADER = ["edge", "t", "y"]  # the first row of a samples CSV
@@ -322,9 +323,9 @@ def synthesize(rep, spec):
 
 def _refuse_nonfinite(name, arr, along="sample"):
     """Refuses the first non-finite entry, row-major, of a 2-d per-edge array."""
-    if not np.all(np.isfinite(arr)):
-        e, i = np.argwhere(~np.isfinite(arr))[0].tolist()
-        raise ValueError(f"{name} = {arr[e, i]} at edge {e}, {along} {i} is not finite")
+    if bad := _first_nonfinite(arr):
+        (e, i), value = bad
+        raise ValueError(f"{name} = {value} at edge {e}, {along} {i} is not finite")
 
 
 class SampleSet:

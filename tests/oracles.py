@@ -21,7 +21,7 @@ from gssc.complexes import SimplicialComplex, _columns, _integral, _to_dense
 from gssc.errors import InfeasibleError, NumericalError
 from gssc._blas import one_blas_thread
 from gssc.hodge import (ZERO_TOL_FLOOR, DecompositionResult, HodgeBases, Spectrum, _cholesky,
-                        _max_abs, _signed, eig_sym, laplacian, numerical_rank)
+                        _first_nonfinite, _signed, eig_sym, laplacian, numerical_rank)
 from gssc.homology import SNFResult
 from gssc.learn import ConditioningWarning, _checked_eta
 
@@ -879,8 +879,10 @@ def symmetrized_eig_sym(matrix):
     n = M.shape[0]
     if n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)), 0.0)
-    scale = max(_max_abs(M), 1e-300)
-    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
+    scale = float(np.max(np.abs(M)))
+    if not np.isfinite(scale):
+        raise ValueError("entry {} = {} is not finite".format(*_first_nonfinite(M)))
+    if float(np.max(np.abs(M - M.T))) > 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     lam, vec = np.linalg.eigh((M + M.T) / 2.0)
     tol = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * float(np.max(np.abs(lam)))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import gssc.cli
+import gssc.experiment
 from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN, Real,
                   SampleSet, SynthSpec, canonical_complex, load_chain,
                   load_complex, load_delta, load_samples, parse_config,
@@ -179,7 +180,7 @@ def test_corrupted_files_succeed_or_exit_2_with_one_error_line(tmp_path, capsys,
     # for hours of work, so a parsed config runs nothing.  The config names
     # no methods, since an unknown method name is an unsupported request
     # (exit 3) rather than bad input
-    monkeypatch.setattr(gssc.cli, "run_experiment", lambda *args, **kwargs: None)
+    monkeypatch.setattr(gssc.experiment, "run_experiment", lambda *args, **kwargs: None)
     write, argv = _fuzz_format(tmp_path, fmt)
     valid = tmp_path / f"valid.{fmt}"
     write(valid)

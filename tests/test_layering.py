@@ -73,3 +73,24 @@ def test_every_module_imports_only_earlier_layers():
 
 def test_exact_homology_imports_no_spectral_or_learning_code():
     assert relative_imports("homology") == {"gf2", "coefficients", "complexes", "errors"}
+
+
+def test_the_exact_side_imports_no_scipy_or_float_layer_at_module_level():
+    # an import inside a function body runs only when that function does
+    banned = {"scipy", ".hodge", ".learn", ".baselines", ".experiment", "._blas"}
+    offending = {}
+    for name in ("complexes", "coefficients", "gf2", "homology", "errors", "cli"):
+        found, todo = set(), list(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")).body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                prefix = "." * node.level
+                found.update([prefix + node.module.split(".")[0]] if node.module
+                             else (prefix + alias.name for alias in node.names))
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        if found & banned:
+            offending[name] = sorted(found & banned)
+    assert offending == {}
