@@ -238,7 +238,7 @@ def _cmd_complex_gen(args):
         if not rep.labels or not all(isinstance(c, tuple) for lv in rep.labels for c in lv):
             raise UnsupportedError(
                 f"{args.spec!r} is not a simplicial complex; save it as .dcx")
-        save_complex(SimplicialComplex(rep.n_cells(0), rep.labels), args.out)
+        save_complex(SimplicialComplex._unchecked(rep.n_cells(0), rep.labels), args.out)
     elif args.out.endswith(".dcx"):
         save_delta(rep, args.out)
     else:

@@ -60,18 +60,17 @@ class CoefficientSystem:
         return type(self).__name__ + "()"
 
     def __eq__(self, other):
-        return type(self) is type(other)
+        return type(self) is type(other) and vars(self) == vars(other)
 
     def __hash__(self):
-        return hash(type(self))
+        return hash((type(self), *vars(self).values()))
 
 
 class Real(CoefficientSystem):
     """Real values; norm |a|."""
 
     def coerce(self, values, n):
-        arr = np.array(values, dtype=float).reshape(n)
-        return arr
+        return np.array(values, dtype=float).reshape(n)
 
     def zeros(self, n):
         return np.zeros(n)
@@ -149,12 +148,6 @@ class ModN(CoefficientSystem):
     def __repr__(self):
         return f"ModN({self.modulus})"
 
-    def __eq__(self, other):
-        return type(other) is ModN and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((ModN, self.modulus))
-
 
 class FourierFn(CoefficientSystem):
     """Truncated Fourier functions of a given order on [-pi, pi]."""
@@ -167,8 +160,7 @@ class FourierFn(CoefficientSystem):
         self.n_coeffs = 2 * order + 1
 
     def coerce(self, values, n):
-        arr = np.array(values, dtype=float).reshape(n, self.n_coeffs)
-        return arr
+        return np.array(values, dtype=float).reshape(n, self.n_coeffs)
 
     def zeros(self, n):
         return np.zeros((n, self.n_coeffs))
@@ -193,12 +185,6 @@ class FourierFn(CoefficientSystem):
 
     def __repr__(self):
         return f"FourierFn({self.order})"
-
-    def __eq__(self, other):
-        return type(other) is FourierFn and other.order == self.order
-
-    def __hash__(self):
-        return hash((FourierFn, self.order))
 
 
 def eval_fn(system, coeffs, ts):

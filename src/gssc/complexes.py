@@ -97,27 +97,43 @@ def _write_csv(path, header, rows):
         csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
-def _columns(mat, what="entry"):
-    """Sparse columns of a dense 2-d integer matrix, tuples of (row, int) by
-    row; refuses the first entry, row-major, that is != 0 and not an integer."""
+def _exact(values):
+    """Integers as int64 when every one fits, else as Python ints (object)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _entry_columns(indptr):
+    """The column of each stored entry of CSC arrays with this `indptr`."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _dense_csc(mat, what="entry"):
+    """CSC arrays (indptr, rows, values) of a dense 2-d integer matrix, rows
+    ascending in each column; refuses the first entry, row-major, that is
+    != 0 and not an integer."""
     mat = np.asarray(mat, dtype=object)
     if mat.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    cols = [[] for _ in range(mat.shape[1])]
-    at = np.nonzero(mat != 0)
-    for i, j, v in zip(*(a.tolist() for a in at), mat[at].tolist()):
-        if type(v) is not int and not _integral(v):
+    cols, rows = np.nonzero((mat != 0).T)
+    values = mat[rows, cols].tolist()
+    if not set(map(type, values)) <= {int}:
+        bad = [(rows[t], cols[t], v) for t, v in enumerate(values) if not _integral(v)]
+        if bad:
+            i, j, v = min(bad, key=lambda b: b[:2])
             raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
-        cols[j].append((i, int(v)))
-    return tuple(map(tuple, cols))
+        values = [int(v) for v in values]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=mat.shape[1]))))
+    return indptr, rows, _exact(values)
 
 
-def _to_dense(columns, n_rows, dtype=object):
-    """The n_rows x len(columns) array of sparse columns (zeros elsewhere)."""
-    out = np.zeros((n_rows, len(columns)), dtype=dtype)
-    for j, col in enumerate(columns):
-        for i, v in col:
-            out[i, j] = v
+def _csc_dense(csc, n_rows, dtype=object):
+    """The dense n_rows-row array of CSC arrays, by one scatter."""
+    indptr, rows, values = csc
+    out = np.zeros((n_rows, len(indptr) - 1), dtype=dtype)
+    out[rows, _entry_columns(indptr)] = values
     return out
 
 
@@ -133,45 +149,48 @@ class SimplicialComplex:
         n_vertices = int(n_vertices)
         if n_vertices < 1:
             raise ValueError("a complex needs at least one vertex")
-        self.n_vertices = n_vertices
-
-        stored = set()
+        levels = []
         for k, level in enumerate(simplexes_by_dim):
+            level = [tuple(int(v) for v in s) for s in level]
             for s in level:
-                s = tuple(int(v) for v in s)
                 if len(s) != k + 1:
                     raise ValueError(f"{s} listed at dimension {k}")
                 if any(a >= b for a, b in zip(s, s[1:])):
                     raise ValueError(f"simplex {s} is not strictly increasing")
                 if s[0] < 0 or s[-1] >= n_vertices:
                     raise ValueError(f"simplex {s} has a vertex out of range")
-                stored.add(s)
-        stored |= {(v,) for v in range(n_vertices)}
-        # face closure
-        for s in stored:
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1:]
-                if face and face not in stored:
-                    raise ValueError(f"face {face} of {s} is missing")
-        dim = max(len(s) for s in stored) - 1
-        self.simplexes_by_dim = [
-            sorted(s for s in stored if len(s) == k + 1) for k in range(dim + 1)
-        ]
+            levels.append(level if all(a < b for a, b in zip(level, level[1:]))
+                          else sorted(set(level)))
+        levels[:1] = [[(v,) for v in range(n_vertices)]]
+        for below, level in zip(levels[1:], levels[2:]):  # face closure
+            below = set(below)
+            for s in level:
+                for j in range(len(s)):
+                    if (face := s[:j] + s[j + 1:]) not in below:
+                        raise ValueError(f"face {face} of {s} is missing")
+        self.n_vertices, self.simplexes_by_dim = n_vertices, [lv for lv in levels if lv]
+
+    @classmethod
+    def _unchecked(cls, n_vertices, levels):
+        """The complex the constructor would build from `levels`, which must
+        list every vertex and be face-closed and sorted, of int tuples."""
+        complex = cls.__new__(cls)
+        complex.n_vertices, complex.simplexes_by_dim = n_vertices, [lv for lv in levels if lv]
+        return complex
 
     @classmethod
     def from_maximal(cls, maximal, n_vertices=None):
         """Build the closure of a list of simplexes (any order, any overlap)."""
         stored = set()
-        top = 0
         for s in maximal:
             s = tuple(sorted(int(v) for v in s))
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
             if s and s[0] < 0:
                 raise ValueError(f"negative vertex in simplex {s}")
-            top = max(top, s[-1] + 1 if s else 0)
             for r in range(1, len(s) + 1):
                 stored.update(itertools.combinations(s, r))
+        top = max((s[-1] + 1 for s in stored), default=0)
         if n_vertices is None:
             n_vertices = top
         elif n_vertices < top:
@@ -195,15 +214,9 @@ class SimplicialComplex:
 
     def maximal_simplexes(self):
         """Simplexes that are not a face of any other stored simplex."""
-        all_faces = set()
-        for k in range(1, self.dim + 1):
-            for s in self.simplexes(k):
-                for j in range(len(s)):
-                    all_faces.add(s[:j] + s[j + 1:])
-        out = []
-        for k in range(self.dim + 1):
-            out.extend(s for s in self.simplexes(k) if s not in all_faces)
-        return out
+        faces = {s[:j] + s[j + 1:] for level in self.simplexes_by_dim[1:]
+                 for s in level for j in range(len(s))}
+        return [s for level in self.simplexes_by_dim for s in level if s not in faces]
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -216,24 +229,17 @@ class SimplicialComplex:
         return f"SimplicialComplex(dims=({counts}))"
 
 
-def _face_columns(complex, k):
-    """Sparse columns of B_k: each k-simplex's alternating face signs, rows in
-    order (the face deleting vertex j sorts before the one deleting j - 1)."""
-    if k < 1:
-        return ((),) * complex.n_simplexes(k)
-    face_index = {s: i for i, s in enumerate(complex.simplexes(k - 1))}
-    return tuple(
-        tuple((face_index[s[:j] + s[j + 1:]], -1 if j % 2 else 1)
-              for j in range(k, -1, -1))
-        for s in complex.simplexes(k))
-
-
 class ChainComplexRep:
     """Boundary-matrix presentation of a chain complex.
 
     dims       -- (n_0, ..., n_K), the rank of each chain group
     boundaries -- [B_1, ..., B_K]; B_k is integer, shape n_{k-1} x n_k
     labels     -- optional per-dimension cell labels (for reports only)
+
+    Each B_k is stored once as compressed sparse columns, `csc(k)`: column
+    pointers, the rows of the nonzeros (ascending in each column) and their
+    values, int64 when every entry fits and Python ints otherwise.  Tuple
+    columns and sparse and dense views are built from them on request.
     """
 
     def __init__(self, dims, boundaries, labels=None, name=None):
@@ -243,22 +249,20 @@ class ChainComplexRep:
         if len(boundaries) != len(dims) - 1:
             raise ValueError("need exactly one boundary matrix per adjacent pair of dims")
         self.dims = dims
-        self._columns = {}
+        self._csc = {}
         for k, mat in enumerate(boundaries, start=1):
             mat = np.asarray(mat, dtype=object)
             if mat.shape != (dims[k - 1], dims[k]):
                 raise ValueError(f"B_{k} has shape {mat.shape}, expected the 2-d "
                                  f"shape {(dims[k - 1], dims[k])}")
-            self._columns[k] = _columns(mat, f"B_{k} entry")
-        self.labels = labels
-        self.name = name
-        self._cache = {}
+            self._csc[k] = _dense_csc(mat, f"B_{k} entry")
+        self.labels, self.name, self._cache = labels, name, {}
 
     @classmethod
-    def _from_columns(cls, dims, columns, labels=None):
-        """The rep of integral sparse columns [B_1, ..., B_K] of the right shapes."""
+    def _from_csc(cls, dims, csc, labels=None):
+        """The rep of CSC arrays [B_1, ..., B_K] as `csc(k)` holds them."""
         rep = cls((0,), [], labels)
-        rep.dims, rep._columns = tuple(dims), dict(enumerate(columns, start=1))
+        rep.dims, rep._csc = tuple(dims), dict(enumerate(csc, start=1))
         return rep
 
     @property
@@ -270,41 +274,45 @@ class ChainComplexRep:
             return self.dims[k]
         return 0
 
+    def csc(self, k):
+        """B_k as stored: (indptr, rows, values); off-range degrees give n_k
+        empty columns."""
+        empty = np.zeros(0, dtype=np.int64)
+        return self._csc.get(k) or (np.zeros(self.n_cells(k) + 1, dtype=np.int64), empty, empty)
+
     def columns(self, k):
-        """B_k as stored: per column, a tuple of (row, int) by row; off-range
-        degrees give n_k empty columns."""
-        if k in self._columns:
-            return self._columns[k]
-        return ((),) * self.n_cells(k)
+        """B_k per column, a tuple of (row, int) by row; built once."""
+        def build():
+            ptr, rows, values = (a.tolist() for a in self.csc(k))
+            return tuple(tuple(zip(rows[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:]))
+        return self._memo(("columns", k), build)
 
     def boundary_matrix(self, k):
         """A fresh dense object array of the exact integer B_k."""
-        return _to_dense(self.columns(k), self.n_cells(k - 1))
+        return _csc_dense(self.csc(k), self.n_cells(k - 1))
 
     def boundary_float(self, k):
         """A fresh dense float array of B_k."""
-        return _to_dense(self.columns(k), self.n_cells(k - 1), float)
+        return _csc_dense(self.csc(k), self.n_cells(k - 1), float)
 
     def _sparse_boundary(self, k):
         """B_k as a float `scipy.sparse` CSR array, built once from the
-        columns; the library's float code reads this, not `boundary_float`."""
+        arrays; the library's float code reads this, not `boundary_float`."""
         def build():
             import scipy.sparse  # here, so exact code never loads scipy
-            cols = self.columns(k)
-            indptr = np.cumsum([0] + [len(col) for col in cols])
-            rows = [i for col in cols for i, _ in col]
-            vals = [v for col in cols for _, v in col]
+            indptr, rows, values = self.csc(k)
             return scipy.sparse.csc_array(
-                (np.array(vals, dtype=float), np.array(rows, dtype=np.int64), indptr),
-                shape=(self.n_cells(k - 1), len(cols))).tocsr()
+                (values.astype(float), rows, indptr),
+                shape=(self.n_cells(k - 1), self.n_cells(k))).tocsr()
         return self._memo(("sparse", k), build)
 
     def _memo(self, key, build):
         """The value cached under `key`, from build() on first use.
 
-        One dict per rep holds every derived value (sparse boundaries, Gram
-        eigenpairs, Hodge bases, eliminations); the values depend on the
-        rep alone, so a concurrent first use at worst builds one twice.
+        One dict per rep holds every derived value (tuple columns, sparse
+        boundaries, Gram eigenpairs, Hodge bases, eliminations); the values
+        depend on the rep alone, so a concurrent first use at worst builds one
+        twice.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -316,11 +324,29 @@ class ChainComplexRep:
 
 
 def to_chain_complex(complex):
-    """ChainComplexRep of a simplicial complex, labels = vertex tuples."""
-    dims = [complex.n_simplexes(k) for k in range(complex.dim + 1)]
-    columns = [_face_columns(complex, k) for k in range(1, complex.dim + 1)]
-    labels = [list(complex.simplexes(k)) for k in range(complex.dim + 1)]
-    return ChainComplexRep._from_columns(dims, columns, labels=labels)
+    """ChainComplexRep of a simplicial complex, labels = vertex tuples.
+
+    Column j of B_k holds the faces of the j-th k-simplex: the one deleting
+    vertex i, signed (-1)^i, is found by a binary search of its digits in
+    base n_vertices (Python ints past 2^63) among the (k-1)-simplexes'.
+    Deleting i sorts before deleting i - 1, so rows ascend as i falls.
+    """
+    n_v, levels = complex.n_vertices, complex.simplexes_by_dim
+
+    def codes(a):
+        digits = n_v ** np.arange(a.shape[1] - 1, -1, -1, dtype=object)
+        return a @ (digits if n_v ** a.shape[1] >= 2 ** 63 else digits.astype(np.int64))
+    csc, below = [], np.arange(n_v)
+    for k, level in enumerate(levels[1:], start=1):
+        top = np.fromiter(itertools.chain.from_iterable(level), np.int64,
+                          count=len(level) * (k + 1)).reshape(-1, k + 1)
+        faces = np.stack([np.delete(top, i, axis=1) for i in range(k, -1, -1)], axis=1)
+        rows = np.searchsorted(below, codes(faces.reshape(-1, k)))
+        csc.append((np.arange(0, top.size + 1, k + 1), rows,
+                    np.tile((-1) ** np.arange(k, -1, -1), len(top))))
+        below = codes(top)
+    return ChainComplexRep._from_csc([len(lv) for lv in levels], csc,
+                                     labels=[list(lv) for lv in levels])
 
 
 class ValidationReport:
@@ -347,21 +373,28 @@ class ValidationReport:
 def validate(rep):
     """Check B_k @ B_{k+1} = 0 exactly for every k; list offending entries.
 
-    Each column of the product sums the columns of B_k picked out by the
-    nonzeros of the matching column of B_{k+1}, in Python ints; failures are
-    listed row-major, as a dense product would give them.
+    Each nonzero v at (i, j) of B_{k+1} and w at (r, i) of B_k make a term
+    w v at (r, j).  The terms are summed by (r, j) after one sort, in int64
+    while the sum of their sizes stays below 2^63 and in Python ints past
+    that, with no dense product; failures are listed row-major.
     """
     failures = []
     for k in range(1, rep.dim):
-        down = rep.columns(k)
-        entries = []
-        for j, col in enumerate(rep.columns(k + 1)):
-            total = {}
-            for i, v in col:
-                for r, w in down[i]:
-                    total[r] = total.get(r, 0) + w * v
-            entries.extend((r, j, s) for r, s in total.items() if s)
-        failures.extend((k, i, j, s) for i, j, s in sorted(entries))
+        (ptr, down, w), (up_ptr, mid, v) = rep.csc(k), rep.csc(k + 1)
+        counts = np.diff(ptr)[mid]  # the terms of each nonzero of B_{k+1}
+        if not (n_terms := int(counts.sum())):
+            continue
+        pick = np.arange(n_terms) + np.repeat(ptr[mid] + counts - np.cumsum(counts), counts)
+        w_size, v_size = (max(int(a.max()), -int(a.min())) for a in (w, v))
+        if w_size * v_size * n_terms >= 2 ** 63:
+            w, v = w.astype(object), v.astype(object)
+        key = np.repeat(_entry_columns(up_ptr), counts) * rep.n_cells(k - 1) + down[pick]
+        order = np.argsort(key, kind="stable")  # runs: keys ascend by column
+        start = np.flatnonzero(np.diff(key[order], prepend=-1))
+        sums = np.add.reduceat((w[pick] * np.repeat(v, counts))[order], start)
+        cols, rows = np.divmod(key[order][start[sums != 0]], rep.n_cells(k - 1))
+        failures.extend((k, i, j, s) for i, j, s in sorted(
+            zip(rows.tolist(), cols.tolist(), sums[sums != 0].tolist())))
     return ValidationReport(not failures, failures)
 
 
@@ -397,8 +430,8 @@ def _named_complex(m):
         least = 3 if kind == "cycle" else 1
         if n < least:
             raise FormatError(f"complex {spec!r}: n {n} is below {least}")
-        edges = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if kind == "cycle" else [])
-        rep = to_chain_complex(SimplicialComplex(n, [[(v,) for v in range(n)], edges]))
+        edges = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * (kind == "cycle"))
+        rep = to_chain_complex(SimplicialComplex._unchecked(n, [[(v,) for v in range(n)], edges]))
         rep.name = f"{kind}({n})"
         return rep
     probs = []
@@ -456,7 +489,7 @@ def random_complex(n_vertices, edge_prob, fill_prob, seed):
     candidates = [(a, b, c) for a, b in edges for c in sorted(above[a] & above[b])]
     kept = rng.random(len(candidates)) < fill_prob
     triangles = list(itertools.compress(candidates, kept.tolist()))
-    return SimplicialComplex(n_vertices, [[(v,) for v in range(n_vertices)], edges, triangles])
+    return SimplicialComplex._unchecked(n_vertices, [[*zip(range(n_vertices))], edges, triangles])
 
 
 def default_experiment_complex():
@@ -470,8 +503,8 @@ def default_experiment_complex():
     """
     core = random_complex(20, 0.5, 1.0, seed=11)
     ring = [(20, 21), (21, 22), (22, 23), (23, 24), (24, 25), (20, 25), (0, 20)]
-    levels = [[(v,) for v in range(26)], core.simplexes(1) + ring, core.simplexes(2)]
-    return to_chain_complex(SimplicialComplex(26, levels))
+    levels = [[(v,) for v in range(26)], sorted(core.simplexes(1) + ring), core.simplexes(2)]
+    return to_chain_complex(SimplicialComplex._unchecked(26, levels))
 
 
 def resolve_complex(spec):

@@ -18,33 +18,30 @@ ENUMERATION_BITS = 24
 
 
 def vector_to_mask(values):
-    mask = 0
-    for i, v in enumerate(values):
-        if int(v) % 2:
-            mask |= 1 << i
-    return mask
+    return sum(1 << i for i, v in enumerate(values) if int(v) % 2)
 
 
 def mask_to_vector(mask, n):
-    out = np.zeros(n, dtype=object)
-    for i in range(n):
-        if (mask >> i) & 1:
-            out[i] = 1
-    return out
+    return np.array([(mask >> i) & 1 for i in range(n)], dtype=object)
 
 
-def column_masks(columns):
-    """Sparse integer columns [(row, value), ...] mod 2, as row-indexed masks."""
-    return [sum(1 << i for i, v in col if v % 2) for col in columns]
+def column_masks(csc):
+    """CSC integer arrays (indptr, rows, values) mod 2, as row-indexed masks."""
+    indptr, rows, values = csc
+    odd = values % 2 != 0
+    ends = np.concatenate(([0], np.cumsum(odd)))[indptr].tolist()
+    rows = rows[odd].tolist()
+    return [sum(map((1).__lshift__, rows[a:b])) for a, b in zip(ends, ends[1:])]
 
 
-def row_masks(columns, n_rows):
+def row_masks(csc, n_rows):
     """The rows of the same matrix, reduced mod 2, as column-indexed masks."""
+    indptr, rows, values = csc
+    odd = values % 2 != 0
+    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     out = [0] * n_rows
-    for j, col in enumerate(columns):
-        for i, v in col:
-            if v % 2:
-                out[i] |= 1 << j
+    for i, j in zip(rows[odd].tolist(), cols[odd].tolist()):
+        out[i] |= 1 << j
     return out
 
 

@@ -55,9 +55,7 @@ class Spectrum:
     """Eigenvalues ascending, orthonormal eigenvector columns, zero cutoff."""
 
     def __init__(self, eigenvalues, eigenvectors, zero_tol):
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-        self.zero_tol = zero_tol
+        self.eigenvalues, self.eigenvectors, self.zero_tol = eigenvalues, eigenvectors, zero_tol
 
     @property
     def n_zero(self):
@@ -235,14 +233,8 @@ class DecompositionResult:
     """
 
     def __init__(self, x0, x1, x_neg1, y1, y_neg1, objective, model, residuals):
-        self.x0 = x0
-        self.x1 = x1
-        self.x_neg1 = x_neg1
-        self.y1 = y1
-        self.y_neg1 = y_neg1
-        self.objective = objective
-        self.model = model
-        self.residuals = residuals
+        self.x0, self.x1, self.x_neg1, self.y1, self.y_neg1 = x0, x1, x_neg1, y1, y_neg1
+        self.objective, self.model, self.residuals = objective, model, residuals
 
     def parts(self):
         return self.x0, self.x1, self.x_neg1
@@ -354,13 +346,9 @@ class HodgeBases:
 
     def __init__(self, U0, U_irr, U_sol, irr_eigenvalues, sol_eigenvalues,
                  requested_irr, requested_sol):
-        self.U0 = U0
-        self.U_irr = U_irr
-        self.U_sol = U_sol
-        self.irr_eigenvalues = irr_eigenvalues
-        self.sol_eigenvalues = sol_eigenvalues
-        self.requested_irr = requested_irr
-        self.requested_sol = requested_sol
+        self.U0, self.U_irr, self.U_sol = U0, U_irr, U_sol
+        self.irr_eigenvalues, self.sol_eigenvalues = irr_eigenvalues, sol_eigenvalues
+        self.requested_irr, self.requested_sol = requested_irr, requested_sol
 
     @property
     def n_harmonic(self):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gf2
 from .coefficients import ModN, Real
-from .complexes import _as_int, _columns, _to_dense
+from .complexes import _as_int, _csc_dense, _dense_csc, _entry_columns, _exact
 from .errors import UnsupportedError
 
 
@@ -43,17 +43,10 @@ class SNFResult:
 
     def verify(self, original):
         """Exact check of the factorization and the divisibility chain."""
-        original = np.asarray(original, dtype=object)
-        if not np.array_equal(self.U @ original @ self.V, self.S):
-            return False
-        d = self.invariant_factors
-        for a, b in zip(d, d[1:]):
-            if b % a != 0:
-                return False
-        off = self.S.copy()
-        for i in range(min(off.shape)):
-            off[i, i] = 0
-        return not off.any()
+        original, d = np.asarray(original, dtype=object), self.invariant_factors
+        return (np.array_equal(self.U @ original @ self.V, self.S)
+                and not any(b % a for a, b in zip(d, d[1:]))
+                and np.count_nonzero(self.S) == np.count_nonzero(self.S.diagonal()))
 
 
 def smith_normal_form(matrix):
@@ -72,7 +65,7 @@ def smith_normal_form(matrix):
     when the pivot is negative.  Entries must be integers (integer-valued
     floats included); any other entry raises ValueError.
     """
-    A = _to_dense(_columns(matrix), np.shape(matrix)[0])
+    A = _csc_dense(_dense_csc(matrix), np.shape(matrix)[0])
     m, n = A.shape
     U, V = np.identity(m, dtype=object), np.identity(n, dtype=object)
     t = 0
@@ -110,24 +103,24 @@ def smith_normal_form(matrix):
     return SNFResult(A, U, V, int(np.count_nonzero(A.diagonal())))
 
 
-def _eliminate(columns):
+def _eliminate(csc):
     """Unit-pivot elimination over Z: (pivot count, non-unit remainder).
 
-    `columns` holds an integer matrix as sparse nonzero columns [(row, int),
-    ...].  Each step takes the shortest column that holds a unit +-1 (live
-    columns sit in buckets by length), pivots on its unit in the shortest row,
-    clears that row with column operations and drops the row and column,
-    until no unit is left.  A unit pivot splits the matrix into diag(1,
-    Schur complement), so the nonzero invariant factors, which no pivot order
-    changes, are [1] * pivots and those of the remainder, a dense object
-    matrix holding no unit.
+    `csc` holds an integer matrix as CSC arrays (indptr, rows, values), as
+    `ChainComplexRep.csc` gives them.  Each step takes the shortest column
+    that holds a unit +-1 (live columns sit in buckets by length), pivots on
+    its unit in the shortest row, clears that row with column operations and
+    drops the row and column, until no unit is left.  A unit pivot splits the
+    matrix into diag(1, Schur complement), so the nonzero invariant factors,
+    which no pivot order changes, are [1] * pivots and those of the
+    remainder, a dense object matrix holding no unit.
     """
-    cols = {}   # column -> {row: value}
-    rows = {}   # row -> set of columns with a nonzero in that row
-    for j, entries in enumerate(columns):
-        for i, v in entries:
-            cols.setdefault(j, {})[i] = v
-            rows.setdefault(i, set()).add(j)
+    ptr, listed, values = (a.tolist() for a in csc)
+    cols = {j: dict(zip(listed[a:b], values[a:b]))  # column -> {row: value}
+            for j, (a, b) in enumerate(zip(ptr, ptr[1:])) if a < b}
+    rows = {}  # row -> set of columns with a nonzero in that row
+    for i, j in zip(listed, _entry_columns(csc[0]).tolist()):
+        rows.setdefault(i, set()).add(j)
     by_len = {}  # column length -> set of live columns of that length
     for j, col in cols.items():
         by_len.setdefault(len(col), set()).add(j)
@@ -169,8 +162,10 @@ def _eliminate(columns):
         pivots += 1
     live = sorted({i for col in cols.values() for i in col})
     at = {i: a for a, i in enumerate(live)}
-    remainder = [[(at[i], v) for i, v in col.items()] for col in cols.values()]
-    return pivots, _to_dense(remainder, len(at))
+    remainder = np.zeros((len(at), len(cols)), dtype=object)
+    for j, col in enumerate(cols.values()):
+        remainder[[at[i] for i in col], j] = list(col.values())
+    return pivots, remainder
 
 
 def _factors(eliminated):
@@ -179,9 +174,9 @@ def _factors(eliminated):
     return [1] * pivots + smith_normal_form(remainder).invariant_factors
 
 
-def _invariant_factors(columns):
+def _invariant_factors(csc):
     """Nonzero invariant factors over Z, ascending; their count is the rank."""
-    return _factors(_eliminate(columns))
+    return _factors(_eliminate(csc))
 
 
 def _field_rank(eliminated, p=None):
@@ -193,20 +188,20 @@ def _field_rank(eliminated, p=None):
     return pivots + sum(not p or d % p != 0 for d in factors)
 
 
-def _gf2_rank(columns):
+def _gf2_rank(csc):
     """Rank over Z/2: `gf2`'s bitmask elimination of the columns mod 2."""
-    return len(gf2.independent_columns(gf2.column_masks(columns)))
+    return len(gf2.independent_columns(gf2.column_masks(csc)))
 
 
 def _elimination(rep, k):
     """`_eliminate` of B_k, run at most once per rep."""
-    return rep._memo(("elimination", k), lambda: _eliminate(rep.columns(k)))
+    return rep._memo(("elimination", k), lambda: _eliminate(rep.csc(k)))
 
 
 def _rank(rep, k, p=None):
     """Exact rank of B_k over Q (p None), which is its rank over the reals, or over Z/p."""
     if p == 2:
-        return rep._memo(("gf2 rank", k), lambda: _gf2_rank(rep.columns(k)))
+        return rep._memo(("gf2 rank", k), lambda: _gf2_rank(rep.csc(k)))
     return _field_rank(_elimination(rep, k), p)
 
 
@@ -214,8 +209,11 @@ def _in_boundary_lattice(rep, k, values):
     """Whether the integer k-chain `values` lies in the column lattice L of
     B_{k+1}: L + Zx = L exactly when [B_{k+1} | x] has the invariant factors
     of B_{k+1}."""
-    x_col = tuple((i, v) for i, v in enumerate(values) if v)
-    factors = _invariant_factors(rep.columns(k + 1) + (x_col,))
+    indptr, rows, entries = rep.csc(k + 1)
+    at = [i for i, v in enumerate(values) if v]
+    factors = _invariant_factors((
+        np.append(indptr, indptr[-1] + len(at)), np.append(rows, np.array(at, dtype=np.int64)),
+        np.concatenate([entries, _exact([values[i] for i in at])])))
     return factors == _factors(_elimination(rep, k + 1))
 
 
@@ -237,13 +235,13 @@ def _prime(p):
 
 def integer_rank(matrix):
     """Rank over Z, which is the rank over Q (`_field_rank` with no p)."""
-    return _field_rank(_eliminate(_columns(matrix)))
+    return _field_rank(_eliminate(_dense_csc(matrix)))
 
 
 def mod_p_rank(matrix, p):
     """Rank over Z/p: `gf2`'s bitmask rank for p = 2, else `_field_rank`."""
-    columns, p = _columns(matrix), _prime(p)
-    return _gf2_rank(columns) if p == 2 else _field_rank(_eliminate(columns), p)
+    csc, p = _dense_csc(matrix), _prime(p)
+    return _gf2_rank(csc) if p == 2 else _field_rank(_eliminate(csc), p)
 
 
 class HomologySummary:

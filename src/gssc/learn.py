@@ -68,7 +68,7 @@ def _boundary_span(x, p, w, what, coset_bits=None, target=None):
     if p not in (1, 2):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     powers = gf2.weight_powers(w, p)
-    masks = gf2.column_masks(x.complex.columns(x.degree + 1))
+    masks = gf2.column_masks(x.complex.csc(x.degree + 1))
     idx = gf2.independent_columns(masks)
     gens = [masks[j] for j in idx]
     if (target is not None and (powers is None or all(v > 0 for v in powers))
@@ -83,7 +83,7 @@ def _fundamental_mod2(x, p, w):
     k = x.degree
     n_k = len(x.values)
 
-    down = rep.columns(k)
+    down = rep.csc(k)
     down_cols = gf2.column_masks(down)      # B_k e_i, as C_{k-1} masks
     neg_cols = gf2.row_masks(down, rep.n_cells(k - 1))  # B_k^T e_j spans im B_k^T
     neg_idx = gf2.independent_columns(neg_cols)
@@ -348,10 +348,7 @@ class SampleSet:
         _refuse_nonfinite("y", y)
         t.setflags(write=False)
         y.setflags(write=False)
-        self._t = t
-        self._y = y
-        self.sigma = sigma
-        self.seed = seed
+        self._t, self._y, self.sigma, self.seed = t, y, sigma, seed
         self._held = {}  # work shared by fits of these samples
 
     @property

@@ -3,8 +3,8 @@
 Everything here is deliberately naive (enumeration, cofactor-style
 recursion, union-find, dense designs) so that it shares no algorithm with
 the library implementations it checks; only the chain and result
-containers and separately tested primitives (`eig_sym`, `_columns`,
-`_to_dense`, ...) are borrowed from the library.
+containers and separately tested primitives (`eig_sym`, ...) are borrowed
+from the library.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import scipy.linalg
 from gssc import gf2
 from gssc.baselines import rbf_kernel
 from gssc.coefficients import ChainVector, FourierFn, norm_p
-from gssc.complexes import SimplicialComplex, _columns, _integral, _to_dense
+from gssc.complexes import SimplicialComplex, ValidationReport, _dense_csc, _integral
 from gssc.errors import InfeasibleError, NumericalError
 from gssc._blas import one_blas_thread
 from gssc.hodge import (ZERO_TOL_FLOOR, DecompositionResult, HodgeBases, Spectrum, _cholesky,
@@ -71,10 +71,10 @@ def loop_smith_normal_form(matrix):
     negations, so det(U), det(V) are +-1.  Entries must be integers
     (integer-valued floats included); any other entry raises ValueError.
     """
-    A = _to_dense(_columns(matrix), np.shape(matrix)[0])
+    A = tuple_to_dense(tuple_columns(matrix), np.shape(matrix)[0])
     m, n = A.shape
-    U = _to_dense([((i, 1),) for i in range(m)], m)
-    V = _to_dense([((i, 1),) for i in range(n)], n)
+    U = tuple_to_dense([((i, 1),) for i in range(m)], m)
+    V = tuple_to_dense([((i, 1),) for i in range(n)], n)
 
     def row_add(dst, src, c):
         A[dst, :] += c * A[src, :]
@@ -1010,7 +1010,7 @@ def loop_eliminate(columns, p=None):
     live = sorted({i for col in cols.values() for i in col})
     at = {i: a for a, i in enumerate(live)}
     remainder = [[(at[i], v) for i, v in col.items()] for col in cols.values()]
-    return pivots, _to_dense(remainder, len(at))
+    return pivots, tuple_to_dense(remainder, len(at))
 
 
 def scalar_random_complex(n_vertices, edge_prob, fill_prob, seed):
@@ -1044,3 +1044,69 @@ def entrywise_columns(mat, what="entry"):
             raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
         cols[j].append((i, int(v)))
     return tuple(map(tuple, cols))
+
+
+# -- the per-column tuple storage that CSC arrays replaced ---------------------
+
+def tuple_columns(mat, what="entry"):
+    """Sparse columns of a dense 2-d integer matrix, tuples of (row, int) by
+    row; refuses the first entry, row-major, that is != 0 and not an integer."""
+    mat = np.asarray(mat, dtype=object)
+    if mat.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    cols = [[] for _ in range(mat.shape[1])]
+    at = np.nonzero(mat != 0)
+    for i, j, v in zip(*(a.tolist() for a in at), mat[at].tolist()):
+        if type(v) is not int and not _integral(v):
+            raise ValueError(f"{what} ({i}, {j}) = {v!r} is not an integer")
+        cols[j].append((i, int(v)))
+    return tuple(map(tuple, cols))
+
+
+def tuple_to_dense(columns, n_rows, dtype=object):
+    """The n_rows x len(columns) array of sparse columns (zeros elsewhere)."""
+    out = np.zeros((n_rows, len(columns)), dtype=dtype)
+    for j, col in enumerate(columns):
+        for i, v in col:
+            out[i, j] = v
+    return out
+
+
+def tuple_face_columns(complex, k):
+    """Sparse columns of B_k: each k-simplex's alternating face signs, rows in
+    order (the face deleting vertex j sorts before the one deleting j - 1)."""
+    if k < 1:
+        return ((),) * complex.n_simplexes(k)
+    face_index = {s: i for i, s in enumerate(complex.simplexes(k - 1))}
+    return tuple(
+        tuple((face_index[s[:j] + s[j + 1:]], -1 if j % 2 else 1)
+              for j in range(k, -1, -1))
+        for s in complex.simplexes(k))
+
+
+def tuple_validate(rep):
+    """B_k @ B_{k+1} = 0 checked column by column over `rep.columns`, in
+    Python ints; failures listed row-major."""
+    failures = []
+    for k in range(1, rep.dim):
+        down = rep.columns(k)
+        entries = []
+        for j, col in enumerate(rep.columns(k + 1)):
+            total = {}
+            for i, v in col:
+                for r, w in down[i]:
+                    total[r] = total.get(r, 0) + w * v
+            entries.extend((r, j, s) for r, s in total.items() if s)
+        failures.extend((k, i, j, s) for i, j, s in sorted(entries))
+    return ValidationReport(not failures, failures)
+
+
+def csc_tuples(csc):
+    """CSC arrays (indptr, rows, values) as per-column tuples of (row, value)."""
+    indptr, rows, values = (a.tolist() for a in csc)
+    return tuple(tuple(zip(rows[a:b], values[a:b])) for a, b in zip(indptr, indptr[1:]))
+
+
+def read_columns(mat, what="entry"):
+    """The library's dense reader, `_dense_csc`, as per-column tuples."""
+    return csc_tuples(_dense_csc(mat, what))

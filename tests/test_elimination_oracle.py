@@ -21,13 +21,13 @@ same S, U, V and rank as the entry-by-entry loop it replaced
 import numpy as np
 import pytest
 
-from oracles import dense_mod_p_rank, loop_eliminate, loop_smith_normal_form
+from oracles import csc_tuples, dense_mod_p_rank, loop_eliminate, loop_smith_normal_form
 from test_acceptance import two_complex_corpus
 
 from gssc import (ChainComplexRep, HomologySummary, ModN, homology_field, homology_Z,
                   integer_rank, mod_p_rank, resolve_complex, smith_normal_form)
 from gssc.cli import main
-from gssc.complexes import _columns
+from gssc.complexes import _dense_csc
 from gssc.homology import _eliminate, _invariant_factors, _rank
 
 PRIMES = (2, 3, 5, 7, 101)
@@ -63,7 +63,7 @@ def boundary_matrices():
 
 
 def check_against_smith(B):
-    factors = _invariant_factors(_columns(B))
+    factors = _invariant_factors(_dense_csc(B))
     expected = smith_normal_form(B).invariant_factors if B.size else []
     assert factors == expected
     assert integer_rank(B) == len(expected)
@@ -123,22 +123,23 @@ def unit_rich_matrices(count=300, seed=3):
 def corpus_columns():
     """Sparse columns of every random, unit-rich and boundary matrix above
     and of B_1, B_2 of each complex of the benchmark's ladder."""
-    ladder = [resolve_complex(spec).columns(k) for spec in LADDER for k in (1, 2)]
+    ladder = [resolve_complex(spec).csc(k) for spec in LADDER for k in (1, 2)]
     matrices = random_matrices() + unit_rich_matrices() + boundary_matrices()
-    return [_columns(B) for B in matrices] + ladder
+    return [_dense_csc(B) for B in matrices] + ladder
 
 
 @pytest.mark.parametrize("p", (None,) + PRIMES)
 def test_elimination_pivots_as_the_dict_loop(corpus_columns, p):
-    for columns in corpus_columns:
+    for csc in corpus_columns:
+        columns = csc_tuples(csc)
         if p is None:
-            pivots, remainder = _eliminate(columns)
+            pivots, remainder = _eliminate(csc)
             loop_pivots, loop_remainder = loop_eliminate(columns, p)
             assert pivots == loop_pivots
             assert np.array_equal(remainder, loop_remainder)
         else:  # the rank over Z/p of a rep whose only boundary is these columns
             n_rows = 1 + max((i for col in columns for i, _ in col), default=-1)
-            rep = ChainComplexRep._from_columns((n_rows, len(columns)), [columns])
+            rep = ChainComplexRep._from_csc((n_rows, len(columns)), [csc])
             assert _rank(rep, 1, p) == loop_eliminate(columns, p)[0]
 
 
@@ -169,7 +170,7 @@ def test_row_and_column_order_leave_ranks_and_factors_unchanged():
     rng = np.random.default_rng(31)
     for B in random_matrices() + boundary_matrices():
         P = B[rng.permutation(B.shape[0])][:, rng.permutation(B.shape[1])]
-        assert _invariant_factors(_columns(P)) == (
+        assert _invariant_factors(_dense_csc(P)) == (
             smith_normal_form(B).invariant_factors if B.size else [])
         for p in PRIMES:
             assert mod_p_rank(P, p) == dense_mod_p_rank(B, p)
@@ -179,8 +180,8 @@ def test_integer_search_passes_over_short_columns_without_a_unit():
     B = np.array([[2, 0, 1, 0],
                   [0, 0, 1, -1],
                   [0, 6, 0, 1]], dtype=object)
-    assert _eliminate(_columns(B))[0] == 2
-    assert _invariant_factors(_columns(B)) == smith_normal_form(B).invariant_factors == [1, 1, 2]
+    assert _eliminate(_dense_csc(B))[0] == 2
+    assert _invariant_factors(_dense_csc(B)) == smith_normal_form(B).invariant_factors == [1, 1, 2]
     # the same in bulk: unit-free columns 2 e_i and 6 e_i of length 1 in front
     rng = np.random.default_rng(32)
     passed = 0
@@ -192,8 +193,8 @@ def test_integer_search_passes_over_short_columns_without_a_unit():
         short[rng.integers(m), 0] = 2
         short[rng.integers(m), 1] = 6
         C = np.hstack([short, B])
-        assert _eliminate(_columns(C))[0] >= 1
-        assert _invariant_factors(_columns(C)) == smith_normal_form(C).invariant_factors
+        assert _eliminate(_dense_csc(C))[0] >= 1
+        assert _invariant_factors(_dense_csc(C)) == smith_normal_form(C).invariant_factors
         passed += 1
     assert passed >= 100
 

@@ -8,7 +8,7 @@ from oracles import dense_fundamental_mod2, reference_seminorm_mod2
 
 from gssc import (ChainVector, InfeasibleError, ModN, UnsupportedError,
                   resolve_complex, simplicial_seminorm, solve_fundamental)
-from gssc.complexes import _columns
+from gssc.complexes import _dense_csc
 from gssc.gf2 import (_least_in_span, check_enumeration_bound, column_masks,
                       combine, gray_iter, independent_columns, mask_norm_power,
                       mask_to_vector, solution_coset, vector_to_mask,
@@ -29,7 +29,7 @@ def test_mask_vector_round_trip():
 
 def test_column_masks_reduce_mod_2():
     mat = np.array([[1, 2], [-3, 4], [0, 5]], dtype=object)
-    masks = column_masks(_columns(mat))
+    masks = column_masks(_dense_csc(mat))
     assert masks == [0b011, 0b100]
 
 
@@ -94,8 +94,8 @@ def test_enumeration_bound():
 
 
 def test_column_masks_of_empty_shapes():
-    assert column_masks(_columns(np.zeros((0, 3), dtype=object))) == [0, 0, 0]
-    assert column_masks(_columns(np.zeros((3, 0), dtype=object))) == []
+    assert column_masks(_dense_csc(np.zeros((0, 3), dtype=object))) == [0, 0, 0]
+    assert column_masks(_dense_csc(np.zeros((3, 0), dtype=object))) == []
 
 
 def test_solution_coset_is_every_subset_hitting_the_target():

@@ -134,7 +134,7 @@ def test_z2_seminorm_of_a_boundary_is_the_walks_answer(spec):
     rng = np.random.default_rng(5)
     checked = 0
     for k in range(rep.dim):
-        masks = gf2.column_masks(rep.columns(k + 1))
+        masks = gf2.column_masks(rep.csc(k + 1))
         gens = [masks[j] for j in gf2.independent_columns(masks)]
         for _ in range(4):
             x = apply_boundary(ChainVector(rep, k + 1, ModN(2),

@@ -4,9 +4,10 @@ integrality scan it replaced.
 `rep.columns(k)`, `boundary_matrix(k)` and `boundary_float(k)` must equal,
 entry for entry and type for type, what that loop and scan give, on the
 named complexes, criterion 2's corpus and `random(70,0.5,1.0,11)`; the file
-formats must round-trip byte for byte.  `_columns`, which reads a dense
-matrix into that storage, must give what the entry-by-entry loop it
-replaced (`entrywise_columns`) gives, refusals included.
+formats must round-trip byte for byte.  `_dense_csc`, which reads a dense
+matrix into that storage (`read_columns` views its arrays as tuples), must
+give what the entry-by-entry loop it replaced (`entrywise_columns`) gives,
+refusals included.
 """
 
 import re
@@ -15,13 +16,12 @@ import numpy as np
 import pytest
 
 from oracles import (dense_build_boundary, dense_exact_boundary,
-                     dense_nonzero_columns, entrywise_columns)
+                     dense_nonzero_columns, entrywise_columns, read_columns)
 from test_acceptance import two_complex_corpus
 
 from gssc import (ChainComplexRep, SimplicialComplex, canonical_complex,
                   load_complex, load_delta, random_complex, resolve_complex,
                   save_complex, save_delta, to_chain_complex)
-from gssc.complexes import _columns
 
 SIMPLICIAL = ("filled_triangle", "cycle(7)", "path(5)", "default",
               "random(30,0.5,1.0,11)")
@@ -39,7 +39,7 @@ def check_against_dense(rep, dense):
     for k, mat in enumerate(dense, start=1):
         exact = dense_exact_boundary(k, mat)
         assert [list(col) for col in rep.columns(k)] == dense_nonzero_columns(exact)
-        assert _columns(mat) == entrywise_columns(mat)
+        assert read_columns(mat) == entrywise_columns(mat)
         assert all(type(v) is int for col in rep.columns(k) for _, v in col)
         view = rep.boundary_matrix(k)
         assert view.dtype == object and view.shape == exact.shape
@@ -104,7 +104,7 @@ def test_columns_read_mixed_entry_types_as_the_entrywise_loop(bad, message):
     for at, v in bad.items():
         mat[at] = v
     if message is None:
-        columns = _columns(mat, "B_2 entry")
+        columns = read_columns(mat, "B_2 entry")
         assert columns == entrywise_columns(mat, "B_2 entry")
         assert columns == (((0, 1), (1, 2)), ((0, -1), (2, 6)), ((1, 3), (2, 5)),
                            ((0, 1), (1, -4)), ())
@@ -113,7 +113,7 @@ def test_columns_read_mixed_entry_types_as_the_entrywise_loop(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         entrywise_columns(mat, "B_2 entry")
     with pytest.raises(ValueError, match=re.escape(message)):
-        _columns(mat, "B_2 entry")
+        read_columns(mat, "B_2 entry")
 
 
 def test_scx_and_dcx_round_trips_are_byte_identical(tmp_path):
