@@ -14,16 +14,16 @@ four systems:
   which equals the L2 function norm by Parseval).
 
 The boundary matrices act by integer multiples of the group operation:
-exact systems sum over the sparse integer columns (reduced mod n for ModN),
-the others take a float matrix product, row-wise over the coefficient
-columns for FourierFn.
+exact systems sum the products of the stored integer entries in Python ints
+(reduced mod n for ModN), the others take a float matrix product, row-wise
+over the coefficient columns for FourierFn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import _as_int, _csv_rows, _integral, _write_csv
+from .complexes import _as_int, _csv_rows, _entry_columns, _integral, _write_csv
 from .errors import FormatError, NumericalError, UnsupportedError
 
 
@@ -280,23 +280,20 @@ def random_chain(rep, degree, system, rng):
 
 def _apply_boundary(x, k, adjoint):
     """B_k x (degree k - 1) or, with `adjoint`, B_k^T x (degree k); zero
-    when the complex has no B_k.  Exact systems sum over the sparse integer
-    columns in Python ints."""
+    when the complex has no B_k.  Exact systems scatter the products of the
+    stored entries (i, j, v), v x_j into row i (v x_i into j for the
+    adjoint), in Python ints."""
     rep = x.complex
     degree = k if adjoint else k - 1
-    if k < 1 or k > rep.dim:
-        return zero_chain(rep, degree, x.system)
     if not x.system.exact:
         B = rep._sparse_boundary(k)
         out = (B.T if adjoint else B) @ x.values
-    elif adjoint:
-        vals = x.values.tolist()
-        out = [sum(v * vals[i] for i, v in col) for col in rep.columns(k)]
     else:
-        out = [0] * rep.n_cells(k - 1)
-        for col, c in zip(rep.columns(k), x.values.tolist()):
-            for i, v in col:
-                out[i] += v * c
+        indptr, rows, values = rep.csc(k)
+        cols = _entry_columns(indptr)
+        src, dst = (rows, cols) if adjoint else (cols, rows)
+        out = np.zeros(rep.n_cells(degree), dtype=object)
+        np.add.at(out, dst, values.astype(object) * x.values[src])
     return ChainVector(rep, degree, x.system, out)  # ModN reduces on coercion
 
 

@@ -10,8 +10,8 @@ Conventions fixed here and relied on everywhere else:
   column/row layout and every file format.
 * The boundary of [v_0, ..., v_k] is the alternating sum over vertex
   deletions, sum_j (-1)^j [..., v_{j-1}, v_{j+1}, ...].
-* Boundary matrices are stored once, as sparse columns of Python ints: column
-  j of B_k is the tuple of its nonzeros (row, value), by row.  Exact code reads
+* Boundary matrices are stored once, as read-only compressed sparse column
+  arrays of integers (int64, or Python ints past it).  Exact code reads
   them, so B_k B_{k+1} = 0 is checked with zero tolerance; a sparse float
   view, and dense object and float arrays, are built from them on request.
 * Out-of-range degrees denote the zero module: C_{-1} = C_{K+1} = 0, and
@@ -238,8 +238,9 @@ class ChainComplexRep:
 
     Each B_k is stored once as compressed sparse columns, `csc(k)`: column
     pointers, the rows of the nonzeros (ascending in each column) and their
-    values, int64 when every entry fits and Python ints otherwise.  Tuple
-    columns and sparse and dense views are built from them on request.
+    values, int64 when every entry fits and Python ints otherwise.  The
+    arrays are read-only, so no write can leave the memo out of date;
+    sparse and dense views are built from them on request.
     """
 
     def __init__(self, dims, boundaries, labels=None, name=None):
@@ -248,22 +249,28 @@ class ChainComplexRep:
             raise ValueError("dims must be a non-empty tuple of sizes >= 0")
         if len(boundaries) != len(dims) - 1:
             raise ValueError("need exactly one boundary matrix per adjacent pair of dims")
-        self.dims = dims
-        self._csc = {}
+        csc = []
         for k, mat in enumerate(boundaries, start=1):
             mat = np.asarray(mat, dtype=object)
             if mat.shape != (dims[k - 1], dims[k]):
                 raise ValueError(f"B_{k} has shape {mat.shape}, expected the 2-d "
                                  f"shape {(dims[k - 1], dims[k])}")
-            self._csc[k] = _dense_csc(mat, f"B_{k} entry")
-        self.labels, self.name, self._cache = labels, name, {}
+            csc.append(_dense_csc(mat, f"B_{k} entry"))
+        self._store(dims, csc, labels, name)
 
     @classmethod
     def _from_csc(cls, dims, csc, labels=None):
         """The rep of CSC arrays [B_1, ..., B_K] as `csc(k)` holds them."""
-        rep = cls((0,), [], labels)
-        rep.dims, rep._csc = tuple(dims), dict(enumerate(csc, start=1))
+        rep = cls.__new__(cls)
+        rep._store(tuple(dims), csc, labels)
         return rep
+
+    def _store(self, dims, csc, labels, name=None):
+        """Hold the CSC arrays of [B_1, ..., B_K] read-only, with an empty memo."""
+        for array in itertools.chain.from_iterable(csc):
+            array.setflags(write=False)
+        self.dims, self._csc = dims, dict(enumerate(csc, start=1))
+        self.labels, self.name, self._cache = labels, name, {}
 
     @property
     def dim(self):
@@ -275,17 +282,10 @@ class ChainComplexRep:
         return 0
 
     def csc(self, k):
-        """B_k as stored: (indptr, rows, values); off-range degrees give n_k
-        empty columns."""
+        """B_k as stored, read-only: (indptr, rows, values); off-range
+        degrees give n_k empty columns."""
         empty = np.zeros(0, dtype=np.int64)
         return self._csc.get(k) or (np.zeros(self.n_cells(k) + 1, dtype=np.int64), empty, empty)
-
-    def columns(self, k):
-        """B_k per column, a tuple of (row, int) by row; built once."""
-        def build():
-            ptr, rows, values = (a.tolist() for a in self.csc(k))
-            return tuple(tuple(zip(rows[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:]))
-        return self._memo(("columns", k), build)
 
     def boundary_matrix(self, k):
         """A fresh dense object array of the exact integer B_k."""
@@ -309,9 +309,9 @@ class ChainComplexRep:
     def _memo(self, key, build):
         """The value cached under `key`, from build() on first use.
 
-        One dict per rep holds every derived value (tuple columns, sparse
-        boundaries, Gram eigenpairs, Hodge bases, eliminations); the values
-        depend on the rep alone, so a concurrent first use at worst builds one
+        One dict per rep holds every derived value (sparse boundaries, Gram
+        eigenpairs, Hodge bases, eliminations); the values depend on the
+        read-only arrays alone, so a concurrent first use at worst builds one
         twice.
         """
         if key not in self._cache:

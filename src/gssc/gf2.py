@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .complexes import _entry_columns
 from .errors import UnsupportedError
 
 # hard cap on 2^(number of generators) in exhaustive searches
@@ -35,14 +36,13 @@ def column_masks(csc):
 
 
 def row_masks(csc, n_rows):
-    """The rows of the same matrix, reduced mod 2, as column-indexed masks."""
+    """The rows of the same matrix, reduced mod 2, as column-indexed masks:
+    the column masks of its transpose, entries put in row order by one
+    stable sort."""
     indptr, rows, values = csc
-    odd = values % 2 != 0
-    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    out = [0] * n_rows
-    for i, j in zip(rows[odd].tolist(), cols[odd].tolist()):
-        out[i] |= 1 << j
-    return out
+    order = np.argsort(rows, kind="stable")
+    return column_masks((np.searchsorted(rows[order], np.arange(n_rows + 1)),
+                         _entry_columns(indptr)[order], values[order]))
 
 
 def combine(masks, subset):

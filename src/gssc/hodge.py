@@ -22,7 +22,7 @@ fit and `learn.reconstruct_gssc`'s Gram) are factored in place by `_cholesky`
 under `_full_rank` (that cutoff), else solved by `_min_norm_solve`.
 
 The float code reads each boundary through a sparse CSR view of the rep's
-integer columns, built once per rep; Grams and Laplacians are formed sparse
+integer CSC arrays, built once per rep; Grams and Laplacians are formed sparse
 and densified, bit-equal to the dense products as the entries are integers.
 Each rep memoizes, read-only, the small-side eigenpairs of every Gram of
 B_k it factors (a square B_k has two: B_k^T B_k for B_k, B_k B_k^T for

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from gssc import gf2
 from gssc.baselines import rbf_kernel
-from gssc.coefficients import ChainVector, FourierFn, norm_p
+from gssc.coefficients import ChainVector, FourierFn, norm_p, zero_chain
 from gssc.complexes import SimplicialComplex, ValidationReport, _dense_csc, _integral
 from gssc.errors import InfeasibleError, NumericalError
 from gssc._blas import one_blas_thread
@@ -1085,13 +1085,13 @@ def tuple_face_columns(complex, k):
 
 
 def tuple_validate(rep):
-    """B_k @ B_{k+1} = 0 checked column by column over `rep.columns`, in
-    Python ints; failures listed row-major."""
+    """B_k @ B_{k+1} = 0 checked column by column over the tuple view of
+    `rep.csc`, in Python ints; failures listed row-major."""
     failures = []
     for k in range(1, rep.dim):
-        down = rep.columns(k)
+        down = csc_tuples(rep.csc(k))
         entries = []
-        for j, col in enumerate(rep.columns(k + 1)):
+        for j, col in enumerate(csc_tuples(rep.csc(k + 1))):
             total = {}
             for i, v in col:
                 for r, w in down[i]:
@@ -1099,6 +1099,28 @@ def tuple_validate(rep):
             entries.extend((r, j, s) for r, s in total.items() if s)
         failures.extend((k, i, j, s) for i, j, s in sorted(entries))
     return ValidationReport(not failures, failures)
+
+
+def tuple_apply_boundary(x, k, adjoint):
+    """B_k x or, with `adjoint`, B_k^T x as the library once computed it:
+    zero off the ends, a sparse float product for floats, and for exact
+    systems sums over the tuple view of `rep.csc(k)` in Python ints."""
+    rep = x.complex
+    degree = k if adjoint else k - 1
+    if k < 1 or k > rep.dim:
+        return zero_chain(rep, degree, x.system)
+    if not x.system.exact:
+        B = rep._sparse_boundary(k)
+        out = (B.T if adjoint else B) @ x.values
+    elif adjoint:
+        vals = x.values.tolist()
+        out = [sum(v * vals[i] for i, v in col) for col in csc_tuples(rep.csc(k))]
+    else:
+        out = [0] * rep.n_cells(k - 1)
+        for col, c in zip(csc_tuples(rep.csc(k)), x.values.tolist()):
+            for i, v in col:
+                out[i] += v * c
+    return ChainVector(rep, degree, x.system, out)
 
 
 def csc_tuples(csc):

@@ -1,13 +1,14 @@
 """Integer CSC boundaries against the per-column tuple code they replaced.
 
-`ChainComplexRep` stores each B_k as CSC arrays (indptr, rows, values).
-The arrays, the tuple view `columns(k)`, the dense and sparse views, the
-Z/2 masks and `validate` must give what the tuple code
-(`oracles.tuple_face_columns`, `tuple_columns`, `tuple_to_dense` and
-`tuple_validate`) gives.  The generators build their complexes through the
-unchecked `SimplicialComplex._unchecked`; what they build must equal what
-the public constructor builds from the same simplexes, listed in any order.
-Entries past int64 stay exact.
+`ChainComplexRep` stores each B_k as read-only CSC arrays (indptr, rows,
+values).  The arrays read as tuples (`oracles.csc_tuples`), the dense and
+sparse views, the Z/2 masks, `validate` and the chain action
+`apply_boundary`/`apply_coboundary` must give what the tuple code
+(`oracles.tuple_face_columns`, `tuple_columns`, `tuple_to_dense`,
+`tuple_validate` and `tuple_apply_boundary`) gives.  The generators build
+their complexes through the unchecked `SimplicialComplex._unchecked`; what
+they build must equal what the public constructor builds from the same
+simplexes, listed in any order.  Entries past int64 stay exact.
 """
 
 import re
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import (csc_tuples, dense_mod_p_rank, scalar_random_complex, tuple_columns,
-                     tuple_face_columns, tuple_to_dense, tuple_validate)
+from oracles import (csc_tuples, dense_mod_p_rank, scalar_random_complex, tuple_apply_boundary,
+                     tuple_columns, tuple_face_columns, tuple_to_dense, tuple_validate)
 from test_acceptance import two_complex_corpus
 
-from gssc import (ChainComplexRep, HomologySummary, SimplicialComplex, canonical_complex,
-                  homology_Z, integer_rank, load_delta, mod_p_rank, random_complex,
-                  resolve_complex, save_complex, save_delta, smith_normal_form, validate)
+from gssc import (ChainComplexRep, FourierFn, HomologySummary, Integer, ModN, Real,
+                  SimplicialComplex, apply_boundary, apply_coboundary, canonical_complex,
+                  homology_Z, integer_rank, load_delta, mod_p_rank, random_chain,
+                  random_complex, resolve_complex, save_complex, save_delta,
+                  smith_normal_form, validate)
 from gssc import gf2
 from gssc.cli import main
 from gssc.complexes import default_experiment_complex
@@ -59,9 +62,8 @@ def check_views(rep, expected):
         indptr, rows, values = rep.csc(k)
         assert indptr.dtype == rows.dtype == np.int64
         assert values.dtype in (np.int64, object)
-        assert csc_tuples(rep.csc(k)) == rep.columns(k) == columns
-        assert rep.columns(k) is rep.columns(k)
-        assert all(type(v) is int for col in rep.columns(k) for _, v in col)
+        assert csc_tuples(rep.csc(k)) == columns
+        assert all(type(v) is int for col in csc_tuples(rep.csc(k)) for _, v in col)
         n_rows = rep.n_cells(k - 1)
         dense, reference = rep.boundary_matrix(k), tuple_to_dense(columns, n_rows)
         assert dense.dtype == object and dense.shape == reference.shape
@@ -173,18 +175,27 @@ def test_validate_reports_equal_the_tuple_loop_on_broken_reps():
     assert failing >= 20
 
 
+def test_masks_of_even_and_odd_entries_equal_the_tuple_loop():
+    for rep in broken_reps():
+        for k in range(1, rep.dim + 1):
+            columns, n_rows = csc_tuples(rep.csc(k)), rep.n_cells(k - 1)
+            assert gf2.column_masks(rep.csc(k)) == [
+                sum(1 << i for i, v in col if v % 2) for col in columns]
+            assert gf2.row_masks(rep.csc(k), n_rows) == tuple_row_masks(columns, n_rows)
+
+
 BIG = 2 ** 64 + 1
 
 
 def test_a_dcx_entry_past_int64_round_trips_exactly(tmp_path):
     rep = ChainComplexRep((2, 2, 1), [[[3 * 2 ** 64, 0], [0, 0]], [[0], [2 ** 70]]])
-    assert rep.csc(1)[2].dtype == object and rep.columns(2) == (((1, 2 ** 70),),)
+    assert rep.csc(1)[2].dtype == object and csc_tuples(rep.csc(2)) == (((1, 2 ** 70),),)
     path = tmp_path / "big.dcx"
     save_delta(rep, path)
     assert f"{2 ** 70}" in path.read_text() and f"{3 * 2 ** 64}" in path.read_text()
     loaded = load_delta(path)
     for k in (1, 2):
-        assert loaded.columns(k) == rep.columns(k)
+        assert csc_tuples(loaded.csc(k)) == csc_tuples(rep.csc(k))
         assert loaded.boundary_matrix(k).tolist() == rep.boundary_matrix(k).tolist()
     again = tmp_path / "again.dcx"
     save_delta(loaded, again)
@@ -229,3 +240,56 @@ def test_a_non_integer_is_refused_naming_the_first_row_major_offender(bad, where
             call(mat)
     with pytest.raises(ValueError, match=re.escape(f"B_1 entry {where} is not an integer")):
         ChainComplexRep((3, 4), [mat])
+
+
+def test_the_stored_arrays_refuse_writes(tmp_path):
+    save_delta(canonical_complex("rp2"), tmp_path / "rp2.dcx")
+    for rep in (resolve_complex("random(8,0.6,0.7,2)"), resolve_complex("cycle(5)"),
+                canonical_complex("rp2"), ChainComplexRep((1, 1, 1), [[[0]], [[2 ** 70]]]),
+                load_delta(tmp_path / "rp2.dcx")):
+        before = [csc_tuples(rep.csc(k)) for k in range(1, rep.dim + 1)]
+        for k in range(1, rep.dim + 1):
+            for array in rep.csc(k):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 7
+        assert [csc_tuples(rep.csc(k)) for k in range(1, rep.dim + 1)] == before
+
+
+EXACT = (Integer(), ModN(2), ModN(6))
+
+
+def chain_action_reps():
+    """Named complexes, the corpus and reps with entries past int64."""
+    yield from (resolve_complex(spec) for spec in SIMPLICIAL + tuple(DELTA))
+    yield from two_complex_corpus(50)
+    yield ChainComplexRep((2, 3, 2), [[[2 ** 70, -2 ** 70, 0], [3 * 2 ** 64, 0, 1]],
+                                      [[1, 0], [1, -2 ** 70], [0, 3 * 2 ** 64]]])
+    yield from broken_reps()
+
+
+def test_the_chain_action_equals_the_tuple_loop_at_every_degree():
+    rng = np.random.default_rng(5)
+    cases = 0
+    for rep in chain_action_reps():
+        for degree in range(-1, rep.dim + 2):
+            for system in EXACT + (Real(), FourierFn(2)):
+                x = random_chain(rep, degree, system, rng)
+                chains = [x]
+                if system == Integer():  # values past int64 too
+                    chains.append(x.with_values(x.values * 2 ** 65 + 1))
+                for x in chains:
+                    for got, want in ((apply_boundary(x), tuple_apply_boundary(x, degree, False)),
+                                      (apply_coboundary(x),
+                                       tuple_apply_boundary(x, degree + 1, True))):
+                        assert got.degree == want.degree and got.system == want.system
+                        if system.exact:
+                            assert got.values.dtype == object
+                            assert got.values.tolist() == want.values.tolist()
+                            assert all(type(v) is int for v in got.values.tolist())
+                        else:
+                            assert got.values.dtype == want.values.dtype
+                            assert got.values.shape == want.values.shape
+                            assert got.values.tobytes() == want.values.tobytes()
+                        cases += 1
+    assert cases > 3000
