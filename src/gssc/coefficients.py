@@ -107,7 +107,7 @@ class Integer(CoefficientSystem):
         return int(c) * a
 
     def norms(self, values):
-        return np.array([abs(int(v)) for v in values], dtype=float)
+        return np.abs(np.asarray(values, dtype=float))
 
     def random(self, n, rng):
         return self.coerce(rng.integers(-9, 10, size=n), n)
@@ -308,21 +308,26 @@ def apply_coboundary(x):
 
 
 def norm_p(x, p=2, weights=None):
-    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}; an
-    overflowing sum raises NumericalError."""
+    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}.  A 2-norm whose
+    squares overflow is taken again on the values over their largest magnitude
+    (not for ModN, whose cell norms are 0 or 1); a norm past the float maximum,
+    or an Integer value past float range, raises NumericalError."""
     if p not in (1, 2):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     w = resolve_weights(weights, len(x.values))
     on = w > 0  # a cell of weight 0 adds nothing, so its norm is not taken
-    with np.errstate(over="ignore"):
+    values, top = x.values[on], 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            total = float(np.sum((w[on] ** p) * (x.system.norms(x.values[on]) ** p)))
+            total = float(np.sum((w[on] ** p) * (x.system.norms(values) ** p)))
+            if total == np.inf and p == 2 and not isinstance(x.system, ModN):
+                top = float(np.max(np.abs(values)))
+                total = float(np.sum((w[on] * x.system.norms(values / top)) ** 2))
         except OverflowError:  # an Integer value beyond float range
             total = np.inf
-    if not np.isfinite(total):
-        raise NumericalError(f"the weighted {p}-norm of a {x.degree}-chain overflows: "
-                             f"its sum of p-th powers is {total}")
-    return total if p == 1 else float(np.sqrt(total))
+    if not np.isfinite(norm := total if p == 1 else top * float(np.sqrt(total))):
+        raise NumericalError(f"the weighted {p}-norm of a {x.degree}-chain overflows a float")
+    return norm
 
 
 # -- CSV interchange ----------------------------------------------------------

@@ -14,6 +14,9 @@ Conventions fixed here and relied on everywhere else:
   arrays of integers (int64, or Python ints past it).  Exact code reads
   them, so B_k B_{k+1} = 0 is checked with zero tolerance; a sparse float
   view, and dense object and float arrays, are built from them on request.
+* `_faces` lists the faces of a level, face j deleting vertex j.  The public
+  constructor checks closure with it, level by level; `from_maximal`, so
+  `load_complex`, closes with it level by level and checks no more.
 * Out-of-range degrees denote the zero module: C_{-1} = C_{K+1} = 0, and
   boundary matrices off the end have an empty shape instead of raising.
 
@@ -137,6 +140,12 @@ def _csc_dense(csc, n_rows, dtype=object):
     return out
 
 
+def _faces(level):
+    """Iterator j yields the face deleting vertex j of each k-simplex of `level`, k >= 1."""
+    columns = list(zip(*level))
+    return [zip(*columns[:j], *columns[j + 1:]) for j in range(len(columns))]
+
+
 class SimplicialComplex:
     """A face-closed set of simplexes over vertices 0..n_vertices-1.
 
@@ -146,8 +155,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, n_vertices, simplexes_by_dim):
-        n_vertices = int(n_vertices)
-        if n_vertices < 1:
+        if (n_vertices := int(n_vertices)) < 1:
             raise ValueError("a complex needs at least one vertex")
         levels = []
         for k, level in enumerate(simplexes_by_dim):
@@ -164,10 +172,9 @@ class SimplicialComplex:
         levels[:1] = [[(v,) for v in range(n_vertices)]]
         for below, level in zip(levels[1:], levels[2:]):  # face closure
             below = set(below)
-            for s in level:
-                for j in range(len(s)):
-                    if (face := s[:j] + s[j + 1:]) not in below:
-                        raise ValueError(f"face {face} of {s} is missing")
+            for s, faces in zip(level, zip(*_faces(level))):
+                if missing := [face for face in faces if face not in below]:
+                    raise ValueError(f"face {missing[0]} of {s} is missing")
         self.n_vertices, self.simplexes_by_dim = n_vertices, [lv for lv in levels if lv]
 
     @classmethod
@@ -180,25 +187,28 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, maximal, n_vertices=None):
-        """Build the closure of a list of simplexes (any order, any overlap)."""
-        stored = set()
+        """The closure of a list of simplexes (any order, any overlap).  Each is
+        checked here; then, top down, a level is sorted once and adds its
+        `_faces` to the level below, so the closure is face-closed and sorted
+        by construction and is built through `_unchecked` with no more checks."""
+        levels = [[], []]  # levels[len(s)] lists each simplex s as met
         for s in maximal:
-            s = tuple(sorted(int(v) for v in s))
+            s = tuple(sorted(map(int, s)))
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
             if s and s[0] < 0:
                 raise ValueError(f"negative vertex in simplex {s}")
-            for r in range(1, len(s) + 1):
-                stored.update(itertools.combinations(s, r))
-        top = max((s[-1] + 1 for s in stored), default=0)
-        if n_vertices is None:
-            n_vertices = top
-        elif n_vertices < top:
+            levels += [[] for _ in range(len(s) + 1 - len(levels))]
+            levels[len(s)].append(s)
+        for k in range(len(levels) - 1, 1, -1):
+            levels[k] = sorted(dict.fromkeys(levels[k]))  # without repeats
+            levels[k - 1] += itertools.chain(*_faces(levels[k]))
+        top = max(levels[1], default=(-1,))[0] + 1
+        if (n_vertices := top if n_vertices is None else n_vertices) < top:
             raise ValueError("n_vertices smaller than the largest vertex used")
-        by_dim = [[] for _ in range(max((len(s) for s in stored), default=1))]
-        for s in stored:
-            by_dim[len(s) - 1].append(s)
-        return cls(n_vertices, by_dim)
+        if (n_vertices := int(n_vertices)) < 1:
+            raise ValueError("a complex needs at least one vertex")
+        return cls._unchecked(n_vertices, [[(v,) for v in range(n_vertices)]] + levels[2:])
 
     @property
     def dim(self):
@@ -213,10 +223,11 @@ class SimplicialComplex:
         return len(self.simplexes(k))
 
     def maximal_simplexes(self):
-        """Simplexes that are not a face of any other stored simplex."""
-        faces = {s[:j] + s[j + 1:] for level in self.simplexes_by_dim[1:]
-                 for s in level for j in range(len(s))}
-        return [s for level in self.simplexes_by_dim for s in level if s not in faces]
+        """Simplexes that are not a face of any other: as the complex is closed,
+        a k-simplex is kept unless it is a face of a (k + 1)-simplex."""
+        levels = self.simplexes_by_dim
+        faces = [set().union(*_faces(above)) for above in levels[1:]] + [set()]
+        return [s for level, above in zip(levels, faces) for s in level if s not in above]
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -533,22 +544,22 @@ def save_complex(complex, path):
 
 
 def load_complex(path):
-    """Read the `.scx` format and apply face closure.
-
-    Vertex labels are 0-based; the vertex count is max index + 1, so indices
-    skipped by every line still exist as isolated vertices.
+    """Read the `.scx` format: each line is checked here, then closed by
+    `from_maximal`.  Vertex labels are 0-based; the vertex count is max
+    index + 1, so indices skipped by every line still exist as isolated
+    vertices.
     """
     maximal = []
     for lineno, text in _text_lines(path):
         try:
-            vertices = [int(tok) for tok in text.split()]
+            vertices = list(map(int, text.split()))
         except ValueError:
             raise FormatError(f"expected vertex indices, got {text!r}", lineno)
-        if any(v < 0 for v in vertices):
+        if min(vertices) < 0:
             raise FormatError("negative vertex index", lineno)
         if len(set(vertices)) != len(vertices):
             raise FormatError(f"repeated vertex in simplex {vertices}", lineno)
-        maximal.append(tuple(vertices))
+        maximal.append(vertices)
     if not maximal:
         raise FormatError(f"{path}: no simplexes found")
     return SimplicialComplex.from_maximal(maximal)

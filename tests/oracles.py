@@ -1013,10 +1013,72 @@ def loop_eliminate(columns, p=None):
     return pivots, tuple_to_dense(remainder, len(at))
 
 
+# -- the face loops that `complexes._faces` replaced ---------------------------
+
+def loop_simplicial_complex(n_vertices, simplexes_by_dim):
+    """`SimplicialComplex(n_vertices, simplexes_by_dim)` as the constructor
+    once checked it: every simplex, then each face s[:j] + s[j + 1:] of each
+    level against the level below, j = 0..k; built with `_unchecked`."""
+    n_vertices = int(n_vertices)
+    if n_vertices < 1:
+        raise ValueError("a complex needs at least one vertex")
+    levels = []
+    for k, level in enumerate(simplexes_by_dim):
+        level = [tuple(int(v) for v in s) for s in level]
+        for s in level:
+            if len(s) != k + 1:
+                raise ValueError(f"{s} listed at dimension {k}")
+            if any(a >= b for a, b in zip(s, s[1:])):
+                raise ValueError(f"simplex {s} is not strictly increasing")
+            if s[0] < 0 or s[-1] >= n_vertices:
+                raise ValueError(f"simplex {s} has a vertex out of range")
+        levels.append(sorted(set(level)))
+    levels[:1] = [[(v,) for v in range(n_vertices)]]
+    for below, level in zip(levels[1:], levels[2:]):
+        below = set(below)
+        for s in level:
+            for j in range(len(s)):
+                if (face := s[:j] + s[j + 1:]) not in below:
+                    raise ValueError(f"face {face} of {s} is missing")
+    return SimplicialComplex._unchecked(n_vertices, levels)
+
+
+def loop_from_maximal(maximal, n_vertices=None):
+    """`SimplicialComplex.from_maximal` as it once closed: every vertex
+    subset of every simplex into one set, then `loop_simplicial_complex`'s
+    checks of the whole closure."""
+    stored = set()
+    for s in maximal:
+        s = tuple(sorted(int(v) for v in s))
+        if len(set(s)) != len(s):
+            raise ValueError(f"repeated vertex in simplex {s}")
+        if s and s[0] < 0:
+            raise ValueError(f"negative vertex in simplex {s}")
+        for r in range(1, len(s) + 1):
+            stored.update(itertools.combinations(s, r))
+    top = max((s[-1] + 1 for s in stored), default=0)
+    if n_vertices is None:
+        n_vertices = top
+    elif n_vertices < top:
+        raise ValueError("n_vertices smaller than the largest vertex used")
+    by_dim = [[] for _ in range(max((len(s) for s in stored), default=1))]
+    for s in stored:
+        by_dim[len(s) - 1].append(s)
+    return loop_simplicial_complex(n_vertices, by_dim)
+
+
+def loop_maximal_simplexes(complex):
+    """The simplexes of `complex` that are not a face of any stored simplex,
+    by one set of every face of every level."""
+    faces = {s[:j] + s[j + 1:] for level in complex.simplexes_by_dim[1:]
+             for s in level for j in range(len(s))}
+    return [s for level in complex.simplexes_by_dim for s in level if s not in faces]
+
+
 def scalar_random_complex(n_vertices, edge_prob, fill_prob, seed):
     """`random_complex` by one scalar draw per vertex pair, then one per
     triangle of the edge graph, both in lexicographic order, closed by
-    `SimplicialComplex.from_maximal`."""
+    `loop_from_maximal`."""
     rng = np.random.default_rng(seed)
     edges = set()
     for pair in itertools.combinations(range(n_vertices), 2):
@@ -1027,7 +1089,7 @@ def scalar_random_complex(n_vertices, edge_prob, fill_prob, seed):
         if {(a, b), (a, c), (b, c)} <= edges and rng.random() < fill_prob:
             triangles.append((a, b, c))
     maximal = triangles + sorted(edges) + [(v,) for v in range(n_vertices)]
-    return SimplicialComplex.from_maximal(maximal, n_vertices=n_vertices)
+    return loop_from_maximal(maximal, n_vertices=n_vertices)
 
 
 def entrywise_columns(mat, what="entry"):

@@ -336,7 +336,8 @@ def _bad_input_files(tmp_path):
     chain = tmp_path / "x.csv"
     chain.write_text("cell,value\n0,1.0\n1,-0.5\n2,2.0\n3,0.25\n")
     (tmp_path / "x_nan.csv").write_text(chain.read_text().replace("-0.5", "nan"))
-    (tmp_path / "x_huge.csv").write_text("cell,value\n0,1e308\n1,-1e308\n2,1e308\n")
+    # its cycle part, the constant 1.7e308, has a 2-norm past the float maximum
+    (tmp_path / "x_huge.csv").write_text("cell,value\n0,1.7e308\n1,1.7e308\n2,1.7e308\n")
     (tmp_path / "x_extra.csv").write_text(chain.read_text().replace("0,1.0", "0,1.0,7"))
     (tmp_path / "s_extra.csv").write_text(
         samples.read_text().replace("\n0,-1.0,1.0", "\n0,-1.0,1.0,junk"))
@@ -477,3 +478,15 @@ def test_refusal_exits_with_its_code_one_line_and_no_output(tmp_path, capsys, ar
     assert needle in lines[0]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_decompose_answers_a_chain_whose_squares_overflow(tmp_path, capsys):
+    # each square is past the float maximum, the 2-norms are not
+    chain = tmp_path / "x.csv"
+    chain.write_text("cell,value\n0,1e308\n1,-1e308\n2,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "--out", str(tmp_path / "d"), "decompose", "cycle(3)",
+                             str(chain), "-k", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["objective"] == pytest.approx(1e308 / 3 * np.sqrt(3), rel=1e-15)

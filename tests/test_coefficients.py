@@ -160,10 +160,15 @@ def test_an_overflowing_norm_is_refused_without_a_numpy_warning():
         fourier = np.ones((3, 3))
         fourier[0] = 1e200
         assert norm_p(ChainVector(rep, 1, FourierFn(1), fourier), 2, weights=w) == np.sqrt(6)
-        for x, p in ((ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 2),
-                     (ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 1),
-                     (ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2),
-                     (ChainVector(rep, 0, Integer(), [10**200, 0, 0]), 2),
+        # finite 2-norms whose squares overflow: taken on the values over their largest
+        assert norm_p(ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 2) == \
+            1e308 * float(np.sqrt(3))
+        assert norm_p(ChainVector(rep, 1, FourierFn(1), np.full((3, 3), 1e200)), 2) == \
+            pytest.approx(3e200, rel=1e-15)
+        assert norm_p(ChainVector(rep, 0, Integer(), [10**200, 0, 0]), 2) == 1e200
+        for x, p in ((ChainVector(rep, 0, Real(), [1e308, -1e308, 1e308]), 1),
+                     # a 2-norm of 2e308 is past the float maximum
+                     (ChainVector(canonical_complex("cycle(4)"), 0, Real(), [1e308] * 4), 2),
                      # beyond float range: float() itself overflows
                      (ChainVector(rep, 0, Integer(), [10**400, 0, 0]), 1),
                      (ChainVector(rep, 0, Integer(), [-10**400, 0, 0]), 2)):

@@ -309,9 +309,12 @@ def test_delta_rep_rejects_shape_mismatch():
     (lambda: random_complex(4, 0.5, -0.1, 0), "probabilities must be in [0, 1]"),
     (lambda: random_complex(0, 0.5, 0.5, 0), "need at least one vertex"),
     (lambda: integer_rank([1, 2]), "need a 2-d matrix"),
+    # faces missing at levels 2 and 3: the first by level, then simplex, then vertex deleted
+    (lambda: SimplicialComplex(4, [[], [(0, 1), (2, 3)], [(0, 1, 3), (0, 1, 2)], [(0, 1, 2, 3)]]),
+     "face (1, 2) of (0, 1, 2) is missing"),
 ], ids=["no-vertex", "wrong-level", "vertex-range", "repeated-vertex", "negative-vertex",
         "few-vertices", "no-dims", "negative-dim", "boundary-count", "edge-prob",
-        "fill-prob", "random-no-vertex", "matrix-1d"])
+        "fill-prob", "random-no-vertex", "matrix-1d", "missing-faces-order"])
 def test_construction_refuses_malformed_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
