@@ -207,10 +207,10 @@ def _cmd_reconstruct(args):
         raise FormatError(f"sub-size must be >= 0, got {args.sub_size}")
     rep = resolve_complex(args.complex)
     out = _require_out(args, "estimate CSV")
-    samples = load_samples(args.samples, rep.n_cells(1))
-    bases = spectral_bases(rep, 1, args.n_irr, args.n_sol)
+    bases = spectral_bases(rep, 1, args.n_irr, args.n_sol)  # refuses a complex with no edges
     if args.sub_size > 0:
         bases = bases.sub(args.sub_size, args.sub_size)
+    samples = load_samples(args.samples, rep.n_cells(1))
     estimate, result = reconstruct_gssc(samples, rep, bases,
                                         time_order=args.time_order,
                                         eta=args.eta)

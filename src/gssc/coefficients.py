@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import _as_int, _csv_rows, _entry_columns, _integral, _write_csv
+from .complexes import _as_int, _check_degree, _csv_rows, _entry_columns, _integral, _write_csv
 from .errors import FormatError, NumericalError, UnsupportedError
 
 
@@ -308,24 +308,28 @@ def apply_coboundary(x):
 
 
 def norm_p(x, p=2, weights=None):
-    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}.  A 2-norm whose
-    squares overflow is taken again on the values over their largest magnitude
-    (not for ModN, whose cell norms are 0 or 1); a norm past the float maximum,
-    or an Integer value past float range, raises NumericalError."""
+    """Weighted p-norm (sum_i w_i^p |x_i|_A^p)^(1/p), p in {1, 2}.  A 2-norm whose squares
+    overflow is taken again on the values over their largest magnitude, then also the
+    weights over theirs (not for ModN, whose cell norms are 0 or 1); a norm past the
+    float maximum, or an Integer value past float range, raises NumericalError."""
     if p not in (1, 2):
         raise UnsupportedError("only p = 1 and p = 2 are supported")
     w = resolve_weights(weights, len(x.values))
     on = w > 0  # a cell of weight 0 adds nothing, so its norm is not taken
-    values, top = x.values[on], 1.0
+    values, w, top, top_w = x.values[on], w[on], 1.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            total = float(np.sum((w[on] ** p) * (x.system.norms(values) ** p)))
+            total = float(np.sum((w ** p) * (x.system.norms(values) ** p)))
             if total == np.inf and p == 2 and not isinstance(x.system, ModN):
                 top = float(np.max(np.abs(values)))
-                total = float(np.sum((w[on] * x.system.norms(values / top)) ** 2))
+                unit = x.system.norms(values / top)
+                total = float(np.sum((w * unit) ** 2))
+                if total == np.inf:
+                    top_w = float(np.max(w))
+                    total = float(np.sum((w / top_w * unit) ** 2))
         except OverflowError:  # an Integer value beyond float range
             total = np.inf
-    if not np.isfinite(norm := total if p == 1 else top * float(np.sqrt(total))):
+    if not np.isfinite(norm := total if p == 1 else top * (top_w * float(np.sqrt(total)))):
         raise NumericalError(f"the weighted {p}-norm of a {x.degree}-chain overflows a float")
     return norm
 
@@ -350,6 +354,7 @@ def save_chain(x, path):
 def load_chain(path, rep, degree, system):
     """Inverse of save_chain; rows may appear in any order but must cover
     every cell index exactly once."""
+    _check_degree(rep, degree)
     n = rep.n_cells(degree)
     values = system.zeros(n)
     parse = int if system.exact else float

@@ -54,6 +54,12 @@ def _as_int(what, v):
     return int(v)
 
 
+def _check_degree(rep, k):
+    """Refuses a degree outside 0..K; inside the library C_{-1} = C_{K+1} = 0."""
+    if not 0 <= k <= rep.dim:
+        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
+
+
 def _read_text(path, newline):
     """The text of a UTF-8 file, as a stream with `open`'s newline handling;
     a byte that is not UTF-8 is refused naming the path and its line."""

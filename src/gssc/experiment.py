@@ -145,10 +145,6 @@ def parse_config(path):
     return ExperimentConfig(**values)
 
 
-def _noise_key(sigma):
-    return int(round(sigma * 1e12))
-
-
 def _fmt(value):
     return f"{value:g}"
 
@@ -162,34 +158,6 @@ def _hyperparams(config, method, bases, sub):
     if method == "krr":
         return krr
     return f"{krr};alpha={_fmt(config.alpha)};beta={_fmt(config.beta)}"
-
-
-def _run_cell(config, rep, bases, sub, grid, design, signal, truth, sigma, m,
-              trial):
-    """All requested methods on one (sweep point, trial) cell, shared data."""
-    samples = sample_async(signal, m, sigma,
-                           seed=[config.seed + trial, _noise_key(sigma), m])
-    krr_est = None
-    rmses = {}
-    seconds = {}
-    for method in config.methods:
-        start = time.perf_counter()
-        if method in ("gssc", "gssc_sub"):
-            est, _ = reconstruct_gssc(samples, rep,
-                                      bases if method == "gssc" else sub,
-                                      config.time_order, config.eta)
-            value = rmse_ratio(est.values @ design.T, truth, grid)
-        else:
-            # sc_product smooths the KRR estimate, so one fit serves both
-            if krr_est is None:
-                krr_est = krr_grid(samples, KrrConfig(config.lengthscale,
-                                                      config.ridge), grid)
-            est = (krr_est if method == "krr"
-                   else sc_product(krr_est, rep, config.alpha, config.beta))
-            value = rmse_ratio(est.values, truth, grid)
-        rmses[method] = value
-        seconds[method] = time.perf_counter() - start
-    return rmses, seconds
 
 
 def run_experiment(config, out_dir, jobs=1, log=None):
@@ -221,17 +189,37 @@ def run_experiment(config, out_dir, jobs=1, log=None):
 
     cells = [(sigma, m, trial) for sigma, m in points for trial in range(config.trials)]
 
-    def work(cell):
+    def run_cell(cell):
+        """All requested methods on one (sweep point, trial) cell, shared data."""
         sigma, m, trial = cell
-        return _run_cell(config, rep, bases, sub, grid, design, signals[trial],
-                         truths[trial], sigma, m, trial)
+        samples = sample_async(signals[trial], m, sigma,
+                               seed=[config.seed + trial, int(round(sigma * 1e12)), m])
+        krr_est = None
+        rmses, seconds = {}, {}
+        for method in config.methods:
+            start = time.perf_counter()
+            if method in ("gssc", "gssc_sub"):
+                est, _ = reconstruct_gssc(samples, rep, bases if method == "gssc" else sub,
+                                          config.time_order, config.eta)
+                value = rmse_ratio(est.values @ design.T, truths[trial], grid)
+            else:
+                # sc_product smooths the KRR estimate, so one fit serves both
+                if krr_est is None:
+                    krr_est = krr_grid(samples, KrrConfig(config.lengthscale, config.ridge),
+                                       grid)
+                est = (krr_est if method == "krr"
+                       else sc_product(krr_est, rep, config.alpha, config.beta))
+                value = rmse_ratio(est.values, truths[trial], grid)
+            rmses[method] = value
+            seconds[method] = time.perf_counter() - start
+        return rmses, seconds
 
     with one_blas_thread():
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(work, cells))
+                outcomes = list(pool.map(run_cell, cells))
         else:
-            outcomes = [work(cell) for cell in cells]
+            outcomes = [run_cell(cell) for cell in cells]
 
     # one walk over the outcomes, which come grouped by sweep point
     rows = {name: [] for name in _OUTPUT_HEADERS}

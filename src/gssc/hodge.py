@@ -18,8 +18,8 @@ zero below about 1e-6 * sigma_max.  Betti numbers use exact ranks
 (`homology._rank`) instead.  Multiplying B (or the weights of a weighted
 projection) by any positive constant leaves every rank and every
 projection unchanged.  Both dense normal systems (`learn.solve_smooth`'s
-fit and `learn.reconstruct_gssc`'s Gram) are factored in place by `_cholesky`
-under `_full_rank` (that cutoff), else solved by `_min_norm_solve`.
+fit and `learn.reconstruct_gssc`'s Gram) are factored in place by `_cholesky`,
+which refuses a squared pivot under that cutoff, else solved by `_min_norm_solve`.
 
 The float code reads each boundary through a sparse CSR view of the rep's
 integer CSC arrays, built once per rep; Grams and Laplacians are formed sparse
@@ -45,7 +45,7 @@ import scipy.sparse
 
 from . import homology
 from .coefficients import ChainVector, FourierFn, Real, norm_p
-from .complexes import _as_int
+from .complexes import _as_int, _check_degree
 from .errors import NumericalError, UnsupportedError
 
 ZERO_TOL_FLOOR = 1e-12
@@ -107,23 +107,17 @@ def eig_sym(matrix):
     return Spectrum(lam, _signed(vec), tol)
 
 
-def _full_rank(factor, diag):
-    """Whether a Cholesky factor of a PSD matrix with diagonal `diag` has every
-    squared pivot above `max(n * eps, 1e-12) * max(diag)`; empty ones fail."""
-    n = len(diag)
-    return n > 0 and bool(np.min(np.diag(factor) ** 2) > max(
-        n * np.finfo(float).eps, ZERO_TOL_FLOOR) * np.max(diag))
-
-
 def _cholesky(A):
-    """(factor, diag A) of a PSD A, the upper factor made in place from the
-    upper triangle of a Fortran-ordered A; None when it fails `_full_rank`."""
-    diag = np.diag(A).copy()
+    """The upper Cholesky factor of a PSD A, made in place from the upper
+    triangle of a Fortran-ordered n x n A; None when it fails, when n = 0 or
+    when a squared pivot is at most `max(n * eps, 1e-12) * max(diag A)`."""
+    n, top = len(A), np.max(np.diag(A), initial=0.0)  # read before A is overwritten
     try:
         factor = scipy.linalg.cho_factor(A, overwrite_a=True)[0]
     except scipy.linalg.LinAlgError:
         return None
-    return (factor, diag) if _full_rank(factor, diag) else None
+    cutoff = max(n * np.finfo(float).eps, ZERO_TOL_FLOOR) * top
+    return factor if n > 0 and np.min(np.diag(factor) ** 2) > cutoff else None
 
 
 def _min_norm_solve(A, B):
@@ -164,12 +158,6 @@ def _gram_modes(A):
     return spec.eigenvectors[:, keep], spec.eigenvalues[keep], dual
 
 
-def _boundary(rep, k, transpose=False):
-    """The sparse float B_k, or B_k^T."""
-    B = rep._sparse_boundary(k)
-    return B.T if transpose else B
-
-
 def _factored(rep, k, transpose=False):
     """(B, dual, U, lam): B = B_k (or B_k^T) and `_gram_modes(B)`, taken
     from the rep's memo.
@@ -178,7 +166,7 @@ def _factored(rep, k, transpose=False):
     transpose B_k B_k^T.  The arrays are read-only, because every caller
     shares them.
     """
-    B = _boundary(rep, k, transpose)
+    B = rep._sparse_boundary(k).T if transpose else rep._sparse_boundary(k)
     dual = B.shape[0] < B.shape[1]
 
     def build():
@@ -202,10 +190,9 @@ def _boundary_modes(rep, k, transpose=False):
 
 def laplacian(rep, k):
     """Dense float L_k, Fortran-ordered; raises for degrees outside the complex."""
-    if not 0 <= k <= rep.dim:
-        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
-    down = _boundary(rep, k)
-    up = _boundary(rep, k + 1)
+    _check_degree(rep, k)
+    down = rep._sparse_boundary(k)
+    up = rep._sparse_boundary(k + 1)
     # integer products sum exactly, so L is exactly symmetric
     return (down.T @ down + up @ up.T).toarray(order="F")
 
@@ -242,7 +229,7 @@ class DecompositionResult:
 
 def _as_matrix(values):
     arr = np.asarray(values, dtype=float)
-    return arr.reshape(len(arr), -1)
+    return arr if arr.ndim == 2 else arr[:, None]  # 2-D with no cells too
 
 
 def _chain(like, degree, mat):
@@ -263,7 +250,7 @@ def _weighted_projection(rep, k, target, w, transpose=False):
     and the eigenpairs come from the rep's memo; other weights factor the
     Gram of A on each call.
     """
-    B = _boundary(rep, k, transpose)
+    B = rep._sparse_boundary(k).T if transpose else rep._sparse_boundary(k)
     wt = w[:, None] * target
     if np.all(w == 1):
         A, (_, dual, U, lam) = B, _factored(rep, k, not transpose)
@@ -312,6 +299,7 @@ def hodge_decompose(x):
         raise UnsupportedError(
             f"hodge_decompose needs Real or FourierFn values, got {x.system!r}; "
             "discrete systems go through learn.solve_fundamental")
+    _check_degree(x.complex, x.degree)
     result = _split(x, np.ones(len(x.values)), "hodge")
     vals = _as_matrix(x.values)
     part_zero, part_pos, part_neg = (_as_matrix(c.values) for c in result.parts())
@@ -393,8 +381,7 @@ def _full_bases(rep, k):
     other beta_k = n_k - rank B_k - rank B_{k+1} columns (exact ranks), the
     first beta_k eigenvectors of L_k; no eigendecomposition runs when it is 0.
     """
-    if not 0 <= k <= rep.dim:
-        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
+    _check_degree(rep, k)
 
     def build():
         U_irr, irr_vals = _boundary_modes(rep, k)
@@ -442,7 +429,7 @@ def courant_fischer_check(rep, l):
     lhs = float(full.sol_eigenvalues[l - 2])  # U0 is the first column
     e = full.U_sol[:, l - 2:l - 1]
     _, u = _weighted_projection(rep, 1, e, np.ones(len(e)))
-    v = _boundary(rep, 1).T @ u
+    v = rep._sparse_boundary(1).T @ u
     rhs = float(np.sum(v * v)) / float(np.sum(u * u))
     gap = abs(lhs - rhs) / max(abs(lhs), ZERO_TOL_FLOOR)
     return lhs, rhs, gap

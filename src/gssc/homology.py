@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gf2
 from .coefficients import ModN, Real
-from .complexes import _as_int, _csc_dense, _dense_csc, _entry_columns, _exact
+from .complexes import _as_int, _check_degree, _csc_dense, _dense_csc, _entry_columns, _exact
 from .errors import UnsupportedError
 
 
@@ -271,8 +271,7 @@ class HomologySummary:
 
 def homology_Z(rep, k):
     """H_k with integer coefficients: free rank plus invariant factors > 1."""
-    if not 0 <= k <= rep.dim:
-        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
+    _check_degree(rep, k)
     rank_k = len(_factors(_elimination(rep, k))) if k else 0  # B_0 = 0
     factors = _factors(_elimination(rep, k + 1))
     betti = rep.n_cells(k) - rank_k - len(factors)
@@ -282,8 +281,7 @@ def homology_Z(rep, k):
 
 def homology_field(rep, k, field):
     """dim H_k over a field, Real or ModN(p) with p prime, from exact ranks."""
-    if not 0 <= k <= rep.dim:
-        raise UnsupportedError(f"degree {k} outside 0..{rep.dim}")
+    _check_degree(rep, k)
     if not isinstance(field, (Real, ModN)):
         raise UnsupportedError(f"{field!r} is not a supported field")
     p = _prime(field.modulus) if isinstance(field, ModN) else None

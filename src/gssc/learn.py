@@ -43,11 +43,11 @@ from . import gf2
 from ._blas import one_blas_thread
 from .coefficients import (ChainVector, FourierFn, Integer, ModN, Real, _apply_boundary,
                            norm_p, resolve_weights, zero_chain)
-from .complexes import _as_int, _csv_rows, _write_csv
+from .complexes import _as_int, _check_degree, _csv_rows, _write_csv
 from .errors import FormatError, InfeasibleError, NumericalError, UnsupportedError
-from .hodge import (DecompositionResult, _as_matrix, _boundary, _chain, _cholesky,
-                    _first_nonfinite, _full_rank, _min_norm_solve, _split,
-                    _weighted_projection, laplacian, spectral_bases)
+from .hodge import (DecompositionResult, _as_matrix, _chain, _cholesky, _first_nonfinite,
+                    _min_norm_solve, _split, _weighted_projection, laplacian,
+                    spectral_bases)
 from .homology import _in_boundary_lattice
 
 _SAMPLES_HEADER = ["edge", "t", "y"]  # the first row of a samples CSV
@@ -156,13 +156,14 @@ def solve_fundamental(x, p=2, weights=None):
     im B_{k+1}, then of im B_k^T.
     Integer chains are rejected: their search space is infinite.
     """
+    _check_degree(x.complex, x.degree)
     w = resolve_weights(weights, len(x.values))
     if isinstance(x.system, (Real, FourierFn)):
         if p != 2:
             raise UnsupportedError("the closed-form path needs p = 2")
         result = _split(x, w, "fundamental")
         result.residuals["kernel"] = float(np.linalg.norm(
-            _boundary(x.complex, x.degree) @ _as_matrix(result.x0.values)))
+            x.complex._sparse_boundary(x.degree) @ _as_matrix(result.x0.values)))
         return result
     if isinstance(x.system, ModN) and x.system.modulus == 2:
         return _fundamental_mod2(x, p, None if weights is None else w)
@@ -181,7 +182,7 @@ def _require_kernel_chain(x):
     elif bd.size:
         resid = np.max(np.abs(bd))
         scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
-        entry = float(np.max(np.abs(_boundary(x.complex, x.degree).data), initial=0.0))
+        entry = float(np.max(np.abs(x.complex._sparse_boundary(x.degree).data), initial=0.0))
         if resid > 1e-8 * scale * max(1.0, entry):
             raise ValueError("representative is not a cycle (boundary residual "
                              f"{resid:.3e})")
@@ -202,6 +203,7 @@ def simplicial_seminorm(x, p=2, weights=None):
     """
     rep = x.complex
     k = x.degree
+    _check_degree(rep, k)
     _require_kernel_chain(x)
     w = resolve_weights(weights, len(x.values))
 
@@ -254,7 +256,7 @@ def _smooth_fit(rep, k, mat, w, eta):
     with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
         held = _cholesky(normal())
         if held is not None:
-            return scipy.linalg.cho_solve((held[0], False), rhs)
+            return scipy.linalg.cho_solve((held, False), rhs)
     return _min_norm_solve(normal(), rhs)[0]
 
 
@@ -273,13 +275,14 @@ def solve_smooth(x, eta=1.0, weights=None):
         raise UnsupportedError(f"smooth model needs Real or FourierFn, got {x.system!r}")
     rep = x.complex
     k = x.degree
+    _check_degree(rep, k)
     w = resolve_weights(weights, len(x.values))
     mat = _as_matrix(x.values)
     fitted = _smooth_fit(rep, k, mat, w, eta)
     result = _split(_chain(x, k, fitted), np.ones(len(mat)), "smooth")
     data_term = float(np.sum((w[:, None] * (fitted - mat)) ** 2))
-    rough = float(np.sum((_boundary(rep, k) @ fitted) ** 2)
-                  + np.sum((_boundary(rep, k + 1, transpose=True) @ fitted) ** 2)) / eta
+    rough = float(np.sum((rep._sparse_boundary(k) @ fitted) ** 2)
+                  + np.sum((rep._sparse_boundary(k + 1).T @ fitted) ** 2)) / eta
     result.objective = data_term + rough
     result.residuals = {"data": data_term, "roughness": rough}
     return result
@@ -427,15 +430,14 @@ def load_samples(path, n_edges):
 # -- sampled reconstruction ----------------------------------------------------
 
 def _coefficients(held, psi, y, bases, order, eta):
-    """(theta, rank) of the fit of y through design psi in `bases`' columns in
-    `order` (theta's rows too): by the leading block of the `held` factor when
-    it passes; else by a Gram factored in place and held, or `_min_norm_solve`."""
+    """(theta, rank) of the fit of y through design psi in `bases`' columns in `order`
+    (theta's rows too): by the leading block of a matching `held` factor, which its full-rank
+    test covers; else by a Gram factored in place and held, or `_min_norm_solve`."""
     T = psi.shape[2]
     basis = np.vstack([bases.stacked(), bases.eigenvalues()])[:, order]
     K, N = len(order), len(order) * T
-    key, held_basis, factor, diag, rhs = held.get("normal", (None,) * 5)
-    if not (key == (T, eta) and np.array_equal(basis, held_basis[:, :K])
-            and _full_rank(factor[:N, :N], diag[:N])):
+    key, held_basis, factor, rhs = held.get("normal", (None,) * 4)
+    if not (key == (T, eta) and np.array_equal(basis, held_basis[:, :K])):
         i, j = np.triu_indices(K)
         local = np.matmul(psi.transpose(0, 2, 1), psi).reshape(len(psi), T * T)
         products = basis[:-1, i]
@@ -450,15 +452,14 @@ def _coefficients(held, psi, y, bases, order, eta):
         if not np.all(np.isfinite(rhs)):  # finite y can overflow it; cho_solve skips the scan
             raise NumericalError("the normal system's right-hand side overflows; rescale y")
         with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
-            factored = _cholesky(gram)
-        if factored is None:
+            factor = _cholesky(gram)
+        if factor is None:
             upper[j, i] = blocks.transpose(0, 2, 1)  # gram mirrored in full
             upper[i, j] = blocks
             return _min_norm_solve(gram, rhs)
-        factor, diag = factored
-        for arr in (basis, factor, diag, rhs):  # held, and read by later fits
+        for arr in (basis, factor, rhs):  # held, and read by later fits
             arr.setflags(write=False)
-        held["normal"] = ((T, eta), basis, factor, diag, rhs)
+        held["normal"] = ((T, eta), basis, factor, rhs)
     return scipy.linalg.cho_solve((factor[:N, :N], False), rhs[:N], check_finite=False), N
 
 
@@ -480,8 +481,8 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
 
     are ordered [U0 | irr_0, sol_0, irr_1, ...]; the Gram's upper block
     triangle, one product of the row products u_{e,i} u_{e,j} (i <= j) with
-    the per-edge Grams, is factored in place under
-    `hodge._full_rank`.  A rank-deficient Gram (say, a harmonic block with
+    the per-edge Grams, is factored in place by `hodge._cholesky` under
+    the `eig_sym` cutoff.  A rank-deficient Gram (say, a harmonic block with
     fewer samples than time coefficients) gives the minimum-norm theta of
     `hodge._min_norm_solve` and a ConditioningWarning.  The certificates are
     the closed-form minimum-norm preimages y1 = B_2^T U_sol (theta_sol /
@@ -515,9 +516,8 @@ def reconstruct_gssc(samples, rep, bases, time_order=3, eta=1.0):
 
     a0, a_irr, a_sol = np.split(theta, [bases.n_harmonic,
                                         bases.n_harmonic + bases.n_irr])
-    y1 = _boundary(rep, 2, transpose=True) @ (
-        bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
-    y_neg1 = _boundary(rep, 1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
+    y1 = rep._sparse_boundary(2).T @ (bases.U_sol @ (a_sol / bases.sol_eigenvalues[:, None]))
+    y_neg1 = rep._sparse_boundary(1) @ (bases.U_irr @ (a_irr / bases.irr_eigenvalues[:, None]))
     rough = float(np.sum(lam[:, None] * theta ** 2))
     part_zero, part_pos, part_neg = bases.U0 @ a0, bases.U_sol @ a_sol, bases.U_irr @ a_irr
     coeffs = part_zero + part_neg + part_pos

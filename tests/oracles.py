@@ -482,6 +482,32 @@ def leads(sub, bases):
     return mine == interleaved_labels(bases)[:len(mine)]
 
 
+def pivot_full_rank(factor, diag):
+    """The test a held factor's leading block once re-ran on each reuse:
+    whether the Cholesky `factor` of a PSD matrix with diagonal `diag` has
+    every squared pivot above `max(n * eps, 1e-12) * max(diag)`; empty ones
+    fail."""
+    n = len(diag)
+    return n > 0 and bool(np.min(np.diag(factor) ** 2) > max(
+        n * np.finfo(float).eps, ZERO_TOL_FLOOR) * np.max(diag))
+
+
+def values_retry_norm_p(x, p=2, weights=None):
+    """`norm_p` with one retry only, on the values over their largest
+    magnitude, and None where it overflows: the library answers every norm
+    this answers with the same bits."""
+    w = np.ones(len(x.values)) if weights is None else np.asarray(weights, dtype=float)
+    on = w > 0
+    values, top = x.values[on], 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum((w[on] ** p) * (x.system.norms(values) ** p)))
+        if total == np.inf and p == 2:
+            top = float(np.max(np.abs(values)))
+            total = float(np.sum((w[on] * x.system.norms(values / top)) ** 2))
+    norm = total if p == 1 else top * float(np.sqrt(total))
+    return norm if np.isfinite(norm) else None
+
+
 def dense_smooth(x, eta=1.0, weights=None):
     """Smooth model by one stacked least-squares problem in boundary coordinates.
 
@@ -896,7 +922,7 @@ def spd_solve(A, B):
     with one_blas_thread():  # scipy's pool contends with numpy's (`_blas`)
         held = _cholesky(np.array(A, order="F"))
         if held is not None:
-            return scipy.linalg.cho_solve((held[0], False), B), len(A)
+            return scipy.linalg.cho_solve((held, False), B), len(A)
     spec = symmetrized_eig_sym(A)
     keep = spec.eigenvalues > spec.zero_tol
     V, lam = spec.eigenvectors[:, keep], spec.eigenvalues[keep]

@@ -338,6 +338,7 @@ def _bad_input_files(tmp_path):
     (tmp_path / "x_nan.csv").write_text(chain.read_text().replace("-0.5", "nan"))
     # its cycle part, the constant 1.7e308, has a 2-norm past the float maximum
     (tmp_path / "x_huge.csv").write_text("cell,value\n0,1.7e308\n1,1.7e308\n2,1.7e308\n")
+    (tmp_path / "x_empty.csv").write_text("cell,value\n")
     (tmp_path / "x_extra.csv").write_text(chain.read_text().replace("0,1.0", "0,1.0,7"))
     (tmp_path / "s_extra.csv").write_text(
         samples.read_text().replace("\n0,-1.0,1.0", "\n0,-1.0,1.0,junk"))
@@ -458,6 +459,17 @@ REFUSED = [
      4, "numerical failure", "the weighted 2-norm of a 0-chain overflows"),
     ("smooth-p1", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "1", "--model", "smooth",
                    "-p", "1"], 3, "unsupported", "the smooth model supports p = 2 only"),
+    # a degree outside the complex is refused before the chain file is read
+    ("decompose-degree-above", ["decompose", "cycle(4)", "{d}/x_empty.csv", "-k", "5"],
+     3, "unsupported", "degree 5 outside 0..1"),
+    ("decompose-mod2-degree-above", ["decompose", "cycle(4)", "{d}/x_empty.csv", "-k", "5",
+                                     "--system", "mod2"], 3, "unsupported",
+     "degree 5 outside 0..1"),
+    ("decompose-degree-below", ["decompose", "cycle(4)", "{d}/x.csv", "-k", "-1"],
+     3, "unsupported", "degree -1 outside 0..1"),
+    # a complex with no edges is refused before its samples are read
+    ("reconstruct-no-edges", ["reconstruct", "random(5,0,0,1)", "{d}/s.csv"],
+     3, "unsupported", "degree 1 outside 0..0"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Coefficient systems, chain arithmetic, norms, and chain CSV files."""
 
+import decimal
+import itertools
 import re
 import warnings
 from fractions import Fraction
@@ -12,6 +14,8 @@ from gssc import (ChainVector, FormatError, FourierFn, Integer, ModN,
                   canonical_complex, eval_fn, load_chain, norm_p,
                   random_chain, save_chain, scale, solve_fundamental,
                   zero_chain)
+
+from oracles import values_retry_norm_p
 
 SYSTEMS = [Real(), Integer(), ModN(2), ModN(5), FourierFn(2)]
 
@@ -177,6 +181,57 @@ def test_an_overflowing_norm_is_refused_without_a_numpy_warning():
                 norm_p(x, p)
 
 
+def decimal_norm(x, weights):
+    """The weighted 2-norm of a Real or FourierFn chain in 60-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rows = np.asarray(x.values, dtype=float).reshape(len(x.values), -1)
+        total = sum(decimal.Decimal(w) ** 2 * sum(decimal.Decimal(v) ** 2 for v in row)
+                    for w, row in zip(weights, rows.tolist()))
+        return float(total.sqrt())
+
+
+def test_a_norm_whose_weights_overflow_its_squares_is_answered():
+    rep = canonical_complex("cycle(3)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ones = ChainVector(rep, 1, Real(), [1, 1, 1])
+        assert norm_p(ones, 2, weights=[1e200] * 3) == pytest.approx(1e200 * np.sqrt(3),
+                                                                      rel=1e-15)
+        big = ChainVector(rep, 1, Real(), [1e200] * 3)
+        assert norm_p(big, 2, weights=[1e100] * 3) == pytest.approx(1e300 * np.sqrt(3),
+                                                                    rel=1e-15)
+        # the largest weight and the largest value on different cells
+        apart = ChainVector(rep, 1, Real(), [1e10, 0.0, 1e-100])
+        assert norm_p(apart, 2, weights=[1, 1, 1e300]) == pytest.approx(1e200, rel=1e-15)
+        with pytest.raises(NumericalError, match="weighted 2-norm of a 1-chain overflows"):
+            norm_p(big, 2, weights=[1e200] * 3)
+
+
+def test_every_norm_the_values_retry_answers_keeps_its_bits():
+    rep = canonical_complex("cycle(3)")
+    scales = (0.5, 1.0, 1e100, 1e153, 1e155, 1e200, 1e300)
+    answered = 0
+    for v, w in itertools.product(itertools.product(scales, repeat=2), repeat=2):
+        weights = [w[0], w[1], 1.0]
+        for x in (ChainVector(rep, 1, Real(), [v[0], -v[1], 1.0]),
+                  ChainVector(rep, 1, FourierFn(1), np.outer([v[0], v[1], 1.0], [1, -1, 1]))):
+            for p in (1, 2):
+                want = values_retry_norm_p(x, p, weights)
+                try:
+                    got = norm_p(x, p, weights)
+                except NumericalError:
+                    assert want is None
+                    assert p == 1 or decimal_norm(x, weights) > np.finfo(float).max
+                    continue
+                if want is None:  # answered by the weights' retry
+                    assert p == 2 and got == pytest.approx(decimal_norm(x, weights), rel=1e-15)
+                else:
+                    answered += 1
+                    assert got == want
+    assert answered > 100
+
+
 def test_negative_weights_are_rejected():
     rep = canonical_complex("cycle(3)")
     x = ChainVector(rep, 1, Real(), [1.0, 1.0, 1.0])
@@ -289,6 +344,17 @@ def test_fourier_chain_csv_round_trip(tmp_path):
     assert chains_equal(x, y)
     with pytest.raises(FormatError, match="header"):
         load_chain(path, rep, 1, FourierFn(2))
+
+
+@pytest.mark.parametrize("rows", ["", "0,1\n"], ids=["header-only", "one-row"])
+def test_a_chain_file_at_a_degree_outside_the_complex_is_refused(tmp_path, rows):
+    path = tmp_path / "x.csv"
+    path.write_text("cell,value\n" + rows)
+    rep = canonical_complex("cycle(4)")
+    for k in (-1, 2, 5):
+        for system in (Real(), ModN(2), Integer()):
+            with pytest.raises(UnsupportedError, match=f"degree {k} outside 0..1"):
+                load_chain(path, rep, k, system)
 
 
 def test_chain_csv_errors_carry_line_numbers(tmp_path):

@@ -29,7 +29,7 @@ from gssc import (ConditioningWarning, HodgeBases, SampleSet, SimplicialComplex,
                   run_experiment, sample_async, spectral_bases, synthesize,
                   to_chain_complex)
 
-from oracles import (eig_min_norm_solve, interleaved_rows, leads,
+from oracles import (eig_min_norm_solve, interleaved_rows, leads, pivot_full_rank,
                      stacked_normal_system)
 
 SPECS = ("rp2", "torus", "cycle(7)", "default", "random(30,0.5,1.0,11)")
@@ -98,6 +98,34 @@ def test_fit_through_the_held_system_matches_a_fresh_assembly(spec, m, sub_size)
     rtol = 1e-12 if m > 1 else max(1e-12, 10 * EPS * full_rank(samples, sub, 30.0)[1])
     diff = np.linalg.norm(est.values - ref_est.values)
     assert diff <= rtol * np.linalg.norm(ref_est.values)
+
+
+@pytest.mark.parametrize("which", ["full", "sub"])
+@pytest.mark.parametrize("m", [1, 3, 20])
+@pytest.mark.parametrize("spec", SPECS)
+def test_every_leading_block_of_a_held_factor_passes_the_full_rank_test(monkeypatch, spec,
+                                                                       m, which):
+    # a reuse solves a leading block without testing it: the test the whole
+    # factor passed when it was held must cover every one
+    rep = resolve_complex(spec)
+    bases = spectral_bases(rep, 1, 20, 20)
+    b = bases if which == "full" else bases.sub(*SUB_SIZES[0])
+    truth = synthesize(rep, SynthSpec(20, 20, TIME_ORDER, seed=[len(spec), m]))
+    samples = sample_async(truth, m, 0.01, seed=[m, len(spec)])
+    diags = []
+    real = learn._cholesky
+
+    def record(A):
+        diags.append(np.diag(A).copy())
+        return real(A)
+    monkeypatch.setattr(learn, "_cholesky", record)
+    fit(samples, rep, b, eta=30.0)
+    held = held_system(samples)
+    if held is None:
+        return
+    factor, diag = held[2], diags[-1]
+    for N in range(1, len(diag) + 1):
+        assert pivot_full_rank(factor[:N, :N], diag[:N]), N
 
 
 @pytest.mark.parametrize("spec", SPECS)

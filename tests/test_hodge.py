@@ -115,7 +115,7 @@ def test_a_full_rank_system_is_solved_by_its_cholesky_bit_for_bit():
     held = _cholesky(np.array(A, order="F"))
     assert held is not None  # full rank: every pivot passes the cutoff
     for rhs in (B, B[:, 0]):
-        got = scipy.linalg.cho_solve((held[0], False), rhs)
+        got = scipy.linalg.cho_solve((held, False), rhs)
         want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs)
         assert got.shape == rhs.shape and got.tobytes() == want.tobytes()
     # positive weights make the smooth fit's system full rank

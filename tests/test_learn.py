@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gssc import (ChainVector, ConditioningWarning, FormatError, FourierFn,
+from gssc import (ChainComplexRep, ChainVector, ConditioningWarning, FormatError, FourierFn,
                   InfeasibleError, Integer, ModN, Real, SampleSet, SynthSpec,
                   UnsupportedError, apply_boundary, canonical_complex, eig_sym,
                   eval_chain_on_grid, evaluation_grid, gf2, hodge_decompose,
@@ -542,3 +542,38 @@ def test_error_ratio_basics():
     grid = evaluation_grid(50)
     assert grid.shape == (50,)
     assert grid[0] == pytest.approx(-np.pi) and grid[-1] == pytest.approx(np.pi)
+
+
+# each model with each system it accepts
+MODELS = [(hodge_decompose, Real()), (hodge_decompose, FourierFn(2)),
+          (solve_fundamental, Real()), (solve_fundamental, FourierFn(2)),
+          (solve_fundamental, ModN(2)), (solve_smooth, Real()), (solve_smooth, FourierFn(2)),
+          (simplicial_seminorm, Real()), (simplicial_seminorm, ModN(2)),
+          (simplicial_seminorm, Integer())]
+MODEL_IDS = [f"{model.__name__}-{system!r}" for model, system in MODELS]
+
+
+@pytest.mark.parametrize("model,system", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("spec", ["cycle(4)", "filled_triangle"])
+def test_a_degree_outside_the_complex_is_refused_by_every_model(spec, model, system):
+    rep = canonical_complex(spec)
+    for k in (-1, rep.dim + 1):
+        with pytest.raises(UnsupportedError, match=re.escape(f"degree {k} outside 0..{rep.dim}")):
+            model(zero_chain(rep, k, system))
+
+
+@pytest.mark.parametrize("model,system", MODELS, ids=MODEL_IDS)
+def test_a_degree_with_no_cells_splits_into_zero_parts(model, system):
+    # C_1 = 0 between a vertex and a 2-cell
+    rep = ChainComplexRep((1, 0, 1), [np.zeros((1, 0), dtype=int), np.zeros((0, 1), dtype=int)])
+    x = zero_chain(rep, 1, system)
+    got = model(x)
+    if model is simplicial_seminorm:
+        value, mini = got
+        assert value == 0.0 and len(mini) == 0
+        return
+    assert got.objective == 0.0
+    for part in got.parts():
+        assert part.degree == 1 and part.values.shape == x.values.shape
+    for cert, k in ((got.y1, 2), (got.y_neg1, 0)):
+        assert cert.degree == k and len(cert) == 1 and not np.any(cert.values)
